@@ -80,9 +80,8 @@ class MinimizeResult:
     converged: bool
 
 
-def _candidate_degree(phases: np.ndarray) -> int | None:
-    """Winding number of a raw phase vector, or None when inadmissible."""
-    candidate = GridMap(phases)
+def _candidate_degree(candidate: GridMap) -> int | None:
+    """Winding number of a candidate map, or None when inadmissible."""
     if not is_admissible(candidate):
         return None
     return degree(candidate)
@@ -104,13 +103,13 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     """
     params = EnergyParams(config.p)
     target = config.degree_target
-    if _candidate_degree(start.phases) != target:
+    if _candidate_degree(start) != target:
         raise DomainError("starting map does not carry the target degree")
     armijo = config.step_rule == "armijo_backtracking"
-    phases = start.phases.copy()
-    current = energy(start, params)
+    point = start
+    current = energy(point, params)
     trace = [current]
-    grad = energy_gradient(GridMap(phases), params)
+    grad = energy_gradient(point, params)
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     aborted = False
@@ -119,9 +118,9 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         grad_sq = grad_norm * grad_norm
         step = trial_step if armijo else _INITIAL_STEP
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = phases - step * grad
+            candidate = GridMap(point.phases - step * grad)
             if _candidate_degree(candidate) == target:
-                trial = energy(GridMap(candidate), params)
+                trial = energy(candidate, params)
                 required = current - _ARMIJO_DECREASE * step * grad_sq if armijo else current
                 if trial <= required:
                     break
@@ -131,10 +130,10 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
             break
         iterations += 1
         previous_grad = grad
-        phases = candidate
+        point = candidate
         current = trial
         trace.append(current)
-        grad = energy_gradient(GridMap(phases), params)
+        grad = energy_gradient(point, params)
         grad_norm = float(np.linalg.norm(grad))
         grad_change = grad - previous_grad
         curvature = float(grad_change @ grad_change)
@@ -143,11 +142,10 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
             trial_step = min(max(slope / curvature, _TRIAL_STEP_RANGE[0]), _TRIAL_STEP_RANGE[1])
         else:
             trial_step = _INITIAL_STEP
-    final_map = GridMap(phases)
     return MinimizeResult(
-        final_map=final_map,
+        final_map=point,
         final_energy=current,
-        final_degree=degree(final_map),
+        final_degree=degree(point),
         iterations=iterations,
         grad_norm=grad_norm,
         energy_trace=np.array(trace),
@@ -179,7 +177,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     best_converged = None
     best_any = None
     for start in starts:
-        if _candidate_degree(start.phases) != config.degree_target:
+        if _candidate_degree(start) != config.degree_target:
             continue  # a perturbed start broke admissibility; skip it
         result = descend_from(start, config)
         if best_any is None or result.final_energy < best_any.final_energy:

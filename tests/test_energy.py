@@ -1,9 +1,14 @@
 """Energy kernel against brute-force sums, finite differences, and closed forms."""
 
+import importlib
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     DomainError,
@@ -17,11 +22,16 @@ from fracmin import (
     identity_energy_derivative,
     identity_energy_quadrature,
     identity_map,
+    is_admissible,
+    moebius_map,
     pairwise_sum,
     perturb,
     power_map,
     rotated,
 )
+
+# the package binds the name fracmin.energy to the function
+energy_module = importlib.import_module("fracmin.energy")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -31,19 +41,59 @@ IDENTITY_ENERGY_P12 = 81.72420616812771
 IDENTITY_ENERGY_P15 = 46.59797908333485
 
 
-def brute_energy(phases, p):
-    """Plain double-loop reference, no vectorization or pair folding."""
+def brute_force(phases, p):
+    """Plain double-loop energy and gradient, no vectorization or pair
+    folding, each with the tolerance a kernel evaluation must meet.
+
+    The tolerance of a sum is 1e-12 of the magnitudes of its terms, plus
+    the product form's cancellation: each chord |u_i - u_j| and sine it
+    forms from cos/sin values carries an absolute error of a few eps, so
+    every term is allowed 8 eps times its derivative in the chord.  That
+    allowance is negligible unless two targets nearly coincide.
+    """
     n = len(phases)
     h = 2.0 * math.pi / n
-    total = 0.0
+    eps = np.finfo(float).eps
+    total = total_tol = 0.0
+    grad = np.zeros(n)
+    grad_tol = np.zeros(n)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            chord_u = 2.0 * abs(math.sin(0.5 * (phases[i] - phases[j])))
+            delta = phases[i] - phases[j]
+            chord_u = 2.0 * abs(math.sin(0.5 * delta))
             chord_x = 2.0 * abs(math.sin(math.pi * (i - j) / n))
             total += chord_u**p / chord_x**2
-    return total * h * h
+            if chord_u == 0.0:
+                continue
+            total_tol += (1e-12 * chord_u + 8.0 * eps * p) * chord_u ** (p - 1.0) / chord_x**2
+            term = chord_u ** (p - 2.0) * math.sin(delta) / chord_x**2
+            grad[i] += term
+            grad_tol[i] += 1e-12 * abs(term) + 8.0 * eps * (1.0 + abs(p - 2.0)) * chord_u ** (p - 2.0) / chord_x**2
+    return total * h * h, total_tol * h * h, 2.0 * h * h * p * grad, 2.0 * h * h * p * grad_tol
+
+
+def assert_matches_brute_force(phases, p):
+    u = GridMap(phases)
+    params = EnergyParams(p)
+    value, value_tol, grad, grad_tol = brute_force(phases, p)
+    assert abs(energy(u, params) - value) <= value_tol
+    assert np.all(np.abs(energy_gradient(u, params) - grad) <= grad_tol)
+
+
+def gradient_term_magnitudes(u, p):
+    """Per node, the summed magnitudes of its gradient terms: a gradient
+    summed in another order agrees relative to these, not to its value."""
+    n = u.n
+    delta = u.phases[:, None] - u.phases[None, :]
+    chord_u = 2.0 * np.abs(np.sin(0.5 * delta))
+    chord_x = 2.0 * np.abs(np.sin(math.pi * np.subtract.outer(np.arange(n), np.arange(n)) / n))
+    np.fill_diagonal(chord_x, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(chord_u > 0.0, chord_u ** (p - 2.0) * np.abs(np.sin(delta)), 0.0) / chord_x**2
+    h = 2.0 * math.pi / n
+    return 2.0 * h * h * p * terms.sum(axis=1)
 
 
 def central_difference_gradient(u, params, step=1e-6):
@@ -93,13 +143,27 @@ class TestPairwiseSum:
 
 
 class TestEnergy:
-    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 33, 127, 128])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
     def test_against_brute_force(self, n, p):
         rng = np.random.default_rng(n * 100 + int(10 * p))
         phases = 2.0 * math.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n)
-        u = GridMap(phases)
-        assert energy(u, EnergyParams(p)) == pytest.approx(brute_energy(phases, p), rel=1e-12)
+        assert_matches_brute_force(phases, p)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 48),
+        d=st.integers(-3, 3),
+        jitter=st.floats(0.0, 1.5),
+        shift=st.floats(-10.0, 10.0),
+        p=st.floats(1.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fuzzed_maps_against_brute_force(self, n, d, jitter, shift, p, seed):
+        rng = np.random.default_rng(seed)
+        phases = d * 2.0 * math.pi * np.arange(n) / n + shift + rng.uniform(-jitter, jitter, n)
+        if is_admissible(GridMap(phases)):
+            assert_matches_brute_force(phases, p)
 
     def test_constant_map_zero(self):
         u = GridMap(np.full(32, 0.7))
@@ -189,6 +253,64 @@ class TestGradient:
         before = energy(u, params)
         after = energy(GridMap(u.phases - 1e-4 * g), params)
         assert after < before
+
+
+class TestKernel:
+    """The tiled product-form kernel behind energy and energy_gradient."""
+
+    @pytest.mark.parametrize("n", [33, 128, 1000])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_tile_width(self, monkeypatch, n, columns):
+        # per-offset sums fold in a fixed order whatever the tiling, so the
+        # energy keeps its bits; the gradient only reorders its row sums
+        maps = [random_admissible_map(n, 1, 0.3, 8), random_admissible_map(n, 2, 0.3, 9), moebius_map(n, (0.4, 0.1))]
+        cases = [(u, EnergyParams(p)) for u in maps for p in (1.2, 1.7)]
+        default = [(energy(u, params), energy_gradient(u, params)) for u, params in cases]
+        monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
+        for (u, params), (value, grad) in zip(cases, default):
+            assert energy(u, params) == value
+            scale = gradient_term_magnitudes(u, params.p)
+            assert np.all(np.abs(energy_gradient(u, params) - grad) <= 1e-13 * scale)
+
+    def test_nearest_neighbour_terms_against_mpmath(self):
+        # each chord and sine formed from cos/sin values is off by at most
+        # about eps in absolute terms; relative to a chord of length about
+        # 2 pi k / n that is eps n / (2 pi k), so 7e-14 at n = 4096, k = 1
+        n = 4096
+        eps = np.finfo(float).eps
+        smooth = [identity_map(n), moebius_map(n, (0.4, 0.0)), perturb(identity_map(n), 0.05, 4)]
+        # a degree-2 map whose perturbation nearly stops it: neighbour
+        # chords down to 5e-7, where only the absolute bound holds
+        slowed = perturb(power_map(n, 2), 0.3, 5)
+        for u in smooth + [slowed]:
+            c, s = np.cos(u.phases), np.sin(u.phases)
+            chord_sq = np.empty((1, n))
+            sine = np.empty((1, n))
+            energy_module._product_terms(
+                np.concatenate([c, c]), np.concatenate([s, s]), 1, chord_sq, np.empty((1, n)), sine
+            )
+            with mpmath.workdps(40):
+                for i in np.linspace(0, n - 1, 200).astype(int):
+                    delta = mpmath.mpf(u.phases[i]) - mpmath.mpf(u.phases[(i + 1) % n])
+                    exact_chord = 2 * abs(mpmath.sin(delta / 2))
+                    exact_sine = mpmath.sin(delta)
+                    chord_error = abs(mpmath.sqrt(chord_sq[0, i]) - exact_chord)
+                    sine_error = abs(sine[0, i] - exact_sine)
+                    assert chord_error <= eps and sine_error <= eps
+                    if u is not slowed:
+                        assert chord_error <= 1e-12 * exact_chord
+                        assert sine_error <= 1e-12 * abs(exact_sine)
+
+    def test_memory_linear_in_n(self):
+        # an n x n/2 table of float64 alone would take 256 MiB at n = 8192
+        u = random_admissible_map(8192, 1, 0.3, 2)
+        tracemalloc.start()
+        try:
+            energy_gradient(u, EnergyParams(1.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestClosedForms:
