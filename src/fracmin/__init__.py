@@ -5,7 +5,7 @@ E_p(u) = integral over S^1 x S^1 of |u(x) - u(y)|^p / |x - y|^2 for maps
 u: S^1 -> S^1 sampled on uniform grids, together with everything that
 hangs off it: winding numbers and their energy lower bounds, the
 closed-form identity-map energy and its strict monotonicity in p, the
-critical exponent p' ~ 1.13924 where the identity energy meets five
+critical exponent p' ~ 1.1392108 where the identity energy meets five
 times the winding bound, elementary inequality verification, and energy
 minimization over prescribed winding classes.
 """
@@ -37,7 +37,6 @@ from .maps import (
     moebius_map,
     perturb,
     power_map,
-    product_map,
     read_map_csv,
     rotated,
     wrap_angle,
@@ -92,7 +91,6 @@ __all__ = [
     "pairwise_sum",
     "perturb",
     "power_map",
-    "product_map",
     "read_map_csv",
     "reciprocal_pair_sum",
     "rotated",

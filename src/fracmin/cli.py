@@ -43,9 +43,12 @@ from .maps import (
 from .minimize import MinimizeConfig, minimize, minimize_scan
 from .special import beta
 
-# pinned regression anchor: five decimals of the critical exponent
-REFERENCE_CRITICAL_P = 1.13924
-REFERENCE_CRITICAL_TOL = 5e-5
+# root of B((p-1)/2, 1/2) = 5*pi from mpmath at 40 digits; critical_p
+# lands within a few ulps of it
+REFERENCE_CRITICAL_P = 1.139210840326630521723
+REFERENCE_CRITICAL_TOL = 1e-12
+# the value the paper quotes, reported next to the root as data
+PAPER_CRITICAL_P = 1.13924
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -119,6 +122,8 @@ def _cmd_critical_p(args):
         "bracket_lo": report.bracket[0],
         "bracket_hi": report.bracket[1],
         "iterations": report.iterations,
+        "paper_p_prime": PAPER_CRITICAL_P,
+        "paper_gap": PAPER_CRITICAL_P - report.p_prime,
     }
     checks = [
         _tolerance_check("beta_residual", report.residual_beta, 1e-10),
@@ -161,10 +166,8 @@ def _cmd_energy(args):
 
 def _cmd_degree(args):
     u = read_map_csv(args.map)
-    gaps = u.gaps()
-    total = float(np.sum(gaps)) / (2.0 * math.pi)
     d = degree(u)
-    residual = total - d
+    residual = u.winding - d
     results = {"n": u.n, "degree": d, "winding_residual": residual}
     checks = [_tolerance_check("winding_residual", residual, 1e-9)]
     return results, checks, None
@@ -209,7 +212,7 @@ def _cmd_moebius(args):
         "n": u.n,
         "degree": d,
         "energy": value,
-        "max_gap": float(np.max(np.abs(u.gaps()))),
+        "max_gap": float(np.max(np.abs(u.gaps))),
     }
     if args.p == 2.0:
         results["ground_truth_ratio"] = value / FOUR_PI_SQ
@@ -219,21 +222,20 @@ def _cmd_moebius(args):
     return results, checks, None
 
 
-def _minimize_config(args) -> MinimizeConfig:
+def _minimize_config(args, p: float) -> MinimizeConfig:
     return MinimizeConfig(
-        p=args.p,
+        p=p,
         degree_target=args.degree,
         n=args.n,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         restarts=args.restarts,
         seed=args.seed,
-        step_rule=args.step_rule,
     )
 
 
 def _cmd_minimize(args):
-    config = _minimize_config(args)
+    config = _minimize_config(args, args.p)
     result = minimize(config)
     start_energy = energy(power_map(args.n, args.degree), EnergyParams(args.p))
     bound = degree_lower_bound(args.p, args.degree)
@@ -267,17 +269,7 @@ def _cmd_scan(args):
     p_values = [float(tok) for tok in args.p_values.split(",") if tok.strip()]
     if not p_values:
         raise DomainError("scan needs at least one exponent in --p-values")
-    base = MinimizeConfig(
-        p=p_values[0],
-        degree_target=args.degree,
-        n=args.n,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-        step_rule=args.step_rule,
-    )
-    rows = minimize_scan(p_values, base)
+    rows = minimize_scan(p_values, _minimize_config(args, p_values[0]))
     results = {
         "rows": [
             {
@@ -365,12 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional circle-map energies: closed forms, winding bounds, "
         "critical exponent, and constrained minimization.",
     )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-    # the same output options are accepted after the subcommand; SUPPRESS
-    # keeps an absent trailing flag from clobbering a leading one
+    # --out is also accepted after the subcommand; SUPPRESS keeps an
+    # absent trailing flag from clobbering a leading one
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
@@ -416,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grad-tol", type=float, default=1e-5)
         sp.add_argument("--restarts", type=int, default=3)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--step-rule", choices=("armijo_backtracking", "fixed"), default="armijo_backtracking")
 
     s = add_parser("minimize", help="minimize the energy over a winding class")
     s.add_argument("--p", type=float, required=True)
@@ -458,7 +447,7 @@ _HANDLERS = {
     "bbm-check": _cmd_bbm_check,
 }
 
-_INTERNAL_KEYS = ("command", "format", "out")
+_INTERNAL_KEYS = ("command", "out")
 
 
 def _parameters(args) -> dict:
@@ -468,32 +457,6 @@ def _parameters(args) -> dict:
             continue
         params[key.replace("_", "-")] = value
     return params
-
-
-def _flatten(prefix, value, rows):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}.{i}", v, rows)
-    else:
-        rows.append((prefix, value))
-
-
-def _render_csv(report: dict) -> str:
-    lines = [f"command,{report['command']}", f"version,{report['version']}"]
-    if "seed" in report:
-        lines.append(f"seed,{report['seed']}")
-    for section in ("parameters", "results"):
-        rows = []
-        _flatten("", report[section], rows)
-        for key, value in rows:
-            lines.append(f"{section[:-1]},{key},{value!r}" if isinstance(value, str) else f"{section[:-1]},{key},{value}")
-    for check in report["checks"]:
-        status = "pass" if check["passed"] else "fail"
-        lines.append(f"check,{check['name']},{status},{check['margin']}")
-    return "\n".join(lines) + "\n"
 
 
 def _jsonable(value):
@@ -511,10 +474,7 @@ def _jsonable(value):
 
 
 def _emit(report: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    else:
-        text = _render_csv(report)
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

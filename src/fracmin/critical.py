@@ -60,11 +60,12 @@ def critical_p(tol: float = 1e-10, spec: QuadratureSpec | None = None) -> Critic
     The root is bracketed on (1.0001, 2), refined by a secant step with
     bisection fallback until |residual| <= min(tol, 1e-12), and
     cross-checked against the singular-quadrature evaluation of the same
-    integral.  tol must lie in [1e-14, 1e-4].
+    integral.  tol must lie in [1e-13, 1e-4]; the residual floor of the
+    Beta path is about 1.2e-14, so a smaller target is unreachable.
     """
     tol = float(tol)
-    if not (1e-14 <= tol <= 1e-4):
-        raise DomainError(f"tol must lie in [1e-14, 1e-4], got {tol!r}")
+    if not (1e-13 <= tol <= 1e-4):
+        raise DomainError(f"tol must lie in [1e-13, 1e-4], got {tol!r}")
     target = min(tol, 1e-12)
     lo, hi = _BRACKET_LO, _BRACKET_HI
     f_lo, f_hi = _gap(lo), _gap(hi)

@@ -47,7 +47,7 @@ depend on the tile width, and results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -79,24 +79,19 @@ _TILE_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponent p with its derived fractional order s = 1/p.
+    """The exponent p of the energy.
 
     Full support is 1 < p <= 2.  Values in (2, 4) are accepted for
-    exploratory use and flagged via beyond_supported_range; no accuracy
-    contract attaches to them.
+    exploratory use; no accuracy contract attaches to them.
     """
 
     p: float
-    s: float = field(init=False)
-    beyond_supported_range: bool = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)
         if not math.isfinite(p) or p <= 1.0 or p >= 4.0:
             raise DomainError(f"exponent must satisfy 1 < p < 4, got {p!r}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", 1.0 / p)
-        object.__setattr__(self, "beyond_supported_range", p > 2.0)
 
 
 def pairwise_sum(values) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "degree",
     "is_admissible",
     "perturb",
-    "product_map",
     "rotated",
     "read_map_csv",
     "write_map_csv",
@@ -71,32 +71,39 @@ class GridMap:
         """Grid angles theta_i = 2*pi*i/n."""
         return TWO_PI * np.arange(self.n) / self.n
 
+    # the map is frozen and its phases read-only, so neither cache goes stale
+    @cached_property
     def gaps(self) -> np.ndarray:
-        """Cyclic neighbor phase gaps wrapped to (-pi, pi]."""
-        return wrap_angle(np.roll(self.phases, -1) - self.phases)
+        """Cyclic neighbor phase gaps wrapped to (-pi, pi]; read-only."""
+        gaps = wrap_angle(np.roll(self.phases, -1) - self.phases)
+        gaps.setflags(write=False)
+        return gaps
+
+    @cached_property
+    def winding(self) -> float:
+        """The unrounded winding: the gap sum over 2*pi."""
+        return float(np.sum(self.gaps)) / TWO_PI
 
 
 def is_admissible(u: GridMap) -> bool:
     """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
-    return bool(np.all(np.abs(u.gaps()) < math.pi))
+    return bool(np.all(np.abs(u.gaps) < math.pi))
 
 
 def degree(u: GridMap) -> int:
-    """Discrete winding number: the wrapped neighbor gaps sum to 2*pi*d.
+    """Discrete winding number: the winding rounded to the nearest integer.
 
     Raises AdmissibilityError when some gap reaches pi in magnitude (the
     winding is then ill-defined at this resolution) or when the rounding
-    residual of the gap sum exceeds 1e-9.
+    residual u.winding - degree(u) exceeds 1e-9.
     """
-    gaps = u.gaps()
-    if not np.all(np.abs(gaps) < math.pi):
+    if not is_admissible(u):
         raise AdmissibilityError(
             "map has a neighbor phase gap of magnitude >= pi; winding number undefined"
         )
-    total = float(np.sum(gaps)) / TWO_PI
-    d = round(total)
-    if abs(total - d) >= 1e-9:
-        raise AdmissibilityError(f"winding residual {total - d:.3e} exceeds 1e-9")
+    d = round(u.winding)
+    if abs(u.winding - d) >= 1e-9:
+        raise AdmissibilityError(f"winding residual {u.winding - d:.3e} exceeds 1e-9")
     return int(d)
 
 
@@ -156,13 +163,6 @@ def perturb(u: GridMap, amplitude: float, seed: int) -> GridMap:
     for m, (c, s) in enumerate(coeffs, start=1):
         delta += c * np.cos(m * theta) + s * np.sin(m * theta)
     return GridMap(u.phases + delta)
-
-
-def product_map(u: GridMap, v: GridMap) -> GridMap:
-    """Pointwise complex product of two maps; in phases, their sum."""
-    if u.n != v.n:
-        raise DomainError(f"grid sizes differ: {u.n} vs {v.n}")
-    return GridMap(u.phases + v.phases)
 
 
 def rotated(u: GridMap, angle: float) -> GridMap:

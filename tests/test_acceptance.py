@@ -35,7 +35,8 @@ from fracmin import (
 )
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
-REFERENCE_P_PRIME = 1.13924
+# root of B((p-1)/2, 1/2) = 5 pi, from mpmath at 40 digits
+REFERENCE_P_PRIME = 1.139210840326630521723
 
 
 def report(number, name, passed, detail=""):
@@ -56,7 +57,7 @@ def test_criterion_01_critical_exponent():
     rep = critical_p(1e-10)
     elapsed = time.perf_counter() - started
     ok = (
-        abs(rep.p_prime - REFERENCE_P_PRIME) <= 5e-5
+        abs(rep.p_prime - REFERENCE_P_PRIME) <= 1e-12
         and abs(rep.residual_beta) <= 1e-10
         and abs(rep.residual_beta - rep.residual_quadrature) <= 1e-8
         and elapsed < 1.0

@@ -5,10 +5,11 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from fracmin import energy_gradient, identity_map, perturb, read_map_csv, write_map_csv
-from fracmin.cli import run
+from fracmin import energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
+from fracmin.cli import REFERENCE_CRITICAL_P, run
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -38,8 +39,21 @@ class TestReports:
         code, report = run_json(capsys, ["critical-p", "--tol", "1e-10"])
         assert code == 0
         jsonschema.validate(report, schema)
-        assert report["results"]["p_prime"] == pytest.approx(1.13924, abs=5e-5)
-        assert abs(report["results"]["residual_beta"]) <= 1e-10
+        results = report["results"]
+        assert abs(results["p_prime"] - REFERENCE_CRITICAL_P) <= 1e-12
+        assert abs(results["residual_beta"]) <= 1e-10
+        # the paper's five decimals sit 2.9e-5 above the root
+        assert results["paper_p_prime"] == 1.13924
+        assert results["paper_gap"] == pytest.approx(2.9159673369e-5, abs=1e-12)
+
+    def test_critical_p_tol_endpoints(self, capsys):
+        code, report = run_json(capsys, ["critical-p", "--tol", "1e-13"])
+        assert code == 0
+        assert all(check["passed"] for check in report["checks"])
+        # below the residual floor of the Beta path: a domain error, not
+        # a convergence failure
+        assert run(["critical-p", "--tol", "1e-14"]) == 3
+        capsys.readouterr()
 
     def test_id_energy_derivative(self, capsys, schema):
         code, report = run_json(capsys, ["id-energy-derivative", "--p", "1.5"])
@@ -69,6 +83,10 @@ class TestReports:
         assert code == 0
         assert report["results"]["degree"] == 1
         assert abs(report["results"]["winding_residual"]) < 1e-9
+        # the residual is the gap sum over 2 pi minus the degree, bit for bit
+        u = read_map_csv(path)
+        gaps = wrap_angle(np.roll(u.phases, -1) - u.phases)
+        assert report["results"]["winding_residual"] == float(np.sum(gaps)) / (2.0 * math.pi) - 1
 
     def test_gradient_check(self, capsys, schema):
         code, report = run_json(
@@ -155,13 +173,14 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_csv_format(self, capsys):
-        code = run(["--format", "csv", "id-energy", "--p", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "command,id-energy"
-        assert any(line.startswith("check,closed_vs_quadrature_rel,pass,") for line in lines)
+    def test_byte_identical_minimize_reports(self, capsys):
+        argv = ["minimize", "--p", "1.5", "--degree", "1", "--n", "32", "--max-iters", "50", "--restarts", "1"]
+        run(argv)
+        first = capsys.readouterr().out
+        run(argv)
+        second = capsys.readouterr().out
+        assert first == second
+        assert "step-rule" not in json.loads(first)["parameters"]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -172,11 +191,18 @@ class TestDeterminism:
         assert report["command"] == "critical-p"
 
     def test_output_flags_after_subcommand(self, tmp_path, capsys):
-        target = tmp_path / "report.csv"
-        code = run(["critical-p", "--format", "csv", "--out", str(target)])
+        target = tmp_path / "report.json"
+        code = run(["critical-p", "--out", str(target)])
         assert code == 0
         assert capsys.readouterr().out == ""
-        assert target.read_text().startswith("command,critical-p")
+        report = json.loads(target.read_text())
+        assert report["command"] == "critical-p"
+        assert "out" not in report["parameters"]
+
+    def test_removed_options_are_usage_errors(self, capsys):
+        assert run(["--format", "csv", "id-energy", "--p", "2"]) == 2
+        assert run(["minimize", "--p", "1.5", "--degree", "1", "--step-rule", "fixed"]) == 2
+        capsys.readouterr()
 
 
 class TestExitCodes:

@@ -20,14 +20,14 @@ from fracmin import (
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 FIVE_PI = 5.0 * math.pi
 
-# five-decimal reference value for the root of B((p-1)/2, 1/2) = 5 pi
-REFERENCE = 1.13924
+# root of B((p-1)/2, 1/2) = 5 pi, from mpmath at 40 digits
+REFERENCE = 1.139210840326630521723
 
 
 class TestCriticalP:
     def test_matches_reference(self):
         report = critical_p(1e-10)
-        assert abs(report.p_prime - REFERENCE) <= 5e-5
+        assert abs(report.p_prime - REFERENCE) <= 1e-12
 
     def test_residuals(self):
         report = critical_p(1e-10)
@@ -57,7 +57,7 @@ class TestCriticalP:
             b = critical_p(tol / 2.0).p_prime
             assert abs(a - b) <= 10.0 * tol
 
-    @pytest.mark.parametrize("bad", [1e-15, 1e-3, 0.0, -1e-9])
+    @pytest.mark.parametrize("bad", [1e-15, 1e-14, 1e-3, 0.0, -1e-9])
     def test_tol_domain(self, bad):
         with pytest.raises(DomainError):
             critical_p(bad)

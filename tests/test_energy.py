@@ -116,14 +116,10 @@ def random_admissible_map(n, d, amplitude, seed):
 
 
 class TestEnergyParams:
-    def test_derived_order(self):
-        params = EnergyParams(1.6)
-        assert params.s == 1.0 / 1.6
-        assert not params.beyond_supported_range
-
-    def test_beyond_range_flag(self):
-        assert EnergyParams(2.5).beyond_supported_range
-        assert not EnergyParams(2.0).beyond_supported_range
+    def test_accepts_exploratory_range(self):
+        # p in (2, 4) is accepted without an accuracy contract
+        assert EnergyParams(2.5).p == 2.5
+        assert EnergyParams(3).p == 3.0
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, 4.0, 5.0, math.nan])
     def test_domain(self, bad):

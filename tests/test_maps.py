@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     AdmissibilityError,
@@ -15,7 +17,6 @@ from fracmin import (
     moebius_map,
     perturb,
     power_map,
-    product_map,
     read_map_csv,
     rotated,
     wrap_angle,
@@ -82,9 +83,10 @@ class TestConstructionsAndDegree:
         assert not is_admissible(GridMap(phases))
 
     def test_degree_additivity_on_products(self):
+        # the pointwise product of two maps adds their phases
         for d1, d2 in [(1, 1), (2, -3), (-1, -1), (0, 4)]:
             u, v = power_map(64, d1), power_map(64, d2)
-            assert degree(product_map(u, v)) == d1 + d2
+            assert degree(GridMap(u.phases + v.phases)) == d1 + d2
 
     def test_rotation_leaves_degree(self):
         u = power_map(64, 2)
@@ -93,8 +95,47 @@ class TestConstructionsAndDegree:
     def test_perturbed_identity_keeps_degree(self):
         u = perturb(identity_map(256), 0.3, 7)
         assert degree(u) == 1
-        total = float(np.sum(u.gaps())) / (2.0 * math.pi)
-        assert abs(total - 1.0) < 1e-9
+        assert abs(u.winding - 1.0) < 1e-9
+
+
+def uncached_winding(u):
+    """(admissible, winding) from the gap formula, bypassing the map's cache."""
+    gaps = wrap_angle(np.roll(u.phases, -1) - u.phases)
+    return bool(np.all(np.abs(gaps) < math.pi)), float(np.sum(gaps)) / (2.0 * math.pi)
+
+
+@st.composite
+def grid_maps(draw):
+    """Perturbed power maps, some with one neighbor gap of exactly +-pi."""
+    n = draw(st.integers(8, 64))
+    d = draw(st.integers(-((n - 1) // 2), (n - 1) // 2))
+    u = perturb(power_map(n, d), draw(st.floats(0.0, 8.0)), draw(st.integers(0, 2**32)))
+    phases = u.phases.copy()
+    tie = draw(st.sampled_from([None, None, math.pi, -math.pi]))
+    if tie is not None:
+        i = draw(st.integers(0, n - 2))
+        phases[i], phases[i + 1] = 0.0, tie
+    return GridMap(phases)
+
+
+class TestCachedWinding:
+    def test_gaps_computed_once_and_read_only(self):
+        u = perturb(identity_map(32), 0.2, 1)
+        assert u.gaps is u.gaps
+        with pytest.raises(ValueError):
+            u.gaps[0] = 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(grid_maps())
+    def test_agrees_with_uncached_formula(self, u):
+        admissible, winding = uncached_winding(u)
+        assert is_admissible(u) == admissible
+        assert u.winding == winding
+        if not admissible or abs(winding - round(winding)) >= 1e-9:
+            with pytest.raises(AdmissibilityError):
+                degree(u)
+        else:
+            assert degree(u) == round(winding)
 
 
 class TestMoebius:
@@ -120,7 +161,7 @@ class TestMoebius:
         max_gaps = []
         for r in (0.0, 0.2, 0.4, 0.6):
             u = moebius_map(512, (r, 0.0))
-            max_gaps.append(float(np.max(np.abs(u.gaps()))))
+            max_gaps.append(float(np.max(np.abs(u.gaps))))
         assert all(a < b for a, b in zip(max_gaps, max_gaps[1:]))
 
 
