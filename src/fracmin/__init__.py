@@ -19,6 +19,7 @@ from .energy import (
     identity_energy_closed_form,
     identity_energy_derivative,
     identity_energy_quadrature,
+    moebius_energy_closed_form,
     pairwise_sum,
 )
 from .errors import AdmissibilityError, ConsistencyError, ConvergenceError, DomainError
@@ -86,6 +87,7 @@ __all__ = [
     "log_gamma",
     "minimize",
     "minimize_scan",
+    "moebius_energy_closed_form",
     "moebius_map",
     "monotonicity_scan",
     "pairwise_sum",

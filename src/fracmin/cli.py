@@ -28,6 +28,7 @@ from .energy import (
     identity_energy_closed_form,
     identity_energy_derivative,
     identity_energy_quadrature,
+    moebius_energy_closed_form,
 )
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .inequalities import bbm_degree_check, jp_monotonicity_check, young_variant_check
@@ -214,9 +215,12 @@ def _cmd_moebius(args):
         "energy": value,
         "max_gap": float(np.max(np.abs(u.gaps))),
     }
-    if args.p == 2.0:
-        results["ground_truth_ratio"] = value / FOUR_PI_SQ
     checks = [_tolerance_check("degree_is_one", d - 1, 0.0)]
+    if args.p == 2.0:
+        closed = moebius_energy_closed_form(u.n, complex(args.a_re, args.a_im))
+        results["ground_truth_ratio"] = value / FOUR_PI_SQ
+        results["discrete_closed_form"] = closed
+        checks.append(_tolerance_check("matches_discrete_closed_form", value / closed - 1.0, 1e-12))
     if args.map_out:
         write_map_csv(u, args.map_out)
     return results, checks, None

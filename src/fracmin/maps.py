@@ -71,7 +71,7 @@ class GridMap:
         """Grid angles theta_i = 2*pi*i/n."""
         return TWO_PI * np.arange(self.n) / self.n
 
-    # the map is frozen and its phases read-only, so neither cache goes stale
+    # the map is frozen and its phases read-only, so no cache goes stale
     @cached_property
     def gaps(self) -> np.ndarray:
         """Cyclic neighbor phase gaps wrapped to (-pi, pi]; read-only."""
@@ -84,10 +84,15 @@ class GridMap:
         """The unrounded winding: the gap sum over 2*pi."""
         return float(np.sum(self.gaps)) / TWO_PI
 
+    @cached_property
+    def admissible(self) -> bool:
+        """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
+        return bool(np.all(np.abs(self.gaps) < math.pi))
+
 
 def is_admissible(u: GridMap) -> bool:
     """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
-    return bool(np.all(np.abs(u.gaps) < math.pi))
+    return u.admissible
 
 
 def degree(u: GridMap) -> int:

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fracmin import energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
+from fracmin import energy, energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
 from fracmin.cli import REFERENCE_CRITICAL_P, run
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
@@ -113,6 +113,22 @@ class TestReports:
         jsonschema.validate(report, schema)
         assert report["results"]["degree"] == 1
         assert report["results"]["ground_truth_ratio"] == pytest.approx(1.0, rel=0.05)
+
+    def test_moebius_million_nodes(self, capsys):
+        # the p = 2 spectral kernel makes n = 2^20 cheap; the discrete
+        # closed form checks its value
+        code, report = run_json(capsys, ["moebius", "--a-re", "0.5", "--a-im", "0.2", "--n", "1048576"])
+        assert code == 0
+        checks = {check["name"]: check["passed"] for check in report["checks"]}
+        assert checks == {"degree_is_one": True, "matches_discrete_closed_form": True}
+        assert report["results"]["energy"] == pytest.approx(report["results"]["discrete_closed_form"], rel=1e-12)
+
+    def test_moebius_closed_form_check_detects_wrong_energy(self, capsys, monkeypatch):
+        # an energy off by two parts in 1e12 must fail the check
+        monkeypatch.setattr("fracmin.cli.energy", lambda u, params: energy(u, params) * (1.0 + 2e-12))
+        code, report = run_json(capsys, ["moebius", "--a-re", "0.3", "--a-im", "0.1", "--n", "128"])
+        assert code == 1
+        assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_discrete_closed_form"]
 
     def test_minimize_with_side_files(self, capsys, schema, tmp_path):
         map_out = tmp_path / "final.csv"

@@ -23,6 +23,7 @@ from fracmin import (
     identity_energy_quadrature,
     identity_map,
     is_admissible,
+    moebius_energy_closed_form,
     moebius_map,
     pairwise_sum,
     perturb,
@@ -165,11 +166,16 @@ class TestEnergy:
         u = GridMap(np.full(32, 0.7))
         assert energy(u, EnergyParams(1.5)) == 0.0
 
-    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [64, 128, 256, 1000, 1024, 4096])
     def test_identity_p2_exact_value(self, n):
         # at p = 2 every pair contributes its own chord ratio of one
         value = energy(identity_map(n), EnergyParams(2.0))
-        assert value == pytest.approx(FOUR_PI_SQ * (1.0 - 1.0 / n), rel=1e-13)
+        assert value == pytest.approx(FOUR_PI_SQ * (1.0 - 1.0 / n), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [95, 96])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_returns_float(self, n, p):
+        assert type(energy(perturb(identity_map(n), 0.3, 9), EnergyParams(p))) is float
 
     def test_rotation_invariance_exact_case(self):
         # phases and shift all exactly representable: additions are exact,
@@ -307,6 +313,104 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+
+def mpmath_energy_and_gradient_p2(phases, digits=30):
+    """The p = 2 double sum and its gradient, pair by pair in mpmath."""
+    n = len(phases)
+    with mpmath.workdps(digits):
+        phi = [mpmath.mpf(x) for x in phases]
+        # 1 / c_k^2 for the node chord c_k = 2 sin(pi k / n)
+        inverse_node_sq = [None] + [1 / (4 * mpmath.sin(mpmath.pi * k / n) ** 2) for k in range(1, n)]
+        total = mpmath.mpf(0)
+        grad = [mpmath.mpf(0)] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                cos_half, sin_half = mpmath.cos_sin((phi[i] - phi[j]) / 2)
+                weight = inverse_node_sq[j - i]
+                total += 4 * sin_half * sin_half * weight
+                term = 2 * sin_half * cos_half * weight
+                grad[i] += term
+                grad[j] -= term
+        h = 2 * mpmath.pi / n
+        return float(2 * h * h * total), np.array([float(4 * h * h * g) for g in grad])
+
+
+def spectral_cases():
+    """Identity, Moebius and perturbed degree-1 and degree-2 maps, odd and even n."""
+    for n in (8, 9, 15, 16, 128, 255, 256, 1024, 4096):
+        candidates = [
+            identity_map(n),
+            moebius_map(n, (0.4, 0.1)),
+            perturb(identity_map(n), 0.3, n),
+            perturb(power_map(n, 2), 0.3, n + 1),
+        ]
+        for u in candidates:
+            if is_admissible(u):
+                yield u
+
+
+class TestSpectral:
+    """The O(n log n) kernel behind energy and energy_gradient at p = 2."""
+
+    def test_against_tiled_kernel(self):
+        cases = list(spectral_cases())
+        assert len(cases) >= 30
+        for u in cases:
+            tiled = energy_module._tiled(u, 2.0, False)
+            assert energy(u, EnergyParams(2.0)) == pytest.approx(tiled, rel=1e-14)
+            tiled_grad = energy_module._tiled(u, 2.0, True)
+            assert np.max(np.abs(energy_gradient(u, EnergyParams(2.0)) - tiled_grad)) <= 1e-13
+
+    def test_against_mpmath(self):
+        u = perturb(power_map(256, 2), 0.3, 11)
+        value, grad = mpmath_energy_and_gradient_p2(u.phases)
+        assert energy(u, EnergyParams(2.0)) == pytest.approx(value, rel=1e-14)
+        assert np.max(np.abs(energy_gradient(u, EnergyParams(2.0)) - grad)) <= 1e-13
+        assert np.max(np.abs(grad)) >= 0.1  # the bound is not vacuous
+
+    @pytest.mark.parametrize("n", [17, 31, 64, 1000])
+    def test_constant_map_exactly_zero(self, n):
+        # the FFT of a constant is not exactly zero at every n; the kernel
+        # removes the mean first
+        u = GridMap(np.full(n, 0.7))
+        assert energy(u, EnergyParams(2.0)) == 0.0
+        np.testing.assert_array_equal(energy_gradient(u, EnergyParams(2.0)), np.zeros(n))
+
+    def test_memory_linear_in_n(self):
+        # measured 64.0 MiB: three complex arrays of n entries (z, its
+        # spectrum, the inverse transform) and two real ones
+        u = perturb(identity_map(2**20), 0.3, 2)
+        is_admissible(u)  # the map's cached gaps are not the kernel's memory
+        tracemalloc.start()
+        try:
+            energy_gradient(u, EnergyParams(2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 72 * 2**20
+
+
+class TestMoebiusClosedForm:
+    A_VALUES = (0.0, 0.3 + 0.1j, -0.5j, 0.7 + 0.2j, -0.85)
+
+    def test_identity_at_center(self):
+        for n in (8, 64, 1000):
+            assert moebius_energy_closed_form(n, 0.0) == pytest.approx(FOUR_PI_SQ * (1.0 - 1.0 / n), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 127, 512])
+    def test_tiled_kernel_matches(self, n):
+        for a in self.A_VALUES:
+            u = moebius_map(n, a)
+            if is_admissible(u):
+                closed = moebius_energy_closed_form(n, a)
+                assert energy_module._tiled(u, 2.0, False) == pytest.approx(closed, rel=1e-13)
+                assert energy(u, EnergyParams(2.0)) == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("n, a", [(1, 0.3), (64, 1.0), (64, 0.8 + 0.8j)])
+    def test_domain(self, n, a):
+        with pytest.raises(DomainError):
+            moebius_energy_closed_form(n, a)
 
 
 class TestClosedForms:

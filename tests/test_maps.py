@@ -125,11 +125,18 @@ class TestCachedWinding:
         with pytest.raises(ValueError):
             u.gaps[0] = 0.0
 
+    def test_admissibility_computed_once(self):
+        u = perturb(identity_map(32), 0.2, 1)
+        assert "admissible" not in vars(u)
+        assert is_admissible(u) is True
+        assert vars(u)["admissible"] is True
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(grid_maps())
     def test_agrees_with_uncached_formula(self, u):
         admissible, winding = uncached_winding(u)
         assert is_admissible(u) == admissible
+        assert u.admissible == admissible
         assert u.winding == winding
         if not admissible or abs(winding - round(winding)) >= 1e-9:
             with pytest.raises(AdmissibilityError):
