@@ -200,6 +200,8 @@ def _cmd_gradient_check(args):
         "p": args.p,
         "max_abs_deviation": float(np.max(deviation)),
         "max_rel_error": float(np.max(deviation / np.maximum(np.abs(fd), 1e-7))),
+        # at most 1 exactly when the check passes, unlike max_rel_error
+        "max_tolerance_ratio": float(np.max(deviation / tolerance)),
     }
     checks = [_check("matches_finite_differences", worst >= 0.0, worst)]
     return results, checks, args.seed

@@ -36,9 +36,10 @@ FIVE_PI = 5.0 * math.pi
 _BRACKET_LO = 1.0001
 _BRACKET_HI = 2.0
 
-# Direct terms summed before the Euler-Maclaurin tail takes over; the
-# remainder bound at this cutoff is ~1e-24, far below the 1e-12 budget.
-_SERIES_CUTOFF = 100_000
+# Direct terms summed before the Euler-Maclaurin tail takes over.  The
+# first omitted tail term, -f'''(N)/720 with f'''(N) ~ -6 N^-5, is about
+# 8e-18 at N = 1000, below the rounding of the sum itself.
+_SERIES_CUTOFF = 1000
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,11 @@ def critical_p(tol: float = 1e-10, spec: QuadratureSpec | None = None) -> Critic
 def reciprocal_pair_sum(p: float) -> float:
     """sum_{n >= 0} 1 / ((2n + p - 1)(2n + p)) with truncation error <= 1e-12.
 
-    The first 1e5 terms are summed directly (pairwise reduction); the tail
-    is integrated by Euler-Maclaurin through the f'(N)/12 correction.
-    The remainder is bounded by the first omitted correction, ~1e-24 at
-    this cutoff, so the stated budget holds with enormous slack.
+    The first N = 1000 terms are summed directly (pairwise reduction); the
+    tail is integrated by Euler-Maclaurin through the f'(N)/12 correction.
+    The remainder is bounded by the first omitted correction,
+    |f'''(N)|/720 ~ 8e-18 at this cutoff, so the stated budget holds with
+    wide slack and the sum is accurate to rounding (~3e-16 relative).
     """
     p = float(p)
     if not math.isfinite(p) or p <= 1.0 or p > 2.0:

@@ -55,7 +55,9 @@ def segment_weight_integral(a, b, p: float, spec: QuadratureSpec | None = None) 
     The integrand is singular only where the segment passes closest to
     the origin; the closest-approach parameter is found by projecting and
     the domain is split there, with each piece reflected so the (possible)
-    singularity sits at the exactly representable endpoint 0.
+    singularity sits at the exactly representable endpoint 0.  A segment
+    through the origin has pieces |b - a|^(p-2) tau^(p-2), which are
+    integrated in closed form.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -75,7 +77,7 @@ def segment_weight_integral(a, b, p: float, spec: QuadratureSpec | None = None) 
     seg_len = math.sqrt(seg_sq)
     # Scalar segments of opposite sign cross the origin exactly even when
     # the projected foot point rounds to ~1e-16; antipodal vector pairs
-    # land on w == 0 exactly.  Both need the exact-ray integrand, since
+    # land on w == 0 exactly.  Both need the exact-ray integral, since
     # near p -> 1 the integral is genuinely sensitive to the minimal
     # distance at any scale.
     through_origin = (w_sq == 0.0 and w_dot == 0.0) or (
@@ -85,20 +87,17 @@ def segment_weight_integral(a, b, p: float, spec: QuadratureSpec | None = None) 
     def piece(sign, length):
         if length <= 0.0:
             return 0.0
-
         if through_origin:
-            # |v| = tau * |b - a| exactly; avoids squaring tau, whose
-            # square underflows at the deepest quadrature nodes
-            def integrand(tau):
-                return (tau * seg_len) ** (p - 2.0)
+            # |v| = tau * |b - a| exactly, so the piece integrates in closed
+            # form.  Quadrature cannot replace it for p -> 1: tau^(p-2) then
+            # holds measurable mass below the smallest tanh-sinh node.
+            return seg_len ** (p - 2.0) * length ** (p - 1.0) / (p - 1.0)
 
-        else:
-
-            def integrand(tau):
-                v_sq = w_sq + sign * 2.0 * tau * w_dot + tau * tau * seg_sq
-                # v_sq >= (|w| - tau |delta|)^2 >= 0; the floor only absorbs
-                # rounding of that cancellation, never a true zero
-                return np.maximum(v_sq, 5e-324) ** exponent
+        def integrand(tau):
+            v_sq = w_sq + sign * 2.0 * tau * w_dot + tau * tau * seg_sq
+            # v_sq >= (|w| - tau |delta|)^2 >= 0; the floor only absorbs
+            # rounding of that cancellation, never a true zero
+            return np.maximum(v_sq, 5e-324) ** exponent
 
         return integrate_singular(integrand, 0.0, length, spec)
 

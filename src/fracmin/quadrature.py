@@ -7,6 +7,10 @@ scheme-specific weights.  A dyadically refined midpoint rule (with one
 Richardson extrapolation step) is kept as an independent cross-check for
 smooth integrands.
 
+Each level's t-only node factors are computed once per process and
+cached; a call scales them to its interval and evaluates the centre and
+levels 0-3, which the stopping rule always needs, in one integrand call.
+
 Precision note: nodes are generated as exact distances from the nearer
 endpoint, so an integrand singular at an endpoint is sampled at full
 relative accuracy only when that endpoint is exactly representable with a
@@ -17,6 +21,7 @@ folding or reflecting the domain first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,6 +38,10 @@ _SCHEMES = ("double_exponential", "midpoint_refined")
 # the endpoint is ~3e-276 and the node contribution of any integrable
 # algebraic singularity is far below double precision.
 _T_MAX = 6.0
+
+# The first level whose estimate the stopping rule compares with the one
+# before it; coarser estimates are too far from converged to test.
+_MIN_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -62,25 +71,35 @@ def _eval_batch(f, x):
     return values
 
 
-def _tanh_sinh_nodes(t, a, b):
-    """Abscissas (as distance from each endpoint) and weights for t > 0."""
-    length = b - a
+@functools.cache
+def _level_table(level):
+    """The t-only factors of the nodes a level adds: q, 1 + q, cosh t, (1 + q)^2.
+
+    Level 0 holds t = 1..5 (the centre t = 0 is separate); level k >= 1
+    holds the odd multiples of 2^-k below _T_MAX.  q = exp(-pi sinh t)
+    lies in (0, 1] and does not overflow for t <= 6.  The arrays are
+    shared by every call, so they are read-only.
+    """
+    h = 0.5**level
+    t = np.arange(1.0, _T_MAX) if level == 0 else np.arange(1.0, math.ceil(_T_MAX / h), 2.0) * h
     u = 0.5 * math.pi * np.sinh(t)
-    q = np.exp(-2.0 * u)           # in (0, 1]; no overflow for t <= 6
-    dist = length * q / (1.0 + q)  # distance from the nearer endpoint
+    q = np.exp(-2.0 * u)
+    table = (q, 1.0 + q, np.cosh(t), (1.0 + q) ** 2)
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _level_nodes(level, a, b):
+    """A level's nodes, lower ones then upper ones, and the weight of each pair."""
+    q, one_plus_q, cosh_t, one_plus_q_sq = _level_table(level)
+    length = b - a
+    dist = length * q / one_plus_q  # distance from the nearer endpoint
     # dx/dt = (length/2) (pi/2) cosh(t) sech^2(u), sech^2(u) = 4q/(1+q)^2
-    weight = 0.5 * length * (0.5 * math.pi) * np.cosh(t) * 4.0 * q / (1.0 + q) ** 2
-    return dist, weight
-
-
-def _ts_batch(f, t, a, b):
-    """Contribution (before the h factor) of the symmetric node pair set t > 0."""
-    dist, weight = _tanh_sinh_nodes(t, a, b)
+    weight = 0.5 * length * (0.5 * math.pi) * cosh_t * 4.0 * q / one_plus_q_sq
     keep = dist > 0.0
     dist, weight = dist[keep], weight[keep]
-    lower = _eval_batch(f, a + dist)
-    upper = _eval_batch(f, b - dist)
-    return float(np.sum(weight * (lower + upper)))
+    return np.concatenate((a + dist, b - dist)), weight
 
 
 def _tanh_sinh_estimates(f, a, b, max_level):
@@ -88,23 +107,32 @@ def _tanh_sinh_estimates(f, a, b, max_level):
 
     The step h = 2^-level halves each level, reusing every node already
     evaluated: each level only adds the odd multiples of the new h.
+    _tanh_sinh never stops before level _MIN_LEVEL, so the centre and
+    the levels up to it are evaluated in one integrand call.
     """
     length = b - a
-    center = _eval_batch(f, np.array([a + 0.5 * length]))[0] * (0.25 * math.pi * length)
-    total = center + _ts_batch(f, np.arange(1.0, _T_MAX), a, b)
-    yield total
-    h = 1.0
-    for _ in range(max_level):
-        h *= 0.5
-        t_new = np.arange(1.0, math.ceil(_T_MAX / h), 2.0) * h
-        total = 0.5 * total + _ts_batch(f, t_new, a, b) * h
+    batch = [_level_nodes(level, a, b) for level in range(min(max_level, _MIN_LEVEL) + 1)]
+    values = _eval_batch(f, np.concatenate([[a + 0.5 * length]] + [x for x, _ in batch]))
+    total = values[0] * (0.25 * math.pi * length)
+    start = 1
+    for level in range(max_level + 1):
+        if level < len(batch):
+            x, weight = batch[level]
+            level_values = values[start : start + x.size]
+            start += x.size
+        else:
+            x, weight = _level_nodes(level, a, b)
+            level_values = _eval_batch(f, x)
+        lower, upper = level_values[: weight.size], level_values[weight.size :]
+        level_sum = float(np.sum(weight * (lower + upper)))
+        total = total + level_sum if level == 0 else 0.5 * total + level_sum * 0.5**level
         yield total
 
 
 def _tanh_sinh(f, a, b, max_level, abs_tol):
     previous = math.inf
     for level, total in enumerate(_tanh_sinh_estimates(f, a, b, max_level)):
-        if level >= 3 and abs(total - previous) <= abs_tol:
+        if level >= _MIN_LEVEL and abs(total - previous) <= abs_tol:
             return total
         previous = total
     raise ConvergenceError(

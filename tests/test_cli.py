@@ -105,6 +105,14 @@ class TestReports:
         assert report["checks"][0]["passed"]
         assert report["results"]["max_rel_error"] <= 1e-5
 
+    def test_gradient_check_tolerance_ratio(self, capsys):
+        # max_rel_error reads 6.6e-5 here although the check passes; the
+        # ratio to the check's own tolerance is what the check compares
+        code, report = run_json(capsys, ["gradient-check", "--n", "64", "--p", "2", "--seed", "13"])
+        assert code == 0
+        assert report["checks"][0]["passed"]
+        assert report["results"]["max_tolerance_ratio"] <= 1.0
+
     def test_moebius(self, capsys, schema):
         code, report = run_json(
             capsys, ["moebius", "--a-re", "0.3", "--a-im", "0.1", "--n", "128"]
@@ -262,3 +270,4 @@ class TestExitCodes:
         code, report = run_json(capsys, ["gradient-check", "--n", "32", "--p", "1.5", "--seed", "3"])
         assert code == 1
         assert not report["checks"][0]["passed"]
+        assert report["results"]["max_tolerance_ratio"] > 1.0

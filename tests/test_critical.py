@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,7 +93,7 @@ class TestDerivativeSignCondition:
 
     def test_telescoping_at_two(self):
         # at p = 2 the series is sum 1/((2n+1)(2n+2)) = log 2
-        assert reciprocal_pair_sum(2.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert reciprocal_pair_sum(2.0) == pytest.approx(math.log(2.0), abs=4e-16)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -132,3 +133,13 @@ class TestBracketFailureGuard:
         assert isinstance(report.iterations, int)
         assert beta(0.5 * (1.0001 - 1.0), 0.5) > FIVE_PI
         assert beta(0.5, 0.5) < FIVE_PI
+
+
+class TestPairSeriesAgainstMpmath:
+    @pytest.mark.parametrize("p", [1.0001, 1.01, 1.05, REFERENCE, 1.5, 1.99, 2.0])
+    def test_digamma_difference(self, p):
+        # sum_n 1/((2n+p-1)(2n+p)) = (psi(p/2) - psi((p-1)/2)) / 2
+        with mpmath.workdps(40):
+            x = mpmath.mpf(p)
+            exact = (mpmath.digamma(x / 2) - mpmath.digamma((x - 1) / 2)) / 2
+            assert abs((reciprocal_pair_sum(p) - exact) / exact) <= 1e-15

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +52,44 @@ class TestSegmentWeightIntegral:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             segment_weight_integral(np.zeros(3), np.zeros(3), 1.5)
+
+    def test_through_origin_near_one(self):
+        # at p -> 1, tau^(p-2) holds measurable mass below the smallest
+        # tanh-sinh node, and quadrature raised ConvergenceError here
+        a, b, p = 8.957860505278106, -8.678788014175144, 1.022313093502282
+        seg_len = abs(b - a)
+        expected = seg_len ** (p - 2.0) * (
+            abs(a / seg_len) ** (p - 1.0) + abs(b / seg_len) ** (p - 1.0)
+        ) / (p - 1.0)
+        value = segment_weight_integral(np.array([a]), np.array([b]), p)
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-14)
+        assert jp_monotonicity_check([a], [b], p).margin >= -1e-10
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 1.9])
+    @pytest.mark.parametrize(
+        "a, b", [([3.0], [-1.0]), ([-1.0, -2.0], [3.0, 6.0]), ([1.0, -2.0, 2.0], [-3.0, 6.0, -6.0])]
+    )
+    def test_through_origin_against_mpmath(self, a, b, p):
+        # the crossing parameter (3/4 or 1/4) is exact in binary, so the
+        # reference's foot point w is exactly 0; each piece is integrated in
+        # tau = length * exp(-y), which leaves no mass out of reach
+        with mpmath.workdps(30):
+            delta = [mpmath.mpf(y) - x for x, y in zip(a, b)]
+            t_star = -mpmath.fsum(x * d for x, d in zip(a, delta)) / mpmath.fsum(d * d for d in delta)
+            w = [x + t_star * d for x, d in zip(a, delta)]
+            assert not any(w)
+
+            def piece(sign, length):
+                def integrand(y):
+                    tau = length * mpmath.exp(-y)
+                    return mpmath.norm([wi + sign * tau * d for wi, d in zip(w, delta)]) ** (p - 2) * tau
+
+                return mpmath.quad(integrand, [0, mpmath.inf])
+
+            exact = piece(-1, t_star) + piece(1, 1 - t_star)
+            value = segment_weight_integral(np.array(a), np.array(b), p)
+            assert abs(value - exact) <= 1e-12 * exact
 
 
 class TestJpMonotonicity:

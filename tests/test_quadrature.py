@@ -146,3 +146,117 @@ class TestIntegralSinPower:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             integral_sin_power(bad)
+
+
+def _reference_estimates(f, a, b, max_level):
+    """The tanh-sinh level loop with no caching or batching.
+
+    Every level rebuilds its node table from t, and the lower and upper
+    nodes go to the integrand in two separate calls.
+    """
+
+    def level_sum(t):
+        length = b - a
+        u = 0.5 * math.pi * np.sinh(t)
+        q = np.exp(-2.0 * u)
+        dist = length * q / (1.0 + q)
+        weight = 0.5 * length * (0.5 * math.pi) * np.cosh(t) * 4.0 * q / (1.0 + q) ** 2
+        keep = dist > 0.0
+        dist, weight = dist[keep], weight[keep]
+        lower = np.asarray(f(a + dist), dtype=np.float64)
+        upper = np.asarray(f(b - dist), dtype=np.float64)
+        return float(np.sum(weight * (lower + upper)))
+
+    length = b - a
+    center = np.asarray(f(np.array([a + 0.5 * length])), dtype=np.float64)[0]
+    total = center * (0.25 * math.pi * length) + level_sum(np.arange(1.0, 6.0))
+    yield total
+    h = 1.0
+    for _ in range(max_level):
+        h *= 0.5
+        total = 0.5 * total + level_sum(np.arange(1.0, math.ceil(6.0 / h), 2.0) * h) * h
+        yield total
+
+
+def _reference_integrate(f, a, b, spec):
+    previous = math.inf
+    for level, total in enumerate(_reference_estimates(f, a, b, spec.level_or_nodes)):
+        if level >= 3 and abs(total - previous) <= spec.abs_tol:
+            return total
+        previous = total
+    raise ConvergenceError("reference did not converge")
+
+
+def _recording(f):
+    """f, plus the list of every node it is asked for."""
+    nodes = []
+
+    def wrapped(x):
+        nodes.append(np.array(x, copy=True))
+        return f(x)
+
+    return wrapped, nodes
+
+
+def _sin_power_remainder(p):
+    exponent = p - 2.0
+    return lambda x: x**exponent * np.expm1(exponent * np.log(np.sin(x) / x))
+
+
+def _segment_piece(w_sq, w_dot, seg_sq, p):
+    # the off-origin segment integrand of segment_weight_integral
+    return lambda tau: np.maximum(w_sq + 2.0 * tau * w_dot + tau * tau * seg_sq, 5e-324) ** (
+        0.5 * (p - 2.0)
+    )
+
+
+REFERENCE_CASES = [
+    (np.ones_like, 0.0, 1.0),  # converged at level 3, the earliest stop
+    (_sin_power_remainder(1.13921), 0.0, 0.5 * math.pi),
+    (_sin_power_remainder(1.01), 0.0, 0.5 * math.pi),
+    (_sin_power_remainder(1.9), 0.0, 0.5 * math.pi),
+    (_segment_piece(0.37, 1e-17, 41.5, 1.3), 0.0, 0.62),
+    (_segment_piece(2.5e-9, -3e-16, 7.25, 1.05), 0.0, 0.31),
+    (lambda t: t**-0.9, 0.0, 1.0),
+    (lambda t: t**-0.5, 0.0, 1e-300),  # the deepest distances underflow and are dropped
+    (lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0),
+]
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("max_level", [1, 2, 3, 12])
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    def test_estimates_bit_identical(self, case, max_level):
+        f, a, b = REFERENCE_CASES[case]
+        f_new, nodes_new = _recording(f)
+        f_ref, nodes_ref = _recording(f)
+        new = list(_tanh_sinh_estimates(f_new, a, b, max_level))
+        ref = list(_reference_estimates(f_ref, a, b, max_level))
+        assert len(new) == len(ref) == max_level + 1
+        assert new == ref
+        assert np.array_equal(np.sort(np.concatenate(nodes_new)), np.sort(np.concatenate(nodes_ref)))
+
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    def test_stopping_requests_no_extra_nodes(self, case):
+        # the batched levels 0-3 are nodes the stopping rule always needs;
+        # later levels are requested only while it has not been met
+        f, a, b = REFERENCE_CASES[case]
+        spec = QuadratureSpec()
+        f_new, nodes_new = _recording(f)
+        f_ref, nodes_ref = _recording(f)
+        assert integrate_singular(f_new, a, b, spec) == _reference_integrate(f_ref, a, b, spec)
+        assert np.array_equal(np.sort(np.concatenate(nodes_new)), np.sort(np.concatenate(nodes_ref)))
+
+    def test_nan_at_level_two_node(self):
+        # t = 1/4 is a level-2 node; its lower abscissa on (0, 1) is q/(1+q)
+        q = math.exp(-math.pi * math.sinh(0.25))
+        bad = q / (1.0 + q)
+
+        def f(x):
+            return np.where(np.isclose(x, bad, rtol=1e-9, atol=0.0), np.nan, 1.0)
+
+        with pytest.raises(DomainError):
+            integrate_singular(f, 0.0, 1.0)
+        # at max level 1 the node is never requested: the run ends unconverged
+        with pytest.raises(ConvergenceError):
+            integrate_singular(f, 0.0, 1.0, QuadratureSpec(level_or_nodes=1))
