@@ -44,7 +44,7 @@ from .maps import (
     write_map_csv,
 )
 from .minimize import MinimizeConfig, MinimizeResult, ScanRow, descend_from, minimize, minimize_scan
-from .quadrature import QuadratureSpec, integral_sin_power, integrate_singular
+from .quadrature import integral_sin_power, integrate_singular
 from .special import EULER_GAMMA, SeriesTail, beta, digamma, digamma_series, log2_series, log_gamma
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "InequalityCheck",
     "MinimizeConfig",
     "MinimizeResult",
-    "QuadratureSpec",
     "ScanRow",
     "SeriesTail",
     "bbm_degree_check",

@@ -161,8 +161,7 @@ def _cmd_energy(args):
     u = read_map_csv(args.map)
     value = energy(u, EnergyParams(args.p))
     results = {"n": u.n, "p": args.p, "energy": value, "degree": degree(u)}
-    checks = [_check("degree_admissible", True, 0.0)]
-    return results, checks, None
+    return results, [], None
 
 
 def _cmd_degree(args):

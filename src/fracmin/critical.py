@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import identity_energy_derivative
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .quadrature import QuadratureSpec, integral_sin_power
+from .quadrature import integral_sin_power
 from .special import beta, digamma
 
 __all__ = [
@@ -55,7 +55,7 @@ def _gap(p: float) -> float:
     return beta(0.5 * (p - 1.0), 0.5) - FIVE_PI
 
 
-def critical_p(tol: float = 1e-10, spec: QuadratureSpec | None = None) -> CriticalReport:
+def critical_p(tol: float = 1e-10) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
     The root is bracketed on (1.0001, 2), refined by a secant step with
@@ -96,7 +96,7 @@ def critical_p(tol: float = 1e-10, spec: QuadratureSpec | None = None) -> Critic
             break
     if abs(f_p) > target:
         raise ConvergenceError(f"root residual {f_p:.3e} above target {target:.3e}")
-    residual_quadrature = integral_sin_power(p, spec) - FIVE_PI
+    residual_quadrature = integral_sin_power(p) - FIVE_PI
     return CriticalReport(
         p_prime=p,
         residual_beta=f_p,

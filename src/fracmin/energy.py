@@ -72,7 +72,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import AdmissibilityError, DomainError
 from .maps import GridMap, is_admissible
-from .quadrature import QuadratureSpec, integral_sin_power
+from .quadrature import integral_sin_power
 from .special import beta, digamma
 
 __all__ = [
@@ -113,31 +113,23 @@ class EnergyParams:
         object.__setattr__(self, "p", p)
 
 
+def _pairwise_fold(arr: np.ndarray) -> np.ndarray:
+    """The sum along axis 0 of a non-empty array, in a fixed binary-tree order."""
+    while arr.shape[0] > 1:
+        m = arr.shape[0] // 2
+        folded = arr[: 2 * m : 2] + arr[1 : 2 * m : 2]
+        if arr.shape[0] % 2:
+            folded = np.concatenate((folded, arr[-1:]))
+        arr = folded
+    return arr[0]
+
+
 def pairwise_sum(values) -> float:
     """Sum in a fixed binary-tree order, independent of any threading."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0.0
-    arr = arr.copy()
-    while arr.size > 1:
-        m = arr.size // 2
-        folded = arr[: 2 * m : 2] + arr[1 : 2 * m : 2]
-        if arr.size % 2:
-            folded = np.append(folded, arr[-1])
-        arr = folded
-    return float(arr[0])
-
-
-def _pairwise_fold_rows(matrix: np.ndarray) -> np.ndarray:
-    """Column sums of a 2D array in the same fixed binary-tree order."""
-    arr = matrix
-    while arr.shape[0] > 1:
-        m = arr.shape[0] // 2
-        folded = arr[: 2 * m : 2] + arr[1 : 2 * m : 2]
-        if arr.shape[0] % 2:
-            folded = np.vstack([folded, arr[-1:]])
-        arr = folded
-    return arr[0]
+    return float(_pairwise_fold(arr))
 
 
 def _require_admissible(u: GridMap) -> None:
@@ -256,7 +248,7 @@ def _tiled(u: GridMap, p: float, gradient: bool) -> float | np.ndarray:
             w[x == 0.0] = 0.0
         if not gradient:
             w *= x
-            per_offset[offsets] = _pairwise_fold_rows(w.T) / node_sq[offsets]
+            per_offset[offsets] = _pairwise_fold(w.T) / node_sq[offsets]
             continue
         sine *= w
         sine /= node_sq[offsets, None]
@@ -337,12 +329,12 @@ def moebius_energy_closed_form(n: int, a: complex) -> float:
     return FOUR_PI_SQ * (1.0 - x) ** 2 * series / abs(1.0 - a.conjugate() ** n) ** 2
 
 
-def identity_energy_quadrature(p: float, spec: QuadratureSpec | None = None) -> float:
+def identity_energy_quadrature(p: float) -> float:
     """Independent evaluation of E_p(Id) through the singular quadrature path."""
     p = float(p)
     if not math.isfinite(p) or p <= 1.0 or p > 2.0:
         raise DomainError(f"quadrature form requires 1 < p <= 2, got {p!r}")
-    return 2.0**p * math.pi * integral_sin_power(p, spec)
+    return 2.0**p * math.pi * integral_sin_power(p)
 
 
 def identity_energy_derivative(p: float) -> float:

@@ -7,7 +7,6 @@ randomized input populations.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 from .energy import EnergyParams, degree_lower_bound, energy
 from .errors import DomainError
 from .maps import GridMap, degree
-from .quadrature import QuadratureSpec, integrate_singular
+from .quadrature import integrate_singular
 
 __all__ = [
     "InequalityCheck",
@@ -32,24 +31,13 @@ class InequalityCheck:
     lhs: float
     rhs: float
     margin: float
-    inputs_digest: str
 
 
-def _digest(name: str, *parts) -> str:
-    blob = name + "|" + "|".join(repr(p) for p in parts)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _check(lhs, rhs) -> InequalityCheck:
+    return InequalityCheck(lhs=float(lhs), rhs=float(rhs), margin=float(lhs) - float(rhs))
 
 
-def _check(name, lhs, rhs, *parts) -> InequalityCheck:
-    return InequalityCheck(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(lhs) - float(rhs),
-        inputs_digest=_digest(name, *parts),
-    )
-
-
-def segment_weight_integral(a, b, p: float, spec: QuadratureSpec | None = None) -> float:
+def segment_weight_integral(a, b, p: float) -> float:
     """The integral of |a + t (b - a)|^(p-2) over t in (0, 1), 1 < p < 2.
 
     The integrand is singular only where the segment passes closest to
@@ -99,12 +87,12 @@ def segment_weight_integral(a, b, p: float, spec: QuadratureSpec | None = None) 
             # rounding of that cancellation, never a true zero
             return np.maximum(v_sq, 5e-324) ** exponent
 
-        return integrate_singular(integrand, 0.0, length, spec)
+        return integrate_singular(integrand, 0.0, length)
 
     return piece(-1.0, t_star) + piece(+1.0, 1.0 - t_star)
 
 
-def jp_monotonicity_check(a, b, p: float, spec: QuadratureSpec | None = None) -> InequalityCheck:
+def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
     """Monotonicity of v -> |v|^(p-2) v for 1 < p < 2:
 
         <|b|^(p-2) b - |a|^(p-2) a, b - a>
@@ -131,8 +119,8 @@ def jp_monotonicity_check(a, b, p: float, spec: QuadratureSpec | None = None) ->
     if seg_sq == 0.0:
         rhs = 0.0
     else:
-        rhs = (p - 1.0) * seg_sq * segment_weight_integral(a, b, p, spec)
-    return _check("jp_monotonicity", lhs, rhs, tuple(a), tuple(b), p)
+        rhs = (p - 1.0) * seg_sq * segment_weight_integral(a, b, p)
+    return _check(lhs, rhs)
 
 
 def young_variant_check(A: float, B: float, p: float) -> InequalityCheck:
@@ -148,7 +136,7 @@ def young_variant_check(A: float, B: float, p: float) -> InequalityCheck:
         raise DomainError("B must be > 0")
     lhs = A * A * B ** (p - 2.0) + B**p
     rhs = A**p
-    return _check("young_variant", lhs, rhs, A, B, p)
+    return _check(lhs, rhs)
 
 
 def bbm_degree_check(u: GridMap, p: float) -> InequalityCheck:
@@ -162,5 +150,4 @@ def bbm_degree_check(u: GridMap, p: float) -> InequalityCheck:
     d = degree(u)
     lhs = energy(u, EnergyParams(p))
     rhs = degree_lower_bound(p, d)
-    digest_token = (u.n, float(u.phases[0]), float(u.phases[-1]), p, d)
-    return _check("bbm_degree", lhs, rhs, *digest_token)
+    return _check(lhs, rhs)

@@ -1,11 +1,10 @@
 """1D quadrature for integrands with algebraic endpoint singularities.
 
-The default engine is a tanh-sinh (double exponential) transform: node
+The engine is a tanh-sinh (double exponential) transform: node
 density increases double-exponentially toward the endpoints, which
 absorbs any integrable algebraic singularity x^alpha, alpha > -1, without
-scheme-specific weights.  A dyadically refined midpoint rule (with one
-Richardson extrapolation step) is kept as an independent cross-check for
-smooth integrands.
+scheme-specific weights.  Every integral refines to at most level 12
+(step 2^-12 in t) and stops once two successive levels agree to 1e-10.
 
 Each level's t-only node factors are computed once per process and
 cached; a call scales them to its interval and evaluates the centre and
@@ -23,16 +22,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["QuadratureSpec", "integrate_singular", "integral_sin_power"]
+__all__ = ["integrate_singular", "integral_sin_power"]
 
-_SCHEMES = ("double_exponential", "midpoint_refined")
+# The refinement depth and the stopping tolerance of every integral.
+_MAX_LEVEL = 12
+_ABS_TOL = 1e-10
 
 # Truncation of the tanh-sinh node range.  At |t| = 6 the distance from
 # the endpoint is ~3e-276 and the node contribution of any integrable
@@ -42,24 +42,6 @@ _T_MAX = 6.0
 # The first level whose estimate the stopping rule compares with the one
 # before it; coarser estimates are too far from converged to test.
 _MIN_LEVEL = 3
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    scheme: str = "double_exponential"
-    level_or_nodes: int = 12
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        if self.level_or_nodes < 1:
-            raise DomainError("level_or_nodes must be >= 1")
-        if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
-            raise DomainError("abs_tol must be a positive finite real")
-
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 def _eval_batch(f, x):
@@ -140,54 +122,22 @@ def _tanh_sinh(f, a, b, max_level, abs_tol):
     )
 
 
-def _midpoint_refined(f, a, b, max_level, abs_tol):
-    length = b - a
-    plain_prev = None
-    extrap_prev = None
-    for level in range(1, max_level + 1):
-        m = 2 ** level
-        h = length / m
-        x = a + (np.arange(m) + 0.5) * h
-        plain = float(np.sum(_eval_batch(f, x))) * h
-        if plain_prev is not None:
-            # midpoint error expands in even powers of h; one Richardson
-            # step removes the h^2 term
-            extrap = (4.0 * plain - plain_prev) / 3.0
-            if extrap_prev is not None and abs(extrap - extrap_prev) <= abs_tol:
-                return extrap
-            extrap_prev = extrap
-        plain_prev = plain
-    raise ConvergenceError(
-        f"refined midpoint rule did not reach abs_tol={abs_tol:g} within level {max_level}"
-    )
-
-
-def integrate_singular(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Integrate f over (a, b) to within spec.abs_tol.
+def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integrate f over (a, b) by the module's fixed tanh-sinh rule.
 
     f is called on numpy arrays of interior nodes and must be re-entrant;
-    endpoint values are never requested.  The result is deterministic for
-    a fixed spec.  Raises ConvergenceError when the tolerance is not met
-    at the maximum refinement level, and propagates any exception raised
-    by f.
+    endpoint values are never requested.  The result is deterministic.
+    Raises ConvergenceError when the tolerance is not met at the deepest
+    level, and propagates any exception raised by f.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise DomainError(f"integration interval must satisfy a < b, got ({a!r}, {b!r})")
-    if spec.scheme == "double_exponential":
-        return _tanh_sinh(f, a, b, spec.level_or_nodes, spec.abs_tol)
-    return _midpoint_refined(f, a, b, spec.level_or_nodes, spec.abs_tol)
+    return _tanh_sinh(f, a, b, _MAX_LEVEL, _ABS_TOL)
 
 
-def integral_sin_power(p: float, spec: QuadratureSpec | None = None) -> float:
+def integral_sin_power(p: float) -> float:
     """The integral of (sin g)^(p-2) over g in (0, pi), for 1 < p <= 2.
 
     The integrand has endpoint singularities of exponent p - 2 in (-1, 0].
@@ -210,4 +160,4 @@ def integral_sin_power(p: float, spec: QuadratureSpec | None = None) -> float:
         return x**exponent * np.expm1(exponent * np.log(np.sin(x) / x))
 
     leading = half_pi ** (p - 1.0) / (p - 1.0)
-    return 2.0 * (leading + integrate_singular(remainder, 0.0, half_pi, spec))
+    return 2.0 * (leading + integrate_singular(remainder, 0.0, half_pi))

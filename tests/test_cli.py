@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fracmin import energy, energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
+from fracmin import GridMap, energy, energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
 from fracmin.cli import REFERENCE_CRITICAL_P, run
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
@@ -79,6 +79,8 @@ class TestReports:
         assert code == 0
         jsonschema.validate(report, schema)
         assert report["results"]["degree"] == 1
+        # admissibility is enforced by read_map_csv, so no check can fail here
+        assert report["checks"] == []
         code, report = run_json(capsys, ["degree", "--map", str(path)])
         assert code == 0
         assert report["results"]["degree"] == 1
@@ -247,6 +249,15 @@ class TestExitCodes:
         path.write_text("theta,phase\n0,0\n")
         assert run(["energy", "--map", str(path), "--p", "1.5"]) == 3
         capsys.readouterr()
+
+    def test_map_file_inadmissible_gap(self, capsys, tmp_path):
+        # a neighbour gap of pi leaves the winding undefined: exit 3, no report
+        path = tmp_path / "gap.csv"
+        write_map_csv(GridMap(np.repeat([0.0, math.pi], 4)), path)
+        assert run(["energy", "--map", str(path), "--p", "1.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "phase gap" in captured.err
 
     def test_failed_check_exit(self, capsys):
         # a coarse grid undercuts the winding bound by more than the slack

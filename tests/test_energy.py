@@ -138,6 +138,21 @@ class TestPairwiseSum:
     def test_empty(self):
         assert pairwise_sum([]) == 0.0
 
+    def test_fixed_tree_order(self):
+        # adjacent pairs add level by level and an odd last element moves up
+        # unchanged; the kernel's per-offset sums fold columns the same way
+        def tree(xs):
+            while len(xs) > 1:
+                xs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) - len(xs) % 2 :]
+            return xs[0]
+
+        rng = np.random.default_rng(1)
+        for size in (1, 2, 3, 5, 7, 12, 33, 100, 1001):
+            values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+            assert pairwise_sum(values) == tree(list(values))
+            columns = np.stack([values, values[::-1]], axis=1)
+            assert list(energy_module._pairwise_fold(columns)) == [tree(list(values)), tree(list(values[::-1]))]
+
 
 class TestEnergy:
     @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 33, 127, 128])

@@ -1,6 +1,7 @@
 """The package namespace: exactly the submodules' public names."""
 
 import importlib
+import inspect
 
 import fracmin
 
@@ -28,3 +29,12 @@ def test_all_is_sorted_union_of_submodules():
 def test_every_name_resolves():
     for name, obj in exported().items():
         assert getattr(fracmin, name) is obj, name
+
+
+def test_no_quadrature_options():
+    # the quadrature rule is fixed: no spec object, and no public function takes one
+    assert not hasattr(fracmin, "QuadratureSpec")
+    for name in fracmin.__all__:
+        obj = getattr(fracmin, name)
+        if inspect.isfunction(obj):
+            assert "spec" not in inspect.signature(obj).parameters, name

@@ -8,35 +8,36 @@ import pytest
 from fracmin import (
     ConvergenceError,
     DomainError,
-    QuadratureSpec,
     beta,
     integral_sin_power,
     integrate_singular,
 )
-from fracmin.quadrature import _tanh_sinh_estimates
-
-MIDPOINT = QuadratureSpec(scheme="midpoint_refined")
+from fracmin.quadrature import _tanh_sinh, _tanh_sinh_estimates
 
 
-class TestSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.scheme == "double_exponential"
-        assert spec.level_or_nodes == 12
-        assert spec.abs_tol == 1e-10
+def _midpoint_refined(f, a, b):
+    """A dyadically refined midpoint rule with one Richardson step.
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"scheme": "gauss"},
-            {"level_or_nodes": 0},
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-3},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
+    An independent reference for smooth integrands: it shares no nodes
+    or weights with the tanh-sinh rule.
+    """
+    length = b - a
+    plain_prev = None
+    extrap_prev = None
+    for level in range(1, 13):
+        m = 2**level
+        h = length / m
+        x = a + (np.arange(m) + 0.5) * h
+        plain = float(np.sum(f(x))) * h
+        if plain_prev is not None:
+            # midpoint error expands in even powers of h; one Richardson
+            # step removes the h^2 term
+            extrap = (4.0 * plain - plain_prev) / 3.0
+            if extrap_prev is not None and abs(extrap - extrap_prev) <= 1e-10:
+                return extrap
+            extrap_prev = extrap
+        plain_prev = plain
+    raise ConvergenceError("refined midpoint rule did not converge within level 12")
 
 
 class TestIntegrateSingular:
@@ -70,18 +71,17 @@ class TestIntegrateSingular:
         ]
         for f, a, b, exact in integrands:
             de = integrate_singular(f, a, b)
-            mid = integrate_singular(f, a, b, MIDPOINT)
+            mid = _midpoint_refined(f, a, b)
             assert abs(de - mid) <= 10.0 * 1e-10
             assert de == pytest.approx(exact, abs=1e-9)
 
     def test_midpoint_cannot_resolve_endpoint_singularity(self):
         with pytest.raises(ConvergenceError):
-            integrate_singular(lambda t: t**-0.5, 0.0, 1.0, MIDPOINT)
+            _midpoint_refined(lambda t: t**-0.5, 0.0, 1.0)
 
     def test_nonconvergence_at_low_level(self):
-        tight = QuadratureSpec(level_or_nodes=2, abs_tol=1e-14)
         with pytest.raises(ConvergenceError):
-            integrate_singular(lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0, tight)
+            _tanh_sinh(lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0, 2, 1e-14)
 
     def test_callback_errors_propagate(self):
         class Boom(RuntimeError):
@@ -104,8 +104,7 @@ class TestIntegrateSingular:
             integrate_singular(np.sin, 2.0, 1.0)
 
     def test_deterministic(self):
-        spec = QuadratureSpec()
-        values = {integrate_singular(lambda t: t**-0.25, 0.0, 2.0, spec) for _ in range(5)}
+        values = {integrate_singular(lambda t: t**-0.25, 0.0, 2.0) for _ in range(5)}
         assert len(values) == 1
 
 
@@ -178,10 +177,11 @@ def _reference_estimates(f, a, b, max_level):
         yield total
 
 
-def _reference_integrate(f, a, b, spec):
+def _reference_integrate(f, a, b):
+    """The stopping rule at depth 12 and tolerance 1e-10, as literals."""
     previous = math.inf
-    for level, total in enumerate(_reference_estimates(f, a, b, spec.level_or_nodes)):
-        if level >= 3 and abs(total - previous) <= spec.abs_tol:
+    for level, total in enumerate(_reference_estimates(f, a, b, 12)):
+        if level >= 3 and abs(total - previous) <= 1e-10:
             return total
         previous = total
     raise ConvergenceError("reference did not converge")
@@ -220,6 +220,11 @@ REFERENCE_CASES = [
     (lambda t: t**-0.9, 0.0, 1.0),
     (lambda t: t**-0.5, 0.0, 1e-300),  # the deepest distances underflow and are dropped
     (lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0),
+    # level-7 steps of 3.1e-11 and 3.1e-10: these stop at levels 7 and 8
+    # only for a tolerance within a factor 3 of 1e-10
+    (lambda t: np.cos(400.0 * t), 0.0, 1.0),
+    (lambda t: 10.0 * np.cos(400.0 * t), 0.0, 1.0),
+    (lambda t: np.cos(12800.0 * t), 0.0, 1.0),  # converged at level 12, the deepest
 ]
 
 
@@ -241,11 +246,15 @@ class TestAgainstReferenceLoop:
         # the batched levels 0-3 are nodes the stopping rule always needs;
         # later levels are requested only while it has not been met
         f, a, b = REFERENCE_CASES[case]
-        spec = QuadratureSpec()
         f_new, nodes_new = _recording(f)
         f_ref, nodes_ref = _recording(f)
-        assert integrate_singular(f_new, a, b, spec) == _reference_integrate(f_ref, a, b, spec)
+        assert integrate_singular(f_new, a, b) == _reference_integrate(f_ref, a, b)
         assert np.array_equal(np.sort(np.concatenate(nodes_new)), np.sort(np.concatenate(nodes_ref)))
+
+    def test_no_level_beyond_twelve(self):
+        # twice the frequency of the last reference case needs level 13
+        with pytest.raises(ConvergenceError):
+            integrate_singular(lambda t: np.cos(25600.0 * t), 0.0, 1.0)
 
     def test_nan_at_level_two_node(self):
         # t = 1/4 is a level-2 node; its lower abscissa on (0, 1) is q/(1+q)
@@ -259,4 +268,4 @@ class TestAgainstReferenceLoop:
             integrate_singular(f, 0.0, 1.0)
         # at max level 1 the node is never requested: the run ends unconverged
         with pytest.raises(ConvergenceError):
-            integrate_singular(f, 0.0, 1.0, QuadratureSpec(level_or_nodes=1))
+            _tanh_sinh(f, 0.0, 1.0, 1, 1e-10)
