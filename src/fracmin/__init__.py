@@ -15,6 +15,7 @@ from .energy import (
     EnergyParams,
     degree_lower_bound,
     energy,
+    energy_and_gradient,
     energy_gradient,
     identity_energy_closed_form,
     identity_energy_derivative,
@@ -73,6 +74,7 @@ __all__ = [
     "digamma",
     "digamma_series",
     "energy",
+    "energy_and_gradient",
     "energy_gradient",
     "identity_energy_closed_form",
     "identity_energy_derivative",

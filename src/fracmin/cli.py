@@ -250,6 +250,8 @@ def _cmd_minimize(args):
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
         "converged": result.converged,
+        "termination": result.termination,
+        "evaluations": result.evaluations,
         "start_energy": start_energy,
         "lower_bound": bound,
     }

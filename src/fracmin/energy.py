@@ -24,10 +24,15 @@ transcendental calls, and forms every pair from products:
     sin(phi_i - phi_j) = s_i c_j - c_i s_j.
 
 A single pow, w = |u_i - u_j|^(p-2), gives the energy term
-w |u_i - u_j|^2 and the gradient term w sin(phi_i - phi_j).  Offsets k
-and n-k pair the same nodes, so only k = 1..n//2 is evaluated, in tiles
-of B offsets read through strided views; the temporaries take O(n * B)
-memory and no index table is built.
+w |u_i - u_j|^2 and the gradient term w sin(phi_i - phi_j), so one pass
+yields both: energy_and_gradient returns them bit-identical to energy
+and energy_gradient, which compute only what they return.  Descent
+(minimize.descend_from) evaluates its start and every line-search trial
+with energy_and_gradient, so an accepted trial's gradient is already in
+hand; the CLI and the checks call energy and energy_gradient.  Offsets
+k and n-k pair the same nodes, so only k = 1..n//2 is evaluated, in
+tiles of B offsets read through strided views; the temporaries take
+O(n * B) memory and no index table is built.
 
 Accuracy: c_i and s_i are rounded to about eps, so every chord and sine
 carries an absolute error of about eps where phase differences would
@@ -51,12 +56,13 @@ sum_{k=1}^{n-1} sin^2(pi m k/n) / sin^2(pi k/n) = m(n - m) gives
     E_2 = (h^2 / n) sum_m lambda_m |Z_m|^2,
     d E_2 / d phi_i = -2 h^2 Im(z_i conj(IFFT(lambda Z)_i)).
 
-The energy is a sum of non-negative terms, so nothing cancels.  Against
-the tiled form the energies agree to 7e-16 relative and the gradients
-to 2e-14 absolute (n from 8 to 4096).  Against 30-digit mpmath on a
-perturbed degree-2 map at n = 256, the energy is off by 1.6e-16
-relative, as in the tiled form, and the gradient by 1.2e-14 absolute
-on max |g| = 0.52, where the tiled form gives 3.4e-15.  Referencing the
+Both outputs come from one spectrum Z.  The energy is a sum of
+non-negative terms, so nothing cancels.  Against the tiled form the
+energies agree to 7e-16 relative and the gradients to 2e-14 absolute
+(n from 8 to 4096).  Against 30-digit mpmath on a perturbed degree-2
+map at n = 256, the energy is off by 1.6e-16 relative, as in the tiled
+form, and the gradient by 1.2e-14 absolute on max |g| = 0.52, where the
+tiled form gives 3.4e-15.  Referencing the
 phases to phi_0 keeps rotations by exactly representable angles
 bit-for-bit invariant, and removing the mean of z before the FFT makes
 a constant map's energy exactly zero.
@@ -64,11 +70,11 @@ a constant map's energy exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import AdmissibilityError, DomainError
 from .maps import GridMap, is_admissible
@@ -80,6 +86,7 @@ __all__ = [
     "pairwise_sum",
     "energy",
     "energy_gradient",
+    "energy_and_gradient",
     "identity_energy_closed_form",
     "identity_energy_quadrature",
     "identity_energy_derivative",
@@ -137,24 +144,31 @@ def _require_admissible(u: GridMap) -> None:
         raise AdmissibilityError("energy requires a degree-admissible map")
 
 
-def _node_chords(n: int) -> np.ndarray:
-    """c_k = 2 sin(pi k / n) for the half-range offsets k = 1..n//2."""
+@functools.lru_cache(maxsize=64)
+def _node_chords_sq(n: int) -> np.ndarray:
+    """c_k^2 for the node chords c_k = 2 sin(pi k / n), k = 1..n//2.
+
+    Cached per n and shared by every call, so the array is read-only.
+    """
     c = 2.0 * np.sin(math.pi * np.arange(1, n // 2 + 1) / n)
     if np.min(c) <= 0.0:
         # cannot happen on a uniform grid with n >= 8; guards the kernel
         raise DomainError("node chord underflow")
-    return c
+    c_sq = c**2
+    c_sq.setflags(write=False)
+    return c_sq
 
 
 def _partners(doubled: np.ndarray, k0: int, rows: int) -> np.ndarray:
-    """Read-only view [q, i] -> doubled[i + k0 + q] of a twice-repeated array.
+    """View [q, i] -> doubled[i + k0 + q] of a twice-repeated array.
 
     With doubled = (x, x) for a length-n array x, row q lists x at the
     partner (i + k0 + q) mod n of every node i; no index table is built.
+    The view is read-only when doubled is.
     """
     n = doubled.size // 2
-    step = doubled.strides[0]
-    return as_strided(doubled[k0:], shape=(rows, n), strides=(step, step), writeable=False)
+    step = doubled.itemsize
+    return np.ndarray((rows, n), np.float64, doubled, k0 * step, (step, step))
 
 
 def _product_terms(
@@ -181,16 +195,16 @@ def _product_terms(
     dc += ds
 
 
-def _kernel(u: GridMap, params: EnergyParams, gradient: bool) -> float | np.ndarray:
-    """The energy (gradient=False) or its gradient (gradient=True)."""
+def _kernel(u: GridMap, params: EnergyParams, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
+    """(energy, gradient); each is computed only when its flag is set, else None."""
     _require_admissible(u)
     if params.p == 2.0:
-        return _spectral(u, gradient)
-    return _tiled(u, params.p, gradient)
+        return _spectral(u, value, gradient)
+    return _tiled(u, params.p, value, gradient)
 
 
-def _spectral(u: GridMap, gradient: bool) -> float | np.ndarray:
-    """The p = 2 energy or gradient from the FFT of z = exp(i(phi - phi_0))."""
+def _spectral(u: GridMap, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
+    """The p = 2 energy and gradient from one FFT of z = exp(i(phi - phi_0))."""
     n = u.n
     h = 2.0 * math.pi / n
     z = np.exp(1j * (u.phases - u.phases[0]))
@@ -199,41 +213,47 @@ def _spectral(u: GridMap, gradient: bool) -> float | np.ndarray:
     spectrum = np.fft.fft(z - z.sum() / n)
     weights = np.arange(n, dtype=np.float64)
     weights *= n - weights
-    if not gradient:
+    total = grad = None
+    if value:
         power = np.abs(spectrum)
         power *= power
-        return h * h / n * float(np.dot(weights, power))
-    spectrum *= weights
-    field = np.fft.ifft(spectrum)
-    np.conjugate(field, out=field)
-    field *= z
-    return -2.0 * h * h * field.imag
+        total = h * h / n * float(np.dot(weights, power))
+    if gradient:
+        spectrum *= weights
+        field = np.fft.ifft(spectrum)
+        np.conjugate(field, out=field)
+        field *= z
+        grad = -2.0 * h * h * field.imag
+    return total, grad
 
 
-def _tiled(u: GridMap, p: float, gradient: bool) -> float | np.ndarray:
+def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
     """The product-form double sum, in tiles of offsets, for any p."""
     n = u.n
     half = n // 2
     h = 2.0 * math.pi / n
     c = np.cos(u.phases)
     s = np.sin(u.phases)
-    c2 = np.concatenate([c, c])
-    s2 = np.concatenate([s, s])
-    node_sq = _node_chords(n) ** 2
+    c2 = np.concatenate((c, c))
+    s2 = np.concatenate((s, s))
+    c2.setflags(write=False)
+    s2.setflags(write=False)
+    node_sq = _node_chords_sq(n)
     exponent = 0.5 * (p - 2.0)
     width = min(half, max(1, _TILE_ELEMENTS // n))
     chord_sq = np.empty((width, n))
     weight = np.empty((width, n))
+    if value:
+        per_offset = np.empty(half)
     if gradient:
         # each row of a tile is followed by its periodic copy, for the
         # skewed mirror read below
         term = np.empty((width, 2 * n))
+        step_q, step_i = term.strides
         grad = np.zeros(n)
         # offset n-k acts on node j as the negated offset-k term of node
         # j-k; the middle offset of even n already lists both orders
         mirror = half - 1 if n % 2 == 0 else half
-    else:
-        per_offset = np.empty(half)
     for k0 in range(1, half + 1, width):
         rows = min(width, half + 1 - k0)
         offsets = slice(k0 - 1, k0 - 1 + rows)
@@ -246,9 +266,12 @@ def _tiled(u: GridMap, p: float, gradient: bool) -> float | np.ndarray:
         if exponent < 0.0:
             # coincident targets contribute zero (valid since p > 1)
             w[x == 0.0] = 0.0
+        # one pow serves both outputs: the energy term is w |u_i - u_j|^2,
+        # the gradient term w sin(phi_i - phi_j)
+        if value:
+            x *= w
+            per_offset[offsets] = _pairwise_fold(x.T) / node_sq[offsets]
         if not gradient:
-            w *= x
-            per_offset[offsets] = _pairwise_fold(w.T) / node_sq[offsets]
             continue
         sine *= w
         sine /= node_sq[offsets, None]
@@ -258,23 +281,22 @@ def _tiled(u: GridMap, p: float, gradient: bool) -> float | np.ndarray:
             term[:rows, n:] = sine
             # row q read from column n - k0 - q: entry [q, j] is the
             # offset-(k0+q) term of node (j - k0 - q) mod n
-            step_q, step_i = term.strides
-            mirrored = as_strided(
-                term[0, n - k0 :], shape=(skewed, n), strides=(step_q - step_i, step_i), writeable=False
-            )
+            mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
             grad -= mirrored.sum(axis=0)
-    if gradient:
-        return 2.0 * h * h * p * grad
-    # offsets above n//2 repeat those below, while the middle offset of
-    # even n already lists each of its unordered pairs in both orders
-    if n % 2 == 0:
-        return h * h * (2.0 * pairwise_sum(per_offset[:-1]) + per_offset[-1])
-    return h * h * 2.0 * pairwise_sum(per_offset)
+    total = None
+    if value:
+        # offsets above n//2 repeat those below, while the middle offset of
+        # even n already lists each of its unordered pairs in both orders
+        if n % 2 == 0:
+            total = float(h * h * (2.0 * pairwise_sum(per_offset[:-1]) + per_offset[-1]))
+        else:
+            total = h * h * 2.0 * pairwise_sum(per_offset)
+    return total, (2.0 * h * h * p * grad if gradient else None)
 
 
 def energy(u: GridMap, params: EnergyParams) -> float:
     """The double-sum energy E_p(u); non-negative, zero only for constants."""
-    return float(_kernel(u, params, gradient=False))
+    return _kernel(u, params, True, False)[0]
 
 
 def energy_gradient(u: GridMap, params: EnergyParams) -> np.ndarray:
@@ -287,7 +309,16 @@ def energy_gradient(u: GridMap, params: EnergyParams) -> np.ndarray:
     sin(phi_k - phi_j); coincident target points contribute zero (valid
     since p > 1).
     """
-    return _kernel(u, params, gradient=True)
+    return _kernel(u, params, False, True)[1]
+
+
+def energy_and_gradient(u: GridMap, params: EnergyParams) -> tuple[float, np.ndarray]:
+    """(energy(u, params), energy_gradient(u, params)) from one kernel pass.
+
+    Both values are bit-identical to the separate calls; the pass forms
+    each pair's chord and pow once for the two of them.
+    """
+    return _kernel(u, params, True, True)
 
 
 def identity_energy_closed_form(p: float) -> float:

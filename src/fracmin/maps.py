@@ -75,7 +75,8 @@ class GridMap:
     @cached_property
     def gaps(self) -> np.ndarray:
         """Cyclic neighbor phase gaps wrapped to (-pi, pi]; read-only."""
-        gaps = wrap_angle(np.roll(self.phases, -1) - self.phases)
+        phases = self.phases
+        gaps = wrap_angle(np.concatenate((phases[1:], phases[:1])) - phases)
         gaps.setflags(write=False)
         return gaps
 

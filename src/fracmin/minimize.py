@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyParams, degree_lower_bound, energy, energy_gradient, identity_energy_closed_form
+from .energy import EnergyParams, degree_lower_bound, energy_and_gradient, identity_energy_closed_form
 from .errors import DomainError
 from .maps import GridMap, degree, is_admissible, perturb, power_map
 
@@ -66,6 +66,15 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """One descent run's outcome.
+
+    termination says why the run stopped: "grad_tol" (converged),
+    "max_iters", or "line_search" (no step of the backtracking kept the
+    degree and decreased the energy enough).  evaluations counts the
+    kernel passes the run made: the start plus every trial step that
+    kept the target degree.
+    """
+
     final_map: GridMap
     final_energy: float
     final_degree: int
@@ -73,6 +82,8 @@ class MinimizeResult:
     grad_norm: float
     energy_trace: np.ndarray
     converged: bool
+    termination: str
+    evaluations: int
 
 
 def _candidate_degree(candidate: GridMap) -> int | None:
@@ -100,20 +111,23 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     if _candidate_degree(start) != target:
         raise DomainError("starting map does not carry the target degree")
     point = start
-    current = energy(point, params)
+    # every kernel pass yields the gradient too, so an accepted trial's
+    # gradient is already in hand
+    current, grad = energy_and_gradient(point, params)
+    evaluations = 1
     trace = [current]
-    grad = energy_gradient(point, params)
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     aborted = False
     trial_step = _INITIAL_STEP
-    while grad_norm > config.grad_tol and iterations < config.max_iters and not aborted:
+    while grad_norm > config.grad_tol and iterations < config.max_iters:
         grad_sq = grad_norm * grad_norm
         step = trial_step
         for _ in range(_MAX_HALVINGS + 1):
             candidate = GridMap(point.phases - step * grad)
             if _candidate_degree(candidate) == target:
-                trial = energy(candidate, params)
+                trial, trial_grad = energy_and_gradient(candidate, params)
+                evaluations += 1
                 if trial <= current - _ARMIJO_DECREASE * step * grad_sq:
                     break
             step *= _ARMIJO_SHRINK
@@ -125,7 +139,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         point = candidate
         current = trial
         trace.append(current)
-        grad = energy_gradient(point, params)
+        grad = trial_grad
         grad_norm = float(np.linalg.norm(grad))
         grad_change = grad - previous_grad
         curvature = float(grad_change @ grad_change)
@@ -134,6 +148,13 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
             trial_step = min(max(slope / curvature, _TRIAL_STEP_RANGE[0]), _TRIAL_STEP_RANGE[1])
         else:
             trial_step = _INITIAL_STEP
+    converged = grad_norm <= config.grad_tol and not aborted
+    if converged:
+        termination = "grad_tol"
+    elif iterations >= config.max_iters:
+        termination = "max_iters"
+    else:
+        termination = "line_search"
     return MinimizeResult(
         final_map=point,
         final_energy=current,
@@ -141,7 +162,9 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         iterations=iterations,
         grad_norm=grad_norm,
         energy_trace=np.array(trace),
-        converged=(grad_norm <= config.grad_tol) and not aborted,
+        converged=converged,
+        termination=termination,
+        evaluations=evaluations,
     )
 
 

@@ -155,6 +155,8 @@ class TestReports:
         jsonschema.validate(report, schema)
         assert report["results"]["converged"] is True
         assert report["results"]["final_degree"] == 1
+        assert report["results"]["termination"] == "grad_tol"
+        assert report["results"]["evaluations"] >= report["results"]["iterations"] + 1
         final = read_map_csv(map_out)
         assert final.n == 64
         lines = trace_out.read_text().strip().splitlines()

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmin import (
+    AdmissibilityError,
     DomainError,
     EnergyParams,
     GridMap,
     beta,
     degree_lower_bound,
     energy,
+    energy_and_gradient,
     energy_gradient,
     identity_energy_closed_form,
     identity_energy_derivative,
@@ -330,6 +332,58 @@ class TestKernel:
         assert peak <= 64 * 2**20
 
 
+def fused_cases(n):
+    """A perturbed degree-2 map where admissible, a Moebius map, and a
+    degree-1 map with a block of coincident targets."""
+    maps = [moebius_map(n, (0.4, 0.1))]
+    perturbed = perturb(power_map(n, 2), 0.3, n)
+    if is_admissible(perturbed):
+        maps.append(perturbed)
+    phases = identity_map(n).phases.copy()
+    phases[2:4] = phases[1]
+    maps.append(GridMap(phases))
+    return maps
+
+
+class TestEnergyAndGradient:
+    """One kernel pass for both outputs, bit for bit the separate calls."""
+
+    @pytest.mark.parametrize("n", [8, 9, 17, 128, 129, 1024])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_matches_separate_calls(self, monkeypatch, n, columns):
+        if columns is not None:
+            monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
+        for u in fused_cases(n):
+            for p in (1.05, 1.13921, 1.5, 2.0):
+                params = EnergyParams(p)
+                value, grad = energy_and_gradient(u, params)
+                assert type(value) is float
+                assert value == energy(u, params)
+                assert grad.tobytes() == energy_gradient(u, params).tobytes()
+
+    def test_one_kernel_pass(self, monkeypatch):
+        flags = []
+        kernel = energy_module._kernel
+
+        def counting(u, params, value, gradient):
+            flags.append((value, gradient))
+            return kernel(u, params, value, gradient)
+
+        monkeypatch.setattr(energy_module, "_kernel", counting)
+        u = perturb(identity_map(64), 0.3, 1)
+        for p in (1.5, 2.0):
+            energy_and_gradient(u, EnergyParams(p))
+            energy(u, EnergyParams(p))
+            energy_gradient(u, EnergyParams(p))
+        assert flags == [(True, True), (True, False), (False, True)] * 2
+
+    def test_rejects_inadmissible(self):
+        # the gap of exactly pi between nodes 7 and 8 leaves the winding undefined
+        phases = np.where(np.arange(16) < 8, 0.0, math.pi)
+        with pytest.raises(AdmissibilityError):
+            energy_and_gradient(GridMap(phases), EnergyParams(1.5))
+
+
 def mpmath_energy_and_gradient_p2(phases, digits=30):
     """The p = 2 double sum and its gradient, pair by pair in mpmath."""
     n = len(phases)
@@ -372,9 +426,8 @@ class TestSpectral:
         cases = list(spectral_cases())
         assert len(cases) >= 30
         for u in cases:
-            tiled = energy_module._tiled(u, 2.0, False)
+            tiled, tiled_grad = energy_module._tiled(u, 2.0, True, True)
             assert energy(u, EnergyParams(2.0)) == pytest.approx(tiled, rel=1e-14)
-            tiled_grad = energy_module._tiled(u, 2.0, True)
             assert np.max(np.abs(energy_gradient(u, EnergyParams(2.0)) - tiled_grad)) <= 1e-13
 
     def test_against_mpmath(self):
@@ -419,7 +472,8 @@ class TestMoebiusClosedForm:
             u = moebius_map(n, a)
             if is_admissible(u):
                 closed = moebius_energy_closed_form(n, a)
-                assert energy_module._tiled(u, 2.0, False) == pytest.approx(closed, rel=1e-13)
+                tiled, _ = energy_module._tiled(u, 2.0, True, False)
+                assert tiled == pytest.approx(closed, rel=1e-13)
                 assert energy(u, EnergyParams(2.0)) == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize("n, a", [(1, 0.3), (64, 1.0), (64, 0.8 + 0.8j)])

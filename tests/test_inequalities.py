@@ -91,6 +91,19 @@ class TestSegmentWeightIntegral:
             value = segment_weight_integral(np.array(a), np.array(b), p)
             assert abs(value - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-16, 1e-20, 1e-30, 1e-50, 1e-100, 1e-200, 1e-300])
+    def test_near_origin_against_mpmath(self, eps):
+        # the segment passes the origin at distance eps; with x = eps sinh u
+        # the integral of (x^2 + eps^2)^((p-2)/2) over (0, 1) is exact below.
+        # Below eps ~ 1e-154, |w|^2 underflows to 0, and squaring it sent
+        # these segments down the through-origin closed form
+        for p in (1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99):
+            with mpmath.workdps(40):
+                e, q = mpmath.mpf(eps), mpmath.mpf(p)
+                exact = e ** (q - 1) * mpmath.quad(lambda u: mpmath.cosh(u) ** (q - 1), [0, mpmath.asinh(1 / e)])
+            value = segment_weight_integral([1.0, eps], [-1.0, eps], p)
+            assert abs(value - exact) <= 1e-13 * exact, p
+
 
 class TestJpMonotonicity:
     def test_equal_inputs_both_sides_vanish(self):
