@@ -105,18 +105,14 @@ _TILE_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """The exponent p of the energy.
-
-    Full support is 1 < p <= 2.  Values in (2, 4) are accepted for
-    exploratory use; no accuracy contract attaches to them.
-    """
+    """The exponent p of the energy, 1 < p <= 2."""
 
     p: float
 
     def __post_init__(self):
         p = float(self.p)
-        if not math.isfinite(p) or p <= 1.0 or p >= 4.0:
-            raise DomainError(f"exponent must satisfy 1 < p < 4, got {p!r}")
+        if not math.isfinite(p) or p <= 1.0 or p > 2.0:
+            raise DomainError(f"exponent must satisfy 1 < p <= 2, got {p!r}")
         object.__setattr__(self, "p", p)
 
 
@@ -263,9 +259,8 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         _product_terms(c2, s2, k0, x, w, sine)
         with np.errstate(divide="ignore"):
             np.power(x, exponent, out=w)
-        if exponent < 0.0:
-            # coincident targets contribute zero (valid since p > 1)
-            w[x == 0.0] = 0.0
+        # coincident targets contribute zero (valid since p > 1)
+        w[x == 0.0] = 0.0
         # one pow serves both outputs: the energy term is w |u_i - u_j|^2,
         # the gradient term w sin(phi_i - phi_j)
         if value:

@@ -40,88 +40,79 @@ def _check(lhs, rhs) -> InequalityCheck:
 def segment_weight_integral(a, b, p: float) -> float:
     """The integral of |a + t (b - a)|^(p-2) over t in (0, 1), 1 < p < 2.
 
-    The integrand is singular only where the segment passes closest to
-    the origin; the closest-approach parameter is found by projecting and
-    the domain is split there, with each piece reflected so the (possible)
-    singularity sits at the exactly representable endpoint 0.  A segment
-    through the origin has pieces |b - a|^(p-2) tau^(p-2), which are
-    integrated in closed form.
-
-    When the closest point w is interior, s = |w| sinh u turns a piece
-    of length L into |w|^(p-1) / |b - a| times the integral of
-    cosh^(p-1) u over (0, asinh(L |b - a| / |w|)), whose integrand is
-    smooth however close the segment passes: for a = (1, eps),
-    b = (-1, eps) the result is within 3.3e-16 of 40-digit mpmath for
-    eps from 1e-8 to 1e-300 and p from 1.01 to 1.99, where quadrature
-    in tau was up to 5.3e-12 off.
+    Arc length s along the line is measured from the line's closest
+    point to the origin, at distance d = |a ^ b| / |b - a|.  With
+    e = (b - a) / |b - a| the integral is (1 / |b - a|) times that of
+    (d^2 + s^2)^((p-2)/2) over (a.e, b.e), split at s = 0 when that
+    point is inside the segment.  The wedge has no components in 1-D
+    and vanishes exactly for antipodal pairs; for d = 0 each piece
+    integrates s^(p-2) in closed form, which quadrature cannot replace
+    for p -> 1, as s^(p-2) then holds measurable mass below the smallest
+    tanh-sinh node.  For d > 0 each piece is integrated in s = d sinh u
+    (`_foot_piece`), smooth however close the line or an endpoint
+    passes to the origin.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError("a and b must be 1D vectors of equal positive length")
+    # lengths come from math.hypot: squares underflow below about 1e-154
     delta = b - a
-    seg_sq = float(delta @ delta)
-    if seg_sq == 0.0:
-        if float(a @ a) == 0.0:
+    length = math.hypot(*delta)
+    if length == 0.0:
+        if not a.any():
             raise DomainError("degenerate input: a = b = 0")
-        return float(a @ a) ** (0.5 * (p - 2.0))
-    t_star = min(max(-float(a @ delta) / seg_sq, 0.0), 1.0)
-    w = a + t_star * delta
-    # |w| without squaring: w @ w underflows to 0 below about 1e-154 and
-    # would send a segment that misses the origin down the closed form
-    foot = math.hypot(*w)
-    w_sq = float(w @ w)
-    w_dot = float(w @ delta)  # ~0 whenever t_star is interior
-    exponent = 0.5 * (p - 2.0)
-    seg_len = math.sqrt(seg_sq)
-    # Scalar segments of opposite sign cross the origin exactly even when
-    # the projected foot point rounds to ~1e-16; antipodal vector pairs
-    # land on w == 0 exactly.  Both need the exact-ray integral, since
-    # near p -> 1 the integral is genuinely sensitive to the minimal
-    # distance at any scale.
-    through_origin = foot == 0.0 or (a.size == 1 and float(a[0]) * float(b[0]) < 0.0)
-
-    def piece(sign, length):
-        if length <= 0.0:
-            return 0.0
-        if through_origin:
-            # |v| = tau * |b - a| exactly, so the piece integrates in closed
-            # form.  Quadrature cannot replace it for p -> 1: tau^(p-2) then
-            # holds measurable mass below the smallest tanh-sinh node.
-            return seg_len ** (p - 2.0) * length ** (p - 1.0) / (p - 1.0)
-        if 0.0 < t_star < 1.0:
-            return _foot_piece(foot, length * seg_len, p) / seg_len
-
-        def integrand(tau):
-            v_sq = w_sq + sign * 2.0 * tau * w_dot + tau * tau * seg_sq
-            # v_sq >= (|w| - tau |delta|)^2 >= 0; the floor only absorbs
-            # rounding of that cancellation, never a true zero
-            return np.maximum(v_sq, 5e-324) ** exponent
-
-        return integrate_singular(integrand, 0.0, length)
-
-    return piece(-1.0, t_star) + piece(+1.0, 1.0 - t_star)
+        return math.hypot(*a) ** (p - 2.0)
+    unit = delta / length
+    s_a, s_b = float(a @ unit), float(b @ unit)
+    # d = |x ^ e| for the nearer endpoint x rounds to eps |x|, while a ^ b
+    # rounds to eps |a| |b|, which a short segment divides by its length
+    x, e = (a if abs(s_a) <= abs(s_b) else b).tolist(), unit.tolist()
+    d = math.hypot(*(x[i] * e[j] - x[j] * e[i] for i in range(a.size) for j in range(i)))
+    pieces = [(0.0, -s_a), (0.0, s_b)] if s_a < 0.0 < s_b else [(min(abs(s_a), abs(s_b)), length)]
+    total = 0.0
+    for lo, span in pieces:
+        if d > 0.0:
+            total += _foot_piece(d, lo, span, p)
+        else:
+            # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
+            drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
+            total += (lo + span) ** (p - 1.0) * drop / (p - 1.0)
+    return total / length
 
 
-def _foot_piece(foot: float, length: float, p: float) -> float:
-    """The integral of (foot^2 + s^2)^((p-2)/2) over s in (0, length), foot > 0.
+def _rise_log(d: float, lo: float, span: float) -> float:
+    """log(r(lo + span) / r(lo)) for r(s) = s + hypot(s, d) > 0.
 
-    With s = foot sinh u it is the integral of (foot cosh u)^(p-1) over
-    (0, U), U = asinh(length / foot), taken here in v = U - u, where
-    foot cosh u = (rise e^(-v) + foot e^(v - U)) / 2 with
-    rise = length + hypot(length, foot) = foot e^U: the nodes crowd where
-    the integrand is largest, and no factor overflows, though U can
-    pass the 710 at which cosh does (U comes from logs when length / foot
-    overflows).
+    That is asinh(hi / d) - asinh(lo / d), or log(hi / lo) at d = 0,
+    hi = lo + span.  r(hi) - r(lo) = span (1 + (lo + hi) / (hypot(lo, d)
+    + hypot(hi, d))) adds positive terms, so log1p of its ratio to r(lo)
+    does not cancel on short spans; logs of r take over if that overflows.
     """
-    rise = length + math.hypot(length, foot)
-    ratio = length / foot
-    upper = math.asinh(ratio) if math.isfinite(ratio) else math.log(rise) - math.log(foot)
+    hi = lo + span
+    near, far = math.hypot(lo, d), math.hypot(hi, d)
+    growth = span * (1.0 + (lo + hi) / (near + far)) / (lo + near)
+    return math.log1p(growth) if math.isfinite(growth) else math.log(hi + far) - math.log(lo + near)
+
+
+def _foot_piece(d: float, lo: float, span: float, p: float) -> float:
+    """The integral of (d^2 + s^2)^((p-2)/2) over s in (lo, lo + span), d > 0, lo >= 0.
+
+    With s = d sinh u it is the integral of (d cosh u)^(p-1) over
+    (asinh(lo / d), U), U = asinh(hi / d), taken here in v = U - u:
+    d cosh u = (r / 2) e^(-v) (1 + e^(2 (v - U))) with r = d e^U =
+    hi + hypot(hi, d).  No factor overflows, though U can pass the 710
+    at which cosh does, and d, which may be subnormal, multiplies
+    nothing.  U and the width of the range come from `_rise_log`.
+    """
+    hi = lo + span
+    upper = _rise_log(d, 0.0, hi)
 
     def integrand(v):
-        return (0.5 * (rise * np.exp(-v) + foot * np.exp(v - upper))) ** (p - 1.0)
+        return np.exp((1.0 - p) * v) * (1.0 + np.exp(2.0 * (v - upper))) ** (p - 1.0)
 
-    return integrate_singular(integrand, 0.0, upper)
+    scale = (0.5 * (hi + math.hypot(hi, d))) ** (p - 1.0)
+    return scale * integrate_singular(integrand, 0.0, _rise_log(d, lo, span))
 
 
 def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
@@ -139,19 +130,16 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError("a and b must be 1D vectors of equal positive length")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    norm_a = math.hypot(*a)
+    norm_b = math.hypot(*b)
     if norm_a == 0.0 and norm_b == 0.0:
         raise DomainError("degenerate input: a = b = 0")
-    ja = a * norm_a ** (p - 2.0) if norm_a > 0.0 else np.zeros_like(a)
-    jb = b * norm_b ** (p - 2.0) if norm_b > 0.0 else np.zeros_like(b)
+    # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
+    ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
+    jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
     delta = b - a
     lhs = float((jb - ja) @ delta)
-    seg_sq = float(delta @ delta)
-    if seg_sq == 0.0:
-        rhs = 0.0
-    else:
-        rhs = (p - 1.0) * seg_sq * segment_weight_integral(a, b, p)
+    rhs = (p - 1.0) * float(delta @ delta) * segment_weight_integral(a, b, p)
     return _check(lhs, rhs)
 
 

@@ -81,9 +81,12 @@ class MinimizeResult:
     iterations: int
     grad_norm: float
     energy_trace: np.ndarray
-    converged: bool
     termination: str
     evaluations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "grad_tol"
 
 
 def _candidate_degree(candidate: GridMap) -> int | None:
@@ -148,8 +151,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
             trial_step = min(max(slope / curvature, _TRIAL_STEP_RANGE[0]), _TRIAL_STEP_RANGE[1])
         else:
             trial_step = _INITIAL_STEP
-    converged = grad_norm <= config.grad_tol and not aborted
-    if converged:
+    if grad_norm <= config.grad_tol and not aborted:
         termination = "grad_tol"
     elif iterations >= config.max_iters:
         termination = "max_iters"
@@ -162,7 +164,6 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         iterations=iterations,
         grad_norm=grad_norm,
         energy_trace=np.array(trace),
-        converged=converged,
         termination=termination,
         evaluations=evaluations,
     )

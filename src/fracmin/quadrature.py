@@ -14,8 +14,8 @@ Precision note: nodes are generated as exact distances from the nearer
 endpoint, so an integrand singular at an endpoint is sampled at full
 relative accuracy only when that endpoint is exactly representable with a
 negligible ulp-neighborhood (in practice: put the singularity at 0).
-Callers in this package always arrange their integrands that way by
-folding or reflecting the domain first.
+`integral_sin_power` folds its domain that way; the segment integrals
+of the inequality checks are smooth after their substitution.
 """
 
 from __future__ import annotations

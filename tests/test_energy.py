@@ -119,12 +119,7 @@ def random_admissible_map(n, d, amplitude, seed):
 
 
 class TestEnergyParams:
-    def test_accepts_exploratory_range(self):
-        # p in (2, 4) is accepted without an accuracy contract
-        assert EnergyParams(2.5).p == 2.5
-        assert EnergyParams(3).p == 3.0
-
-    @pytest.mark.parametrize("bad", [1.0, 0.5, 4.0, 5.0, math.nan])
+    @pytest.mark.parametrize("bad", [1.0, 0.5, 2.5, 3.0, 4.0, 5.0, math.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             EnergyParams(bad)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     DomainError,
@@ -40,6 +42,21 @@ class TestSegmentWeightIntegral:
         expected = (b ** (p - 1.0) - a ** (p - 1.0)) / ((p - 1.0) * (b - a))
         value = segment_weight_integral(np.array([a]), np.array([b]), p)
         assert value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([6.23673875], [6.24563337]),
+            ([6.23673875, 1.0], [6.24563337, 1.0001]),
+            ([1.0, -2.0, 6.23673875], [1.00001, -2.00003, 6.24563337]),
+        ],
+    )
+    def test_short_segment_against_mpmath(self, a, b):
+        # far from the origin the two powers of the 1-D closed form nearly
+        # cancel, and a ^ b / |b - a| would carry eps |a| |b| / |b - a|
+        for p in (1.01, 1.05, 1.3, 1.99):
+            exact = _mp_segment(a, b, p)
+            assert abs(segment_weight_integral(a, b, p) - exact) <= 1e-15 * exact, p
 
     def test_crossing_scalar_closed_form(self):
         # opposite signs: the crossing splits the antiderivative at zero
@@ -93,16 +110,43 @@ class TestSegmentWeightIntegral:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-16, 1e-20, 1e-30, 1e-50, 1e-100, 1e-200, 1e-300])
     def test_near_origin_against_mpmath(self, eps):
-        # the segment passes the origin at distance eps; with x = eps sinh u
-        # the integral of (x^2 + eps^2)^((p-2)/2) over (0, 1) is exact below.
-        # Below eps ~ 1e-154, |w|^2 underflows to 0, and squaring it sent
-        # these segments down the through-origin closed form
-        for p in (1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99):
-            with mpmath.workdps(40):
-                e, q = mpmath.mpf(eps), mpmath.mpf(p)
-                exact = e ** (q - 1) * mpmath.quad(lambda u: mpmath.cosh(u) ** (q - 1), [0, mpmath.asinh(1 / e)])
-            value = segment_weight_integral([1.0, eps], [-1.0, eps], p)
-            assert abs(value - exact) <= 1e-13 * exact, p
+        # the line of (1, eps), (-1, eps) passes the origin at distance eps,
+        # with its foot inside the segment; eps^2 underflows below ~1e-154
+        cases = [([1.0, eps], [-1.0, eps], p) for p in (1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99)]
+        if eps in (1e-8, 1e-30, 1e-100, 1e-200, 1e-300):
+            # the closest point of these segments is the endpoint (eps, 0...)
+            for p in (1.01, 1.05, 1.3, 1.99):
+                cases += [([eps, 0.0], [1.0, 1.0], p), ([eps, 0.0, 0.0], [3.0, -1.0, 2.0], p)]
+                cases += [([1.0, 1.0], [eps, 0.0], p)]
+        for a, b, p in cases:
+            exact = _mp_segment(a, b, p)
+            value = segment_weight_integral(a, b, p)
+            assert abs(value - exact) <= 1e-15 * exact, (a, b, p)
+
+
+def _mp_segment(a, b, p):
+    """The integral of |a + t (b - a)|^(p-2) over (0, 1) in 40-digit mpmath.
+
+    Along the line at distance d from the origin, s = d sinh u turns it
+    into (1 / |b - a|) times the integral of (d cosh u)^(p-1) between
+    asinh(s_a / d) and asinh(s_b / d); at d = 0 the power s^(p-2) is
+    integrated exactly.
+    """
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(x) for x in a]
+        b = [mpmath.mpf(x) for x in b]
+        q = mpmath.mpf(p)
+        length = mpmath.sqrt(mpmath.fsum((y - x) ** 2 for x, y in zip(a, b)))
+        s_a, s_b = (mpmath.fsum(x * (y - z) for x, y, z in zip(v, b, a)) / length for v in (a, b))
+        d = mpmath.sqrt(mpmath.fsum((a[i] * b[j] - a[j] * b[i]) ** 2 for i in range(len(a)) for j in range(i)))
+        d /= length
+        if d == 0:
+            ends = [abs(s_a) ** (q - 1), abs(s_b) ** (q - 1)]
+            total = ends[0] + ends[1] if s_a < 0 < s_b else abs(ends[1] - ends[0])
+            return total / ((q - 1) * length)
+        lo, hi = mpmath.asinh(s_a / d), mpmath.asinh(s_b / d)
+        total = mpmath.quad(lambda u: (d * mpmath.cosh(u)) ** (q - 1), [lo, 0, hi] if lo < 0 < hi else [lo, hi])
+        return total / length
 
 
 class TestJpMonotonicity:
@@ -137,6 +181,25 @@ class TestJpMonotonicity:
             p = float(rng.uniform(1.05, 1.95))
             worst = min(worst, jp_monotonicity_check(a, b, p).margin)
         assert worst >= -1e-10
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    # the line misses the origin by the smallest subnormal
+    @example(k=0, direction=[1.0, 0.0], far=[0.0, 5e-324, 0.0], p=1.01)
+    @given(
+        k=st.integers(0, 1000),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+        far=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        p=st.floats(1.01, 1.99),
+    )
+    def test_fuzzed_near_origin_margin(self, k, direction, far, p):
+        # an endpoint at any scale down to 2^-1000 from the origin
+        norm = math.hypot(*direction)
+        assume(norm > 0.0)
+        a = [math.ldexp(x / norm, -k) for x in direction]
+        b = far[: len(a)]
+        check = jp_monotonicity_check(a, b, p)
+        assert math.isfinite(check.rhs) and check.rhs >= 0.0
+        assert check.margin >= -1e-10
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):

@@ -204,7 +204,7 @@ def _sin_power_remainder(p):
 
 
 def _segment_piece(w_sq, w_dot, seg_sq, p):
-    # the off-origin segment integrand of segment_weight_integral
+    # |w + tau delta|^(p-2) in tau, nearly singular at 0 when |w| is small
     return lambda tau: np.maximum(w_sq + 2.0 * tau * w_dot + tau * tau * seg_sq, 5e-324) ** (
         0.5 * (p - 2.0)
     )
