@@ -48,6 +48,19 @@ Each offset's terms are folded over i, and the per-offset sums
 combined, in a fixed pairwise-tree order: the energy's bits do not
 depend on the tile width, and results are reproducible bit for bit.
 
+A call of more than one tile, in a process that may run on two or more
+CPUs, shares its tiles with one helper thread, started on the first
+such call (and again in a forked child); numpy releases the interpreter
+lock inside each tile's array operations, so the two run side by side.
+Both threads claim tiles from one counter into their own work arrays.
+Each tile returns its per-offset energy sums and its gradient row sums,
+which the caller stores and adds in tile order.  The bits of every
+result are therefore the same with or without the helper and under any
+scheduling; concurrent callers share the one helper.  The caller never
+waits for the helper: when the next result is still in the helper's
+hands and it may claim no other tile, it computes that tile itself, so
+a helper whose CPU the host takes away delays no call.
+
 At p = 2 the same double sum is computed in O(n log n) time and O(n)
 memory instead.  With z_i = exp(i(phi_i - phi_0)), its DFT Z and
 lambda_m = m(n - m), the identity
@@ -72,6 +85,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +112,20 @@ __all__ = [
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Pair elements per tile: the kernel takes B = max(1, _TILE_ELEMENTS // n)
-# offsets of all n nodes at a time.  A tile's four work arrays then stay
-# near the size of a 2 MiB L2 cache; 2^18 ran 16-25% slower at n >= 1024
-# on a Xeon with 2 MiB of L2 per core.
-_TILE_ELEMENTS = 1 << 16
+# Pair elements per gradient tile: the kernel takes B = max(1,
+# _TILE_ELEMENTS // n) offsets of all n nodes at a time, and twice as many
+# for the energy alone, whose tile has two work arrays, not four.  Either
+# tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the
+# caller's and the helper's tiles together hold what one 2^16 tile did.
+# On a 2-core Xeon guest 2^18 ran 16-25% slower than 2^16 at n >= 1024,
+# and serially 2^15 and 2^16 tie.  With the helper, 2^16 for every tile
+# cut the benchmark's kernel wall time further (1.74 -> 1.01 s, against
+# 1.22 s at 2^15, one 15 s run each) but raised its peak RSS by 6%,
+# against 0.6% at 2^15.
+_TILE_ELEMENTS = 1 << 15
+
+# claimed tiles of one shared call that may await the caller at once
+_HELD_TILES = 4
 
 
 @dataclass(frozen=True)
@@ -155,40 +180,25 @@ def _node_chords_sq(n: int) -> np.ndarray:
     return c_sq
 
 
-def _partners(doubled: np.ndarray, k0: int, rows: int) -> np.ndarray:
-    """View [q, i] -> doubled[i + k0 + q] of a twice-repeated array.
+def _product_terms(cs2: np.ndarray, k0: int, pair: np.ndarray, sine: np.ndarray | None = None) -> None:
+    """Pair terms at offsets k = k0..k0+rows-1 from the doubled cos/sin rows cs2.
 
-    With doubled = (x, x) for a length-n array x, row q lists x at the
-    partner (i + k0 + q) mod n of every node i; no index table is built.
-    The view is read-only when doubled is.
+    cs2 holds (c, c) and (s, s) as rows, so [:, q, i] -> cs2[:, i + k0 + q]
+    is a strided view of the partners j = (i + k) mod n, k = k0 + q, and
+    no index table is built.  Fills pair[0, q, i] = |u_i - u_j|^2 =
+    (c_j - c_i)^2 + (s_j - s_i)^2 and, when given, sine[q, i] =
+    sin(phi_i - phi_j) = s_i c_j - c_i s_j; pair[1] is overwritten.  Each
+    numpy call treats the cos and the sin half of a step together.
     """
-    n = doubled.size // 2
-    step = doubled.itemsize
-    return np.ndarray((rows, n), np.float64, doubled, k0 * step, (step, step))
-
-
-def _product_terms(
-    c2: np.ndarray, s2: np.ndarray, k0: int, chord_sq: np.ndarray, scratch: np.ndarray, sine: np.ndarray | None = None
-) -> None:
-    """Pair terms at offsets k = k0..k0+rows-1 from the doubled cos/sin arrays.
-
-    Fills chord_sq[q, i] = |u_i - u_j|^2 = (c_j - c_i)^2 + (s_j - s_i)^2
-    and, when given, sine[q, i] = sin(phi_i - phi_j) = s_i c_j - c_i s_j,
-    for the partner j = (i + k) mod n, k = k0 + q; scratch is overwritten.
-    """
-    n = c2.size // 2
-    c, s = c2[:n], s2[:n]
-    rows = chord_sq.shape[0]
-    cj = _partners(c2, k0, rows)
-    sj = _partners(s2, k0, rows)
+    n = cs2.shape[1] // 2
+    step = cs2.itemsize
+    partners = np.ndarray(pair.shape, np.float64, cs2, k0 * step, (cs2.strides[0], step, step))
     if sine is not None:
-        np.multiply(s, cj, out=sine)
-        sine -= np.multiply(c, sj, out=scratch)
-    dc = np.subtract(cj, c, out=chord_sq)
-    ds = np.subtract(sj, s, out=scratch)
-    dc *= dc
-    ds *= ds
-    dc += ds
+        np.multiply(cs2[::-1, None, :n], partners, out=pair)
+        np.subtract(pair[0], pair[1], out=sine)
+    np.subtract(partners, cs2[:, None, :n], out=pair)
+    np.square(pair, out=pair)
+    np.add(pair[0], pair[1], out=pair[0])
 
 
 def _kernel(u: GridMap, params: EnergyParams, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
@@ -228,56 +238,71 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     n = u.n
     half = n // 2
     h = 2.0 * math.pi / n
-    c = np.cos(u.phases)
-    s = np.sin(u.phases)
-    c2 = np.concatenate((c, c))
-    s2 = np.concatenate((s, s))
-    c2.setflags(write=False)
-    s2.setflags(write=False)
+    cs2 = np.empty((2, 2 * n))
+    np.cos(u.phases, out=cs2[0, :n])
+    np.sin(u.phases, out=cs2[1, :n])
+    cs2[:, n:] = cs2[:, :n]
+    cs2.setflags(write=False)
     node_sq = _node_chords_sq(n)
     exponent = 0.5 * (p - 2.0)
-    width = min(half, max(1, _TILE_ELEMENTS // n))
-    chord_sq = np.empty((width, n))
-    weight = np.empty((width, n))
-    if value:
-        per_offset = np.empty(half)
-    if gradient:
-        # each row of a tile is followed by its periodic copy, for the
-        # skewed mirror read below
-        term = np.empty((width, 2 * n))
-        step_q, step_i = term.strides
-        grad = np.zeros(n)
-        # offset n-k acts on node j as the negated offset-k term of node
-        # j-k; the middle offset of even n already lists both orders
-        mirror = half - 1 if n % 2 == 0 else half
-    for k0 in range(1, half + 1, width):
+    # the energy alone needs two work arrays of a tile's shape, the gradient
+    # four (one twice as wide): both tiles fill the same memory
+    width = min(half, max(1, (_TILE_ELEMENTS if gradient else 2 * _TILE_ELEMENTS) // n))
+    # offset n-k acts on node j as the negated offset-k term of node j-k;
+    # the middle offset of even n already lists both orders
+    mirror = half - 1 if n % 2 == 0 else half
+
+    def buffers():
+        # each row of the gradient's term buffer is followed by its periodic
+        # copy, for the skewed mirror read below
+        return np.empty((2, width, n)), np.empty((width, 2 * n)) if gradient else None
+
+    def tile(k0, work):
+        """Offsets k0..k0+rows-1: their energy sums and the gradient's direct
+        and mirrored row sums, each None where absent."""
+        pair, term = work
         rows = min(width, half + 1 - k0)
         offsets = slice(k0 - 1, k0 - 1 + rows)
-        x = chord_sq[:rows]
-        w = weight[:rows]
+        x = pair[0, :rows]
+        w = pair[1, :rows]
         sine = term[:rows, :n] if gradient else None
-        _product_terms(c2, s2, k0, x, w, sine)
+        _product_terms(cs2, k0, pair[:, :rows], sine)
         with np.errstate(divide="ignore"):
             np.power(x, exponent, out=w)
-        # coincident targets contribute zero (valid since p > 1)
-        w[x == 0.0] = 0.0
+        # coincident targets contribute zero (valid since p > 1); chord
+        # squares are >= 0, and on large tiles min costs less than the mask
+        if x.min() == 0.0:
+            w[x == 0.0] = 0.0
         # one pow serves both outputs: the energy term is w |u_i - u_j|^2,
         # the gradient term w sin(phi_i - phi_j)
+        sums = None
         if value:
             x *= w
-            per_offset[offsets] = _pairwise_fold(x.T) / node_sq[offsets]
+            sums = _pairwise_fold(x.T) / node_sq[offsets]
         if not gradient:
-            continue
+            return sums, None, None
         sine *= w
         sine /= node_sq[offsets, None]
-        grad += sine.sum(axis=0)
         skewed = min(rows, mirror + 1 - k0)
-        if skewed > 0:
-            term[:rows, n:] = sine
-            # row q read from column n - k0 - q: entry [q, j] is the
-            # offset-(k0+q) term of node (j - k0 - q) mod n
-            mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
-            grad -= mirrored.sum(axis=0)
+        if skewed <= 0:
+            return sums, sine.sum(axis=0), None
+        term[:rows, n:] = sine
+        # row q read from column n - k0 - q: entry [q, j] is the
+        # offset-(k0+q) term of node (j - k0 - q) mod n
+        step_q, step_i = term.strides
+        mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
+        return sums, sine.sum(axis=0), mirrored.sum(axis=0)
+
+    starts = range(1, half + 1, width)
+    per_offset = np.empty(half) if value else None
+    grad = np.zeros(n) if gradient else None
+    for k0, (sums, direct, mirrored) in zip(starts, _tile_results(tile, buffers, starts)):
+        if value:
+            per_offset[k0 - 1 : k0 - 1 + sums.size] = sums
+        if gradient:
+            grad += direct
+            if mirrored is not None:
+                grad -= mirrored
     total = None
     if value:
         # offsets above n//2 repeat those below, while the middle offset of
@@ -287,6 +312,135 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         else:
             total = h * h * 2.0 * pairwise_sum(per_offset)
     return total, (2.0 * h * h * p * grad if gradient else None)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _tile_results(tile, buffers, starts: range):
+    """tile(k0, work) for each k0 in starts, in that order.
+
+    A call of more than one tile on a process that may use two CPUs
+    shares its tiles with the helper thread: both claim tiles from one
+    counter, each with its own buffers() as work arrays.  The caller
+    receives every result in tile order whoever computed it, so the
+    results do not depend on the thread count or the scheduling.
+    """
+    if len(starts) > 1 and _usable_cpus() >= 2:
+        job = _SharedTiles(tile, buffers, starts)
+        _helper().put(job)
+        return job.results()
+    work = buffers()
+    return (tile(k0, work) for k0 in starts)
+
+
+class _SharedTiles:
+    """The tiles of one kernel call, claimed in order by its caller and the helper.
+
+    A claimed tile is held until the caller takes its result, and the
+    helper claims none while _HELD_TILES are held.  The caller never
+    waits: when the next result is still with the helper and it may
+    claim nothing more, it runs that tile itself.  A helper that the
+    host deschedules mid-tile thus delays no call.
+    """
+
+    def __init__(self, tile, buffers, starts: range):
+        self._tile = tile
+        self._buffers = buffers
+        self._starts = starts
+        self._claimed = 0
+        self._taken = 0
+        self._done = {}
+        self._changed = threading.Condition()
+
+    def help(self) -> None:
+        """The helper's share: claim and run tiles until every tile is claimed."""
+        work = None
+        while True:
+            with self._changed:
+                while self._claimed < len(self._starts) and self._claimed - self._taken >= _HELD_TILES:
+                    self._changed.wait()
+                if self._claimed == len(self._starts):
+                    return
+                index = self._claimed
+                self._claimed += 1
+            try:
+                if work is None:
+                    work = self._buffers()
+                result = self._tile(self._starts[index], work)
+            except Exception:  # the caller runs the tile itself, and raises there
+                continue
+            with self._changed:
+                if index >= self._taken:
+                    self._done[index] = result
+
+    def results(self):
+        """Each tile's result in tile order, run by the caller unless the helper has it."""
+        work = self._buffers()
+        try:
+            for taken in range(len(self._starts)):
+                while True:
+                    with self._changed:
+                        if taken in self._done:
+                            result = self._done.pop(taken)
+                            break
+                        free = self._claimed < len(self._starts) and self._claimed - taken < _HELD_TILES
+                        if taken < self._claimed and not free:
+                            index = taken  # the helper's, unfinished: run it here
+                        else:
+                            index = self._claimed
+                            self._claimed += 1
+                    result = self._tile(self._starts[index], work)
+                    if index == taken:
+                        break
+                    with self._changed:
+                        self._done[index] = result
+                with self._changed:
+                    self._taken = taken + 1
+                    self._done.pop(taken, None)  # the helper's late copy
+                    self._changed.notify()
+                yield result
+        finally:
+            # an abandoned call leaves the helper nothing to claim
+            with self._changed:
+                self._claimed = len(self._starts)
+                self._changed.notify()
+
+
+_helper_jobs = None
+_helper_lock = threading.Lock()
+
+
+def _helper() -> queue.SimpleQueue:
+    """The job queue of the one helper thread, started on first use."""
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="fracmin-tiles", daemon=True).start()
+            _helper_jobs = jobs
+        return _helper_jobs
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get().help()
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread: start a new one on demand."""
+    global _helper_jobs, _helper_lock
+    _helper_jobs = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def energy(u: GridMap, params: EnergyParams) -> float:

@@ -44,31 +44,45 @@ def segment_weight_integral(a, b, p: float) -> float:
     point to the origin, at distance d = |a ^ b| / |b - a|.  With
     e = (b - a) / |b - a| the integral is (1 / |b - a|) times that of
     (d^2 + s^2)^((p-2)/2) over (a.e, b.e), split at s = 0 when that
-    point is inside the segment.  The wedge has no components in 1-D
-    and vanishes exactly for antipodal pairs; for d = 0 each piece
-    integrates s^(p-2) in closed form, which quadrature cannot replace
-    for p -> 1, as s^(p-2) then holds measurable mass below the smallest
-    tanh-sinh node.  For d > 0 each piece is integrated in s = d sinh u
-    (`_foot_piece`), smooth however close the line or an endpoint
-    passes to the origin.
+    point is inside the segment.  The wedge is exactly rounded
+    (`_line_distance`): it has no components in 1-D and vanishes exactly
+    for antipodal pairs; for d = 0 each piece integrates s^(p-2) in
+    closed form, which quadrature cannot replace for p -> 1, as s^(p-2)
+    then holds measurable mass below the smallest tanh-sinh node.  For
+    d > 0 each piece is integrated in s = d sinh u (`_foot_piece`),
+    smooth however close the line or an endpoint passes to the origin.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise DomainError("a and b must be 1D vectors of equal positive length")
-    # lengths come from math.hypot: squares underflow below about 1e-154
-    delta = b - a
-    length = math.hypot(*delta)
+    a, b = _segment(a, b)
+    length, along = _along_segment(a, b, p)
     if length == 0.0:
         if not a.any():
             raise DomainError("degenerate input: a = b = 0")
         return math.hypot(*a) ** (p - 2.0)
+    return along / length
+
+
+def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
+        raise DomainError("a and b must be 1D vectors of equal positive length")
+    return a, b
+
+
+def _along_segment(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float]:
+    """(|b - a|, the integral of |x|^(p-2) over arc length along the segment).
+
+    The second is segment_weight_integral times |b - a|, formed without
+    the division, which overflows for segments near the origin as p -> 1.
+    """
+    # lengths come from math.hypot: squares underflow below about 1e-154
+    delta = b - a
+    length = math.hypot(*delta)
+    if length == 0.0:
+        return 0.0, 0.0
     unit = delta / length
     s_a, s_b = float(a @ unit), float(b @ unit)
-    # d = |x ^ e| for the nearer endpoint x rounds to eps |x|, while a ^ b
-    # rounds to eps |a| |b|, which a short segment divides by its length
-    x, e = (a if abs(s_a) <= abs(s_b) else b).tolist(), unit.tolist()
-    d = math.hypot(*(x[i] * e[j] - x[j] * e[i] for i in range(a.size) for j in range(i)))
+    d = _line_distance(a.tolist(), b.tolist(), length)
     pieces = [(0.0, -s_a), (0.0, s_b)] if s_a < 0.0 < s_b else [(min(abs(s_a), abs(s_b)), length)]
     total = 0.0
     for lo, span in pieces:
@@ -78,7 +92,53 @@ def segment_weight_integral(a, b, p: float) -> float:
             # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
             drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
             total += (lo + span) ** (p - 1.0) * drop / (p - 1.0)
-    return total / length
+    return length, total
+
+
+# Veltkamp's splitter for 53-bit doubles, 2^27 + 1
+_SPLITTER = 134217729.0
+
+
+def _exact_parts(x: float, y: float) -> tuple[float, float]:
+    """(fl(x y), x y - fl(x y)), both exact, for |x|, |y| <= 1 (Dekker).
+
+    The second part loses bits below 2^-1074 when x y < about 2^-969.
+    """
+    product = x * y
+    t = _SPLITTER * x
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    t = _SPLITTER * y
+    y_hi = t - (t - y)
+    y_lo = y - y_hi
+    return product, ((x_hi * y_hi - product) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
+
+
+def _line_distance(a: list, b: list, length: float) -> float:
+    """|a ^ b| / |b - a|, the distance from the origin to the line through a and b.
+
+    Each wedge component a_i b_j - a_j b_i is exactly rounded: a and b
+    are scaled by powers of two to largest components in [0.5, 1), and
+    math.fsum adds the exact parts of the two products.  The quotient
+    thus keeps a relative error of a few eps also for a line that passes
+    within eps |a| of the origin, where a wedge of rounded products, or
+    of rounded unit vectors, is O(1) off.  1-D lines have no wedge.
+    """
+    if len(a) < 2:
+        return 0.0
+    k_a = math.frexp(max(map(abs, a)))[1]
+    k_b = math.frexp(max(map(abs, b)))[1]
+    a = [math.ldexp(x, -k_a) for x in a]
+    b = [math.ldexp(x, -k_b) for x in b]
+    parts = []
+    for i in range(len(a)):
+        for j in range(i):
+            ab, ab_low = _exact_parts(a[i], b[j])
+            ba, ba_low = _exact_parts(a[j], b[i])
+            parts.append(math.fsum((ab, ab_low, -ba, -ba_low)))
+    # |a ^ b| = 2^(k_a + k_b) hypot(parts); divide by the length before
+    # scaling back, so neither factor overflows on its own
+    return math.ldexp(math.hypot(*parts) / math.ldexp(length, -max(k_a, k_b)), min(k_a, k_b))
 
 
 def _rise_log(d: float, lo: float, span: float) -> float:
@@ -126,10 +186,7 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
     p = float(p)
     if not (1.0 < p < 2.0):
         raise DomainError(f"jp check requires 1 < p < 2, got {p!r}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise DomainError("a and b must be 1D vectors of equal positive length")
+    a, b = _segment(a, b)
     norm_a = math.hypot(*a)
     norm_b = math.hypot(*b)
     if norm_a == 0.0 and norm_b == 0.0:
@@ -137,9 +194,11 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
     # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
     ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
     jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
-    delta = b - a
-    lhs = float((jb - ja) @ delta)
-    rhs = (p - 1.0) * float(delta @ delta) * segment_weight_integral(a, b, p)
+    lhs = float((jb - ja) @ (b - a))
+    # |b - a| times the arc-length integral: |b - a|^2 times the mean
+    # weight would square an underflowing length and divide by it
+    length, along = _along_segment(a, b, p)
+    rhs = (p - 1.0) * length * along
     return _check(lhs, rhs)
 
 

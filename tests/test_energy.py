@@ -1,7 +1,14 @@
 """Energy kernel against brute-force sums, finite differences, and closed forms."""
 
+import hashlib
 import importlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -298,11 +305,10 @@ class TestKernel:
         slowed = perturb(power_map(n, 2), 0.3, 5)
         for u in smooth + [slowed]:
             c, s = np.cos(u.phases), np.sin(u.phases)
-            chord_sq = np.empty((1, n))
+            pair = np.empty((2, 1, n))
             sine = np.empty((1, n))
-            energy_module._product_terms(
-                np.concatenate([c, c]), np.concatenate([s, s]), 1, chord_sq, np.empty((1, n)), sine
-            )
+            energy_module._product_terms(np.array([np.concatenate([c, c]), np.concatenate([s, s])]), 1, pair, sine)
+            chord_sq = pair[0]
             with mpmath.workdps(40):
                 for i in np.linspace(0, n - 1, 200).astype(int):
                     delta = mpmath.mpf(u.phases[i]) - mpmath.mpf(u.phases[(i + 1) % n])
@@ -314,6 +320,151 @@ class TestKernel:
                     if u is not slowed:
                         assert chord_error <= 1e-12 * exact_chord
                         assert sine_error <= 1e-12 * abs(exact_sine)
+
+    @pytest.mark.parametrize("n", [512, 1000, 1024, 4097])
+    def test_bytes_do_not_depend_on_the_helper(self, monkeypatch, n):
+        # 0 helpers (one usable CPU) and 1 helper (two) give the same bytes:
+        # energies fold per-offset slots, and gradients add tile sums in order
+        tile_threads = set()
+        helped = False
+        product_terms = energy_module._product_terms
+
+        def recording(*args):
+            tile_threads.add(threading.current_thread().name)
+            return product_terms(*args)
+
+        monkeypatch.setattr(energy_module, "_product_terms", recording)
+        maps = [random_admissible_map(n, 1, 0.3, 3), moebius_map(n, (0.4, 0.1))] + fused_cases(n)[1:]
+        for u in maps:
+            for p in (1.05, 1.13921, 1.5):
+                params = EnergyParams(p)
+                monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 1)
+                tile_threads.clear()
+                value, grad = energy_and_gradient(u, params)
+                assert tile_threads == {threading.current_thread().name}
+                monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+                shared_value, shared_grad = energy_and_gradient(u, params)
+                assert (shared_value, shared_grad.tobytes()) == (value, grad.tobytes())
+                assert energy(u, params) == value
+                assert energy_gradient(u, params).tobytes() == grad.tobytes()
+                helped = helped or "fracmin-tiles" in tile_threads
+        # the helper ran tiles: the comparisons are not serial against serial
+        assert helped
+
+    def test_concurrent_callers(self, monkeypatch):
+        # four callers share the one helper; each gets the serial bytes
+        u = random_admissible_map(2048, 2, 0.3, 6)
+        params = EnergyParams(1.3)
+        with monkeypatch.context() as serial:
+            serial.setattr(energy_module, "_usable_cpus", lambda: 1)
+            expected = energy_gradient(u, params).tobytes()
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def call(slot):
+            start.wait()
+            results[slot] = energy_gradient(u, params).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+
+    def test_caller_does_not_wait_for_the_helper(self, monkeypatch):
+        # a helper stalled mid-tile, as when the host takes its CPU away,
+        # delays no call: the caller computes that tile itself
+        entered, release = threading.Event(), threading.Event()
+        product_terms = energy_module._product_terms
+
+        def stalling(*args):
+            if threading.current_thread().name == "fracmin-tiles":
+                entered.set()
+                release.wait(timeout=120.0)
+            return product_terms(*args)
+
+        u = random_admissible_map(4096, 1, 0.3, 13)
+        params = EnergyParams(1.3)
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 1)
+        value, grad = energy_and_gradient(u, params)
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(energy_module, "_product_terms", stalling)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(energy_and_gradient(u, params)))
+        try:
+            caller.start()
+            caller.join(timeout=60.0)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+        assert entered.is_set()
+        assert results[0][0] == value and results[0][1].tobytes() == grad.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity calls")
+    def test_one_cpu_gives_the_same_bytes(self):
+        # pinned to one CPU the kernel starts no helper and runs every tile
+        # itself; the gradient bytes are those of an unpinned process
+        script = (
+            "import hashlib, os, sys, threading\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from fracmin import EnergyParams, energy_gradient, perturb, power_map\n"
+            "grad = energy_gradient(perturb(power_map(2048, 1), 0.3, 11), EnergyParams(1.13921))\n"
+            "print(hashlib.sha256(grad.tobytes()).hexdigest(), threading.active_count())\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(energy_module.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        outputs = {}
+        for mode in ("pinned", "free"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, mode], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            digest, threads = done.stdout.split()
+            outputs[mode] = digest, int(threads)
+        grad = energy_gradient(perturb(power_map(2048, 1), 0.3, 11), EnergyParams(1.13921))
+        assert outputs["pinned"] == (hashlib.sha256(grad.tobytes()).hexdigest(), 1)
+        assert outputs["free"][0] == outputs["pinned"][0]
+        assert outputs["free"][1] == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_computes(self, monkeypatch):
+        # the helper thread does not survive fork: the child starts its own
+        # and gets the parent's bytes
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+        u = random_admissible_map(4096, 1, 0.3, 12)
+        params = EnergyParams(1.5)
+        expected = energy_gradient(u, params).tobytes()
+        assert "fracmin-tiles" in {thread.name for thread in threading.enumerate()}
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = energy_gradient(u, params).tobytes() == expected
+                helped = "fracmin-tiles" in {thread.name for thread in threading.enumerate()}
+                code = 0 if same and helped else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 120 s")
+            time.sleep(0.05)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     def test_memory_linear_in_n(self):
         # an n x n/2 table of float64 alone would take 256 MiB at n = 8192

@@ -58,6 +58,14 @@ class TestSegmentWeightIntegral:
             exact = _mp_segment(a, b, p)
             assert abs(segment_weight_integral(a, b, p) - exact) <= 1e-15 * exact, p
 
+    def test_huge_endpoints_against_mpmath(self):
+        # the wedge's products of these components overflow unless a and b
+        # are first scaled by powers of two
+        a, b = [3e307, 1e307], [-1e307, 2e307]
+        for p in (1.01, 1.5, 1.99):
+            exact = _mp_segment(a, b, p)
+            assert abs(segment_weight_integral(a, b, p) - exact) <= 1e-15 * exact, p
+
     def test_crossing_scalar_closed_form(self):
         # opposite signs: the crossing splits the antiderivative at zero
         a, b, p = 1.5, -2.5, 1.3
@@ -118,6 +126,14 @@ class TestSegmentWeightIntegral:
             for p in (1.01, 1.05, 1.3, 1.99):
                 cases += [([eps, 0.0], [1.0, 1.0], p), ([eps, 0.0, 0.0], [3.0, -1.0, 2.0], p)]
                 cases += [([1.0, 1.0], [eps, 0.0], p)]
+        if eps == 1e-16:
+            # a line through a rounded unit vector a and b = (-1, -3), nearly
+            # -sqrt(10) a, misses the origin by 1.3e-17: a wedge of rounded
+            # products or unit vectors gave d with an O(1) relative error,
+            # 2.9e-2 off at p = 1.01 and 3.0e-6 at p = 1.3
+            a = [0.1 / math.hypot(0.1, 0.3), 0.3 / math.hypot(0.1, 0.3)]
+            for p in (1.01, 1.05, 1.3, 1.99):
+                cases += [(a, [-1.0, -3.0], p), ([-1.0, -3.0], a, p), (a + [0.0], [-1.0, -3.0, 0.0], p)]
         for a, b, p in cases:
             exact = _mp_segment(a, b, p)
             value = segment_weight_integral(a, b, p)
@@ -189,7 +205,7 @@ class TestJpMonotonicity:
         k=st.integers(0, 1000),
         direction=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
         far=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
-        p=st.floats(1.01, 1.99),
+        p=st.floats(1.001, 1.99),
     )
     def test_fuzzed_near_origin_margin(self, k, direction, far, p):
         # an endpoint at any scale down to 2^-1000 from the origin
@@ -200,6 +216,14 @@ class TestJpMonotonicity:
         check = jp_monotonicity_check(a, b, p)
         assert math.isfinite(check.rhs) and check.rhs >= 0.0
         assert check.margin >= -1e-10
+
+    def test_tiny_segment_rhs_is_finite(self):
+        # the mean weight over this segment overflows, and |b - a|^2
+        # underflows, so |b - a|^2 times the mean was 0 * inf = nan
+        check = jp_monotonicity_check([-(2.0**-1015)], [2.0**-1016], 1.001)
+        assert math.isfinite(check.rhs) and check.rhs > 0.0
+        # in 1-D both sides integrate the same derivative
+        assert abs(check.margin) <= 1e-9 * check.lhs
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import fracmin
 
@@ -38,3 +41,23 @@ def test_no_quadrature_options():
         obj = getattr(fracmin, name)
         if inspect.isfunction(obj):
             assert "spec" not in inspect.signature(obj).parameters, name
+
+
+def test_import_and_small_calls_start_no_thread():
+    # the kernel's helper thread starts only on a call of more than one
+    # tile; certify, descent and CLI start-up never make one
+    script = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "import fracmin\n"
+        "imported = threading.active_count()\n"
+        "fracmin.energy(fracmin.perturb(fracmin.identity_map(128), 0.3, 1), fracmin.EnergyParams(1.5))\n"
+        "print(before, imported, threading.active_count())\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracmin.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, imported, called = map(int, done.stdout.split())
+    assert imported == before and called == before
