@@ -466,20 +466,6 @@ def _parameters(args) -> dict:
     return params
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if args.out:
@@ -515,8 +501,8 @@ def run(argv=None) -> int:
         converged = True
     report = {
         "command": args.command,
-        "parameters": _jsonable(_parameters(args)),
-        "results": _jsonable(results),
+        "parameters": _parameters(args),
+        "results": results,
         "checks": checks,
         "version": __version__,
     }

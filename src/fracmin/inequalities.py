@@ -44,13 +44,14 @@ def segment_weight_integral(a, b, p: float) -> float:
     point to the origin, at distance d = |a ^ b| / |b - a|.  With
     e = (b - a) / |b - a| the integral is (1 / |b - a|) times that of
     (d^2 + s^2)^((p-2)/2) over (a.e, b.e), split at s = 0 when that
-    point is inside the segment.  The wedge is exactly rounded
-    (`_line_distance`): it has no components in 1-D and vanishes exactly
-    for antipodal pairs; for d = 0 each piece integrates s^(p-2) in
-    closed form, which quadrature cannot replace for p -> 1, as s^(p-2)
-    then holds measurable mass below the smallest tanh-sinh node.  For
-    d > 0 each piece is integrated in s = d sinh u (`_foot_piece`),
-    smooth however close the line or an endpoint passes to the origin.
+    point is inside the segment.  The wedge a ^ b is exact in integers
+    (`_line_distance`), so d is 0 in 1-D and exactly 0 for antipodal
+    pairs; for d = 0 each piece integrates s^(p-2) in closed form,
+    which quadrature cannot replace for p -> 1, as s^(p-2) then holds
+    measurable mass below the smallest tanh-sinh node.  For d > 0 each
+    piece is integrated in s = d sinh u (`_foot_piece`), smooth however
+    close the line or an endpoint passes to the origin.  Endpoints that
+    are not finite, or whose |b - a| overflows, raise DomainError.
     """
     a, b = _segment(a, b)
     length, along = _along_segment(a, b, p)
@@ -66,6 +67,9 @@ def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError("a and b must be 1D vectors of equal positive length")
+    # |b - a| is not finite if an endpoint is not
+    if not math.isfinite(math.dist(a, b)):
+        raise DomainError("a, b and |b - a| must be finite")
     return a, b
 
 
@@ -95,50 +99,24 @@ def _along_segment(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float
     return length, total
 
 
-# Veltkamp's splitter for 53-bit doubles, 2^27 + 1
-_SPLITTER = 134217729.0
-
-
-def _exact_parts(x: float, y: float) -> tuple[float, float]:
-    """(fl(x y), x y - fl(x y)), both exact, for |x|, |y| <= 1 (Dekker).
-
-    The second part loses bits below 2^-1074 when x y < about 2^-969.
-    """
-    product = x * y
-    t = _SPLITTER * x
-    x_hi = t - (t - x)
-    x_lo = x - x_hi
-    t = _SPLITTER * y
-    y_hi = t - (t - y)
-    y_lo = y - y_hi
-    return product, ((x_hi * y_hi - product) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
-
-
 def _line_distance(a: list, b: list, length: float) -> float:
     """|a ^ b| / |b - a|, the distance from the origin to the line through a and b.
 
-    Each wedge component a_i b_j - a_j b_i is exactly rounded: a and b
-    are scaled by powers of two to largest components in [0.5, 1), and
-    math.fsum adds the exact parts of the two products.  The quotient
-    thus keeps a relative error of a few eps also for a line that passes
-    within eps |a| of the origin, where a wedge of rounded products, or
-    of rounded unit vectors, is O(1) off.  1-D lines have no wedge.
+    Each component (a_i b_j - a_j b_i) / |b - a| is formed in integers
+    from the exact ratios of the floats and rounded once, by int / int.
+    The distance thus keeps a relative error of an eps or so also for a
+    line that passes within eps |a| of the origin, where a wedge of
+    rounded products, or of rounded unit vectors, is O(1) off.  A 1-D
+    line has no components.
     """
-    if len(a) < 2:
-        return 0.0
-    k_a = math.frexp(max(map(abs, a)))[1]
-    k_b = math.frexp(max(map(abs, b)))[1]
-    a = [math.ldexp(x, -k_a) for x in a]
-    b = [math.ldexp(x, -k_b) for x in b]
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(a, b)]
+    top, bottom = length.as_integer_ratio()
     parts = []
-    for i in range(len(a)):
-        for j in range(i):
-            ab, ab_low = _exact_parts(a[i], b[j])
-            ba, ba_low = _exact_parts(a[j], b[i])
-            parts.append(math.fsum((ab, ab_low, -ba, -ba_low)))
-    # |a ^ b| = 2^(k_a + k_b) hypot(parts); divide by the length before
-    # scaling back, so neither factor overflows on its own
-    return math.ldexp(math.hypot(*parts) / math.ldexp(length, -max(k_a, k_b)), min(k_a, k_b))
+    for i, ((a_i, a_i_den), (b_i, b_i_den)) in enumerate(ratios):
+        for (a_j, a_j_den), (b_j, b_j_den) in ratios[:i]:
+            wedge = a_i * b_j * a_j_den * b_i_den - a_j * b_i * a_i_den * b_j_den
+            parts.append(wedge * bottom / (a_i_den * b_j_den * a_j_den * b_i_den * top))
+    return math.hypot(*parts)
 
 
 def _rise_log(d: float, lo: float, span: float) -> float:

@@ -22,6 +22,14 @@ from fracmin import (
 
 PS = (1.1, 1.3, 1.5, 1.7, 1.9)
 
+# non-finite endpoints, and a b - a that overflows
+NON_FINITE_SEGMENTS = [
+    ([math.nan, 0.0], [1.0, 1.0]),
+    ([math.inf, 0.0], [1.0, 1.0]),
+    ([1.0], [math.inf]),
+    ([1e308, 0.0], [-1e308, 1e300]),
+]
+
 
 class TestSegmentWeightIntegral:
     @pytest.mark.parametrize("p", PS)
@@ -59,8 +67,7 @@ class TestSegmentWeightIntegral:
             assert abs(segment_weight_integral(a, b, p) - exact) <= 1e-15 * exact, p
 
     def test_huge_endpoints_against_mpmath(self):
-        # the wedge's products of these components overflow unless a and b
-        # are first scaled by powers of two
+        # float products of these components overflow
         a, b = [3e307, 1e307], [-1e307, 2e307]
         for p in (1.01, 1.5, 1.99):
             exact = _mp_segment(a, b, p)
@@ -77,6 +84,41 @@ class TestSegmentWeightIntegral:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             segment_weight_integral(np.zeros(3), np.zeros(3), 1.5)
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_SEGMENTS)
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            segment_weight_integral(a, b, 1.5)
+
+    def test_exact_scaling(self):
+        # |2^k x|^(p-2) = 2^(k (p-2)) |x|^(p-2), with the factor taken in
+        # mpmath: the float 2.0 ** (k * (p - 2)) rounds k (p - 2) first
+        rng = np.random.default_rng(31)
+        eps = 2.0**-52
+        cases = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 4))
+            a = rng.uniform(-10.0, 10.0, m)
+            b = rng.uniform(-10.0, 10.0, m)
+            p = float(rng.uniform(1.01, 1.99))
+            value = segment_weight_integral(a, b, p)
+            for k in (40, -40, 300, -300, 700, -700, 1000, -1000):
+                a_k, b_k = np.ldexp(a, k), np.ldexp(b, k)
+                if np.min(np.abs(np.concatenate([a_k, b_k]))) < 2.0**-1022:
+                    continue
+                scaled = segment_weight_integral(a_k, b_k, p)
+                with mpmath.workdps(40):
+                    exact = mpmath.mpf(value) * mpmath.mpf(2) ** (k * (mpmath.mpf(p) - 2))
+                    assert abs(scaled - exact) <= 4 * eps * exact, (a, b, p, k)
+                cases += 1
+        assert cases >= 2000
+
+    @pytest.mark.parametrize("k", [300, 400, 500])
+    def test_tiny_endpoints_against_mpmath(self, k):
+        a, b = [math.ldexp(1.0, -k), math.ldexp(2.0, -k)], [math.ldexp(-3.0, -k), math.ldexp(1.0, -k)]
+        for p in (1.01, 1.5, 1.99):
+            exact = _mp_segment(a, b, p)
+            assert abs(segment_weight_integral(a, b, p) - exact) <= 1e-15 * exact, p
 
     def test_through_origin_near_one(self):
         # at p -> 1, tau^(p-2) holds measurable mass below the smallest
@@ -146,12 +188,17 @@ def _mp_segment(a, b, p):
     Along the line at distance d from the origin, s = d sinh u turns it
     into (1 / |b - a|) times the integral of (d cosh u)^(p-1) between
     asinh(s_a / d) and asinh(s_b / d); at d = 0 the power s^(p-2) is
-    integrated exactly.
+    integrated exactly.  mpmath.quad aims at an absolute error, so the
+    endpoints are first divided by the power of two 2^k that brings
+    their largest component to [0.5, 1), and the result is multiplied
+    by 2^(k (p-2)).
     """
+    k = math.frexp(max(map(abs, a + b)))[1]
     with mpmath.workdps(40):
-        a = [mpmath.mpf(x) for x in a]
-        b = [mpmath.mpf(x) for x in b]
+        a = [mpmath.ldexp(mpmath.mpf(x), -k) for x in a]
+        b = [mpmath.ldexp(mpmath.mpf(x), -k) for x in b]
         q = mpmath.mpf(p)
+        scale = mpmath.mpf(2) ** (k * (q - 2))
         length = mpmath.sqrt(mpmath.fsum((y - x) ** 2 for x, y in zip(a, b)))
         s_a, s_b = (mpmath.fsum(x * (y - z) for x, y, z in zip(v, b, a)) / length for v in (a, b))
         d = mpmath.sqrt(mpmath.fsum((a[i] * b[j] - a[j] * b[i]) ** 2 for i in range(len(a)) for j in range(i)))
@@ -159,10 +206,10 @@ def _mp_segment(a, b, p):
         if d == 0:
             ends = [abs(s_a) ** (q - 1), abs(s_b) ** (q - 1)]
             total = ends[0] + ends[1] if s_a < 0 < s_b else abs(ends[1] - ends[0])
-            return total / ((q - 1) * length)
+            return scale * total / ((q - 1) * length)
         lo, hi = mpmath.asinh(s_a / d), mpmath.asinh(s_b / d)
         total = mpmath.quad(lambda u: (d * mpmath.cosh(u)) ** (q - 1), [lo, 0, hi] if lo < 0 < hi else [lo, hi])
-        return total / length
+        return scale * total / length
 
 
 class TestJpMonotonicity:
@@ -232,6 +279,11 @@ class TestJpMonotonicity:
     def test_p_domain(self):
         with pytest.raises(DomainError):
             jp_monotonicity_check(np.ones(2), np.zeros(2), 2.0)
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_SEGMENTS)
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            jp_monotonicity_check(a, b, 1.5)
 
 
 class TestYoungVariant:
