@@ -46,7 +46,7 @@ from .maps import (
 )
 from .minimize import MinimizeConfig, MinimizeResult, ScanRow, descend_from, minimize, minimize_scan
 from .quadrature import integral_sin_power, integrate_singular
-from .special import EULER_GAMMA, SeriesTail, beta, digamma, digamma_series, log2_series, log_gamma
+from .special import EULER_GAMMA, SeriesTail, beta, digamma, digamma_series, log2_series, log_gamma, zeta
 
 __version__ = "0.1.0"
 
@@ -101,4 +101,5 @@ __all__ = [
     "wrap_angle",
     "write_map_csv",
     "young_variant_check",
+    "zeta",
 ]

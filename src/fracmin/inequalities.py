@@ -51,7 +51,8 @@ def segment_weight_integral(a, b, p: float) -> float:
     measurable mass below the smallest tanh-sinh node.  For d > 0 each
     piece is integrated in s = d sinh u (`_foot_piece`), smooth however
     close the line or an endpoint passes to the origin.  Endpoints that
-    are not finite, or whose |b - a| overflows, raise DomainError.
+    are not finite, or whose norm exceeds half the float range, raise
+    DomainError.
     """
     a, b = _segment(a, b)
     length, along = _along_segment(a, b, p)
@@ -67,9 +68,11 @@ def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError("a and b must be 1D vectors of equal positive length")
-    # |b - a| is not finite if an endpoint is not
-    if not math.isfinite(math.dist(a, b)):
-        raise DomainError("a, b and |b - a| must be finite")
+    # the integral forms sums up to |a| + |b| <= 2 max(|a|, |b|), which is
+    # not finite if an endpoint is not; each norm is tested on its own, as
+    # max() passes over a NaN in its second argument
+    if not all(math.isfinite(2.0 * math.hypot(*v)) for v in (a, b)):
+        raise DomainError("a and b must be finite, with norms below half the float range")
     return a, b
 
 

@@ -42,9 +42,14 @@ MIN_NODES = 8
 
 
 def wrap_angle(x):
-    """Wrap angles to the principal interval (-pi, pi]; ties at pi map to +pi."""
-    w = np.mod(x, TWO_PI)
-    return np.where(w > math.pi, w - TWO_PI, w)
+    """Wrap angles to the principal interval (-pi, pi]; ties at pi map to +pi.
+
+    Angles inside (-pi, pi) come back unchanged, and wrap_angle(-x) =
+    -wrap_angle(x) bit for bit wherever the result lies inside, so a
+    reflected map has exactly the negated gaps.
+    """
+    w = x - TWO_PI * np.round(np.divide(x, TWO_PI))
+    return np.where(w > math.pi, w - TWO_PI, np.where(w <= -math.pi, w + TWO_PI, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +197,11 @@ def read_map_csv(path) -> GridMap:
     Validates the header, a strictly increasing uniform theta grid
     theta_i = 2*pi*i/n, finiteness, and degree admissibility.
     """
-    with open(path, "r", newline="") as fh:
+    try:
+        fh = open(path, "r", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot read map file {str(path)!r}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["theta", "phase"]:

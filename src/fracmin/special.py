@@ -1,4 +1,4 @@
-"""Self-contained log-gamma, Beta, and digamma evaluation in binary64.
+"""Self-contained log-gamma, Beta, digamma and zeta evaluation in binary64.
 
 The production paths are shift-up recurrences into the asymptotic
 (Stirling-type) regime.  The slowly converging series representations
@@ -22,6 +22,7 @@ __all__ = [
     "log_gamma",
     "beta",
     "digamma",
+    "zeta",
     "digamma_series",
     "log2_series",
 ]
@@ -55,6 +56,22 @@ _DIGAMMA_STIRLING = (
 )
 
 _SHIFT_THRESHOLD = 8.0
+
+# B_{2j} / (2j)! for the Euler-Maclaurin tail of the zeta series, j = 1..7.
+_ZETA_BERNOULLI = (
+    1.0 / 12.0,
+    -1.0 / 720.0,
+    1.0 / 30240.0,
+    -1.0 / 1209600.0,
+    1.0 / 47900160.0,
+    -691.0 / 1307674368000.0,
+    1.0 / 74724249600.0,
+)
+
+# Terms k < N of the zeta series are summed directly.  The first omitted
+# tail term, B_16/16! s(s+1)...(s+14) N^(-s-15), is below 5e-17 at N = 10
+# for every s in [0, 1), where |zeta(s)| >= 1/2.
+_ZETA_CUTOFF = 10
 
 
 def log_gamma(x: float) -> float:
@@ -112,6 +129,32 @@ def digamma(z: float) -> float:
     for c in reversed(_DIGAMMA_STIRLING):
         corr = corr * r + c
     return math.log(y) - 0.5 / y - corr * r - recurrence
+
+
+def zeta(s: float) -> float:
+    """Riemann zeta(s) for 0 <= s < 1, where it is negative.
+
+    The terms k < N = 10 of sum k^(-s) are summed directly; the tail is
+    integrated by Euler-Maclaurin, the integral continued analytically
+    to N^(1-s)/(s-1), with the corrections
+    B_{2j}/(2j)! s(s+1)...(s+2j-2) N^(-s-2j+1) for j = 1..7.  math.fsum
+    adds the pieces with one rounding, so zeta(0) = -1/2 exactly: the
+    corrections then vanish and the rest is integer arithmetic.
+    """
+    s = float(s)
+    if not (0.0 <= s < 1.0):
+        raise DomainError(f"zeta requires 0 <= s < 1, got {s!r}")
+    big_n = float(_ZETA_CUTOFF)
+    pieces = [k**-s for k in range(1, _ZETA_CUTOFF)]
+    pieces.append(big_n ** (1.0 - s) / (s - 1.0))
+    pieces.append(0.5 * big_n**-s)
+    rising = s  # s (s+1) ... (s+2j-2)
+    power = big_n ** (-s - 1.0)  # N^(-s-2j+1)
+    for j, coefficient in enumerate(_ZETA_BERNOULLI, start=1):
+        pieces.append(coefficient * rising * power)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= big_n * big_n
+    return math.fsum(pieces)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def test_criterion_02_identity_energy_p2():
     closed_ok = abs(closed - FOUR_PI_SQ) <= 1e-9 * FOUR_PI_SQ
     errors = []
     for n in (64, 128, 256, 512, 1024):
-        errors.append(abs(energy(identity_map(n), EnergyParams(2.0)) - closed))
+        errors.append(abs(energy(identity_map(n), EnergyParams(2.0, scheme="raw")) - closed))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     within_1pct = errors[-1] <= 0.01 * closed
     elapsed = time.perf_counter() - started

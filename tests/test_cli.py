@@ -1,5 +1,6 @@
 """CLI reports: schema validity, determinism, exit codes, side files."""
 
+import importlib
 import json
 import math
 from importlib import resources
@@ -10,6 +11,9 @@ import pytest
 
 from fracmin import GridMap, energy, energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
 from fracmin.cli import REFERENCE_CRITICAL_P, run
+
+# the package binds the name fracmin.energy to the function
+energy_module = importlib.import_module("fracmin.energy")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -126,12 +130,13 @@ class TestReports:
 
     def test_moebius_million_nodes(self, capsys):
         # the p = 2 spectral kernel makes n = 2^20 cheap; the discrete
-        # closed form checks its value
+        # closed form checks its raw value, and the corrected energy of every
+        # Moebius trace is E_2(Id) = 4 pi^2
         code, report = run_json(capsys, ["moebius", "--a-re", "0.5", "--a-im", "0.2", "--n", "1048576"])
         assert code == 0
         checks = {check["name"]: check["passed"] for check in report["checks"]}
-        assert checks == {"degree_is_one": True, "matches_discrete_closed_form": True}
-        assert report["results"]["energy"] == pytest.approx(report["results"]["discrete_closed_form"], rel=1e-12)
+        assert checks == {"degree_is_one": True, "matches_identity_energy": True, "matches_discrete_closed_form": True}
+        assert report["results"]["energy"] == pytest.approx(FOUR_PI_SQ, rel=1e-12)
 
     def test_moebius_closed_form_check_detects_wrong_energy(self, capsys, monkeypatch):
         # an energy off by two parts in 1e12 must fail the check
@@ -139,6 +144,35 @@ class TestReports:
         code, report = run_json(capsys, ["moebius", "--a-re", "0.3", "--a-im", "0.1", "--n", "128"])
         assert code == 1
         assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_discrete_closed_form"]
+
+    @pytest.mark.parametrize("p", ["1.13921", "1.5", "2"])
+    @pytest.mark.parametrize("scale", [0.0, 1.0 + 1e-4])
+    def test_moebius_identity_check_detects_wrong_correction(self, capsys, monkeypatch, p, scale):
+        # Moebius invariance at every p: an energy without its diagonal
+        # correction, or with the correction off by one part in 1e4, fails;
+        # at p = 2 so does the discrete closed form, which takes the raw sum
+        # as the energy less its correction of weight 1
+        weight = energy_module._correction_weight
+        monkeypatch.setattr(energy_module, "_correction_weight", lambda q: scale * weight(q))
+        code, report = run_json(capsys, ["moebius", "--a-re", "0.3", "--a-im", "0.1", "--n", "256", "--p", p])
+        assert code == 1
+        failed = [check["name"] for check in report["checks"] if not check["passed"]]
+        assert failed == ["matches_identity_energy"] + (["matches_discrete_closed_form"] if p == "2" else [])
+
+    @pytest.mark.parametrize("p", ["1.13921", "1.5", "1.8", "2"])
+    @pytest.mark.parametrize("a", ["0", "0.5", "0.9"])
+    def test_moebius_identity_check_at_every_p(self, capsys, p, a):
+        code, report = run_json(capsys, ["moebius", "--a-re", a, "--n", "256", "--p", p])
+        assert code == 0
+        check = next(c for c in report["checks"] if c["name"] == "matches_identity_energy")
+        results = report["results"]
+        error = abs(results["energy"] / results["identity_energy"] - 1.0)
+        assert error <= results["error_bound_rel"]
+        assert check["margin"] == results["error_bound_rel"] - error
+        if a != "0":
+            # the bound predicts the error of a map that is not the identity,
+            # whose leading error term nearly cancels, to within a factor 10
+            assert error >= 0.1 * results["error_bound_rel"]
 
     def test_minimize_with_side_files(self, capsys, schema, tmp_path):
         map_out = tmp_path / "final.csv"
@@ -252,6 +286,15 @@ class TestExitCodes:
         assert run(["energy", "--map", str(path), "--p", "1.5"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["energy", "--p", "1.5"], ["degree"], ["bbm-check"]])
+    def test_missing_map_file(self, capsys, tmp_path, command):
+        # a file that cannot be read is bad input, like a malformed one
+        missing = str(tmp_path / "missing.csv")
+        assert run([command[0], "--map", missing, *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: cannot read map file")
+
     def test_map_file_inadmissible_gap(self, capsys, tmp_path):
         # a neighbour gap of pi leaves the winding undefined: exit 3, no report
         path = tmp_path / "gap.csv"
@@ -262,10 +305,12 @@ class TestExitCodes:
         assert "phase gap" in captured.err
 
     def test_failed_check_exit(self, capsys):
-        # a coarse grid undercuts the winding bound by more than the slack
-        code, report = run_json(capsys, ["bbm-check", "--power", "2", "--n", "16", "--p", "2.0"])
+        # 64 nodes do not resolve the Moebius map at a = 0.99 (largest gap
+        # 2.9 rad): its energy misses E_p(Id) by 5%, beyond the h^(p+1)
+        # error that a resolving grid would have
+        code, report = run_json(capsys, ["moebius", "--a-re", "0.99", "--n", "64", "--p", "1.5"])
         assert code == 1
-        assert not all(check["passed"] for check in report["checks"])
+        assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_identity_energy"]
 
     def test_nonconvergence_exit(self, capsys):
         code = run(

@@ -38,6 +38,7 @@ from fracmin import (
     perturb,
     power_map,
     rotated,
+    wrap_angle,
 )
 
 # the package binds the name fracmin.energy to the function
@@ -49,6 +50,8 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # against an independent Gamma implementation
 IDENTITY_ENERGY_P12 = 81.72420616812771
 IDENTITY_ENERGY_P15 = 46.59797908333485
+# root of B((p-1)/2, 1/2) = 5 pi, from mpmath at 40 digits
+P_PRIME = 1.139210840326630521723
 
 
 def brute_force(phases, p):
@@ -86,7 +89,7 @@ def brute_force(phases, p):
 
 def assert_matches_brute_force(phases, p):
     u = GridMap(phases)
-    params = EnergyParams(p)
+    params = EnergyParams(p, scheme="raw")
     value, value_tol, grad, grad_tol = brute_force(phases, p)
     assert abs(energy(u, params) - value) <= value_tol
     assert np.all(np.abs(energy_gradient(u, params) - grad) <= grad_tol)
@@ -130,6 +133,12 @@ class TestEnergyParams:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             EnergyParams(bad)
+
+    def test_schemes(self):
+        assert EnergyParams(1.5).scheme == "corrected"
+        assert EnergyParams(1.5, scheme="raw").scheme == "raw"
+        with pytest.raises(DomainError):
+            EnergyParams(1.5, scheme="exact")
 
 
 class TestPairwiseSum:
@@ -188,7 +197,7 @@ class TestEnergy:
     @pytest.mark.parametrize("n", [64, 128, 256, 1000, 1024, 4096])
     def test_identity_p2_exact_value(self, n):
         # at p = 2 every pair contributes its own chord ratio of one
-        value = energy(identity_map(n), EnergyParams(2.0))
+        value = energy(identity_map(n), EnergyParams(2.0, scheme="raw"))
         assert value == pytest.approx(FOUR_PI_SQ * (1.0 - 1.0 / n), rel=1e-15)
 
     @pytest.mark.parametrize("n", [95, 96])
@@ -233,18 +242,64 @@ class TestEnergy:
         assert len(values) == 1
 
 
+def mpmath_weighted_correction(phases, p):
+    """The diagonal correction -2 zeta(2 - p) sum |D_i|^p and its gradient
+    -2 zeta(2 - p) p (w_{i-1} - w_i), w = |D|^(p-2) D, with zeta from mpmath."""
+    weight = float(-2 * mpmath.zeta(2 - mpmath.mpf(p)))
+    gaps = wrap_angle(np.roll(phases, -1) - phases)
+    w = np.abs(gaps) ** (p - 2.0) * gaps
+    value = weight * math.fsum(np.abs(gaps) ** p)
+    return value, weight * p * (np.roll(w, 1) - w)
+
+
+class TestCorrectedScheme:
+    """The default scheme: the double sum plus its diagonal correction."""
+
+    @pytest.mark.parametrize("n", [8, 17, 33, 128])
+    @pytest.mark.parametrize("p", [1.05, P_PRIME, 1.5, 2.0])
+    def test_brute_force_plus_correction(self, n, p):
+        rng = np.random.default_rng(7 * n + int(100 * p))
+        phases = 2.0 * math.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n)
+        u = GridMap(phases)
+        value, value_tol, grad, grad_tol = brute_force(phases, p)
+        correction, correction_grad = mpmath_weighted_correction(phases, p)
+        params = EnergyParams(p)
+        assert abs(energy(u, params) - (value + correction)) <= value_tol + 1e-14 * correction
+        deviation = np.abs(energy_gradient(u, params) - (grad + correction_grad))
+        assert np.all(deviation <= grad_tol + 1e-13 * np.max(np.abs(correction_grad)))
+
+    @pytest.mark.parametrize("p", np.linspace(P_PRIME, 2.0, 8))
+    def test_identity_energy_at_256_nodes(self, p):
+        closed = identity_energy_closed_form(p)
+        assert abs(energy(identity_map(256), EnergyParams(p)) - closed) <= 1e-6 * closed
+
+    def test_identity_p2_is_four_pi_squared(self):
+        # the raw sum is 4 pi^2 (1 - 1/n) and zeta(0) = -1/2: the correction
+        # adds n h^2 = 4 pi^2 / n
+        for n in (8, 64, 1000, 4096):
+            assert energy(identity_map(n), EnergyParams(2.0)) == pytest.approx(FOUR_PI_SQ, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.05, P_PRIME, 1.5, 1.8, 2.0])
+    def test_self_convergence_order(self, p):
+        # successive differences on a smooth map shrink like h^(p+1)
+        params = EnergyParams(p)
+        values = [energy(moebius_map(n, (0.4, 0.1)), params) for n in (128, 256, 512)]
+        order = math.log2(abs(values[0] - values[1]) / abs(values[1] - values[2]))
+        assert order >= p + 0.8
+
+
 class TestEnergyConvergence:
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
     def test_monotone_convergence_to_closed_form(self, p):
         closed = identity_energy_closed_form(p)
         errors = []
         for n in (64, 128, 256, 512, 1024):
-            errors.append(abs(energy(identity_map(n), EnergyParams(p)) - closed))
+            errors.append(abs(energy(identity_map(n), EnergyParams(p, scheme="raw")) - closed))
         assert all(coarse > fine for coarse, fine in zip(errors, errors[1:]))
 
     def test_discrete_below_closed_form(self):
         for p in (1.2, 1.5, 2.0):
-            disc = energy(identity_map(512), EnergyParams(p))
+            disc = energy(identity_map(512), EnergyParams(p, scheme="raw"))
             assert disc < identity_energy_closed_form(p)
 
 
@@ -501,11 +556,12 @@ class TestEnergyAndGradient:
             monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
         for u in fused_cases(n):
             for p in (1.05, 1.13921, 1.5, 2.0):
-                params = EnergyParams(p)
-                value, grad = energy_and_gradient(u, params)
-                assert type(value) is float
-                assert value == energy(u, params)
-                assert grad.tobytes() == energy_gradient(u, params).tobytes()
+                for scheme in ("corrected", "raw"):
+                    params = EnergyParams(p, scheme)
+                    value, grad = energy_and_gradient(u, params)
+                    assert type(value) is float
+                    assert value == energy(u, params)
+                    assert grad.tobytes() == energy_gradient(u, params).tobytes()
 
     def test_one_kernel_pass(self, monkeypatch):
         flags = []
@@ -571,16 +627,18 @@ class TestSpectral:
     def test_against_tiled_kernel(self):
         cases = list(spectral_cases())
         assert len(cases) >= 30
+        raw = EnergyParams(2.0, scheme="raw")
         for u in cases:
             tiled, tiled_grad = energy_module._tiled(u, 2.0, True, True)
-            assert energy(u, EnergyParams(2.0)) == pytest.approx(tiled, rel=1e-14)
-            assert np.max(np.abs(energy_gradient(u, EnergyParams(2.0)) - tiled_grad)) <= 1e-13
+            assert energy(u, raw) == pytest.approx(tiled, rel=1e-14)
+            assert np.max(np.abs(energy_gradient(u, raw) - tiled_grad)) <= 1e-13
 
     def test_against_mpmath(self):
         u = perturb(power_map(256, 2), 0.3, 11)
         value, grad = mpmath_energy_and_gradient_p2(u.phases)
-        assert energy(u, EnergyParams(2.0)) == pytest.approx(value, rel=1e-14)
-        assert np.max(np.abs(energy_gradient(u, EnergyParams(2.0)) - grad)) <= 1e-13
+        raw = EnergyParams(2.0, scheme="raw")
+        assert energy(u, raw) == pytest.approx(value, rel=1e-14)
+        assert np.max(np.abs(energy_gradient(u, raw) - grad)) <= 1e-13
         assert np.max(np.abs(grad)) >= 0.1  # the bound is not vacuous
 
     @pytest.mark.parametrize("n", [17, 31, 64, 1000])
@@ -620,7 +678,7 @@ class TestMoebiusClosedForm:
                 closed = moebius_energy_closed_form(n, a)
                 tiled, _ = energy_module._tiled(u, 2.0, True, False)
                 assert tiled == pytest.approx(closed, rel=1e-13)
-                assert energy(u, EnergyParams(2.0)) == pytest.approx(closed, rel=1e-13)
+                assert energy(u, EnergyParams(2.0, scheme="raw")) == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize("n, a", [(1, 0.3), (64, 1.0), (64, 0.8 + 0.8j)])
     def test_domain(self, n, a):

@@ -1,5 +1,6 @@
 """Inequality margins on designed equality cases and seeded random sweeps."""
 
+import importlib
 import math
 
 import mpmath
@@ -20,14 +21,28 @@ from fracmin import (
     young_variant_check,
 )
 
+# the package binds the name fracmin.energy to a function
+energy_module = importlib.import_module("fracmin.energy")
+
 PS = (1.1, 1.3, 1.5, 1.7, 1.9)
 
-# non-finite endpoints, and a b - a that overflows
+# non-finite endpoints, in either argument, and a b - a that overflows
 NON_FINITE_SEGMENTS = [
     ([math.nan, 0.0], [1.0, 1.0]),
+    ([1.0, 1.0], [math.nan, 0.0]),
+    ([1.0, 1.0], [math.nan, math.nan]),
     ([math.inf, 0.0], [1.0, 1.0]),
     ([1.0], [math.inf]),
     ([1e308, 0.0], [-1e308, 1e300]),
+]
+
+# finite endpoints and |b - a|, but norms too large for the integral's sums:
+# one raised OverflowError, one a DomainError about its interval, and one
+# returned inf
+NEAR_MAXIMAL_SEGMENTS = [
+    ([1.7e308, 0.85e308], [0.85e308, 1.7e308]),
+    ([1.5e308, 1.5e308], [1.5e308, 1.4e308]),
+    ([1.2e308, 0.0], [0.0, 1.2e308]),
 ]
 
 
@@ -89,6 +104,12 @@ class TestSegmentWeightIntegral:
     def test_non_finite_rejected(self, a, b):
         with pytest.raises(DomainError):
             segment_weight_integral(a, b, 1.5)
+
+    @pytest.mark.parametrize("a, b", NEAR_MAXIMAL_SEGMENTS)
+    def test_near_maximal_rejected(self, a, b):
+        for check in (segment_weight_integral, jp_monotonicity_check):
+            with pytest.raises(DomainError, match="half the float range"):
+                check(a, b, 1.5)
 
     def test_exact_scaling(self):
         # |2^k x|^(p-2) = 2^(k (p-2)) |x|^(p-2), with the factor taken in
@@ -317,9 +338,14 @@ class TestBbmDegree:
         check = bbm_degree_check(power_map(64, 0), 1.5)
         assert check.lhs >= 0.0 and check.rhs == 0.0
 
-    def test_identity_sharp_within_slack(self):
+    def test_identity_sharp_within_slack(self, monkeypatch):
+        # the corrected energy meets the sharp constant to rounding
         check = bbm_degree_check(identity_map(512), 2.0)
-        # the diagonal-free sum sits 1/n below the sharp constant
+        assert abs(check.margin) <= 1e-14 * check.rhs
+        # in the raw scheme (a zero correction weight adds exactly 0.0) the
+        # diagonal-free sum sits 1/n below the sharp constant
+        monkeypatch.setattr(energy_module, "_correction_weight", lambda q: 0.0)
+        check = bbm_degree_check(identity_map(512), 2.0)
         assert check.margin < 0.0
         assert check.lhs >= 0.98 * check.rhs
         assert abs(check.margin) / check.rhs <= 0.01

@@ -10,6 +10,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     DomainError,
@@ -20,6 +22,7 @@ from fracmin import (
     digamma_series,
     log2_series,
     log_gamma,
+    zeta,
 )
 
 mpmath.mp.dps = 40
@@ -94,6 +97,33 @@ class TestDigamma:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             digamma(bad)
+
+
+def assert_zeta_matches_mpmath(s):
+    exact = mpmath.zeta(mpmath.mpf(s))
+    assert abs((zeta(s) - exact) / exact) <= 1e-14, s
+
+
+class TestZeta:
+    """zeta(s) on [0, 1), where the energy's diagonal correction needs it."""
+
+    @pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 0.5, 0.86, 0.95, 0.999])
+    def test_against_mpmath(self, s):
+        assert_zeta_matches_mpmath(s)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(s=st.floats(0.0, 1.0, exclude_max=True))
+    def test_sweep_against_mpmath(self, s):
+        assert_zeta_matches_mpmath(s)
+
+    def test_zero_is_minus_one_half_exactly(self):
+        # the diagonal correction at p = 2 then makes the identity energy 4 pi^2
+        assert zeta(0.0) == -0.5
+
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0, 1.5, math.inf, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            zeta(bad)
 
 
 class TestDigammaSeries:
