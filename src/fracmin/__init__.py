@@ -44,7 +44,7 @@ from .maps import (
     wrap_angle,
     write_map_csv,
 )
-from .minimize import MinimizeConfig, MinimizeResult, ScanRow, descend_from, minimize, minimize_scan
+from .minimize import MinimizeConfig, MinimizeResult, descend_from, minimize
 from .quadrature import integral_sin_power, integrate_singular
 from .special import EULER_GAMMA, SeriesTail, beta, digamma, digamma_series, log2_series, log_gamma, zeta
 
@@ -62,7 +62,6 @@ __all__ = [
     "InequalityCheck",
     "MinimizeConfig",
     "MinimizeResult",
-    "ScanRow",
     "SeriesTail",
     "bbm_degree_check",
     "beta",
@@ -87,7 +86,6 @@ __all__ = [
     "log2_series",
     "log_gamma",
     "minimize",
-    "minimize_scan",
     "moebius_energy_closed_form",
     "moebius_map",
     "monotonicity_scan",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import identity_energy_derivative
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConsistencyError, ConvergenceError, DomainError, _exponent
 from .quadrature import integral_sin_power
 from .special import beta, digamma
 
@@ -115,9 +115,7 @@ def reciprocal_pair_sum(p: float) -> float:
     |f'''(N)|/720 ~ 8e-18 at this cutoff, so the stated budget holds with
     wide slack and the sum is accurate to rounding (~3e-16 relative).
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0 or p > 2.0:
-        raise DomainError(f"series requires 1 < p <= 2, got {p!r}")
+    p = _exponent(p, "the series")
     n = np.arange(_SERIES_CUTOFF, dtype=np.float64)
     direct = float(np.sum(1.0 / ((2.0 * n + p - 1.0) * (2.0 * n + p))))
     big_n = float(_SERIES_CUTOFF)

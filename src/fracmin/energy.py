@@ -13,7 +13,7 @@ The diagonal i = j is excluded, which biases the sum low by O(h^(p-1)).
 The generalized Euler-Maclaurin expansion of the punctured trapezoid
 rule (Navot 1961; Kapur and Rokhlin, SIAM J. Numer. Anal. 34, 1997)
 gives the leading error of row i as 2 zeta(2-p) h^(p-1) |phi'_i|^p, and
-the default scheme, "corrected", subtracts it:
+the energy subtracts it:
 
     E_p(u) = (double sum) - 2 zeta(2-p) sum_i |D_i|^p,
 
@@ -26,9 +26,9 @@ closed-form identity-map energy
 
 is met to 1.8e-6 relative at n = 64 and to 2.5e-10 at n = 4096 for
 p = p', and at p = 2, where zeta(0) = -1/2, it is exactly 4 pi^2 up to
-rounding.  The scheme "raw" is the double sum alone: it approaches
-E_p(Id) from below, monotonically in n (31% low at n = 4096, p = p'),
-and at p = 2 the identity gives 4 pi^2 (1 - 1/n).
+rounding.  The uncorrected double sum alone approaches E_p(Id) from
+below, monotonically in n (31% low at n = 4096, p = p'), and at p = 2
+the identity gives 4 pi^2 (1 - 1/n).
 
 One kernel evaluates both the energy and its gradient.  It takes
 c_i = cos phi_i and s_i = sin phi_i once per call, so it makes O(n)
@@ -106,7 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError
+from .errors import AdmissibilityError, DomainError, _exponent
 from .maps import GridMap, is_admissible
 from .quadrature import integral_sin_power
 from .special import beta, digamma, zeta
@@ -142,27 +142,14 @@ _TILE_ELEMENTS = 1 << 15
 _HELD_TILES = 4
 
 
-_SCHEMES = ("corrected", "raw")
-
-
 @dataclass(frozen=True)
 class EnergyParams:
-    """The exponent p of the energy, 1 < p <= 2, and its discretization.
-
-    scheme "corrected" (the default) adds the diagonal correction to the
-    double sum; "raw" is the double sum alone.
-    """
+    """The exponent p of the energy, 1 < p <= 2."""
 
     p: float
-    scheme: str = "corrected"
 
     def __post_init__(self):
-        p = float(self.p)
-        if not math.isfinite(p) or p <= 1.0 or p > 2.0:
-            raise DomainError(f"exponent must satisfy 1 < p <= 2, got {p!r}")
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _exponent(self.p, "the energy"))
 
 
 def _pairwise_fold(arr: np.ndarray) -> np.ndarray:
@@ -232,8 +219,6 @@ def _kernel(u: GridMap, params: EnergyParams, value: bool, gradient: bool) -> tu
         total, grad = _spectral(u, value, gradient)
     else:
         total, grad = _tiled(u, params.p, value, gradient)
-    if params.scheme == "raw":
-        return total, grad
     return _add_diagonal_correction(u, params.p, total, grad)
 
 
@@ -510,8 +495,8 @@ def energy_gradient(u: GridMap, params: EnergyParams) -> np.ndarray:
 
     with tau_k the unit tangent at u_k.  The dot product simplifies to
     sin(phi_k - phi_j); coincident target points contribute zero (valid
-    since p > 1).  The corrected scheme adds the diagonal correction's
-    gradient -2 zeta(2-p) p (w_{k-1} - w_k), w = |D|^(p-2) D.
+    since p > 1).  The diagonal correction adds its gradient
+    -2 zeta(2-p) p (w_{k-1} - w_k), w = |D|^(p-2) D.
     """
     return _kernel(u, params, False, True)[1]
 
@@ -533,9 +518,7 @@ def identity_energy_closed_form(p: float) -> float:
     substitution w = sin^2 g turns that integral into the Beta value.
     At p = 2 this is exactly 4*pi^2.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0 or p > 2.0:
-        raise DomainError(f"closed form requires 1 < p <= 2, got {p!r}")
+    p = _exponent(p, "the closed form")
     return 2.0**p * math.pi * beta(0.5 * (p - 1.0), 0.5)
 
 
@@ -566,9 +549,7 @@ def moebius_energy_closed_form(n: int, a: complex) -> float:
 
 def identity_energy_quadrature(p: float) -> float:
     """Independent evaluation of E_p(Id) through the singular quadrature path."""
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0 or p > 2.0:
-        raise DomainError(f"quadrature form requires 1 < p <= 2, got {p!r}")
+    p = _exponent(p, "the quadrature form")
     return 2.0**p * math.pi * integral_sin_power(p)
 
 
@@ -583,9 +564,7 @@ def identity_energy_derivative(p: float) -> float:
     which is negative on the whole interval: the identity energy strictly
     decreases in p.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0 or p >= 2.0:
-        raise DomainError(f"derivative requires 1 < p < 2, got {p!r}")
+    p = _exponent(p, "the derivative", closed=False)
     bracket = 2.0 * math.log(2.0) + digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
     return 2.0 ** (p - 1.0) * math.pi * beta(0.5 * (p - 1.0), 0.5) * bracket
 
@@ -596,7 +575,5 @@ def degree_lower_bound(p: float, d: int) -> float:
     Combines the sharp winding bound 4*pi^2 |deg u| <= E_2(u) with the
     chord bound |u(x) - u(y)|^(2-p) <= 2^(2-p) linking E_2 to E_p.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0 or p > 2.0:
-        raise DomainError(f"lower bound requires 1 < p <= 2, got {p!r}")
+    p = _exponent(p, "the lower bound")
     return FOUR_PI_SQ / 2.0 ** (2.0 - p) * abs(int(d))

@@ -18,3 +18,12 @@ class ConvergenceError(RuntimeError):
 class ConsistencyError(RuntimeError):
     """Two independent evaluation paths of the same quantity disagree
     beyond their combined error budget."""
+
+
+def _exponent(p, what: str, *, closed: bool = True) -> float:
+    """p as a float, for an operation defined on 1 < p <= 2 (on 1 < p < 2
+    when not closed); DomainError naming `what` otherwise."""
+    p = float(p)
+    if not (1.0 < p < 2.0 or (closed and p == 2.0)):
+        raise DomainError(f"{what} requires 1 < p {'<=' if closed else '<'} 2, got {p!r}")
+    return p

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyParams, degree_lower_bound, energy
-from .errors import DomainError
+from .errors import DomainError, _exponent
 from .maps import GridMap, degree
 from .quadrature import integrate_singular
 
@@ -164,9 +164,7 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
 
     lhs and rhs coincide on antipodal equal-norm pairs.
     """
-    p = float(p)
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"jp check requires 1 < p < 2, got {p!r}")
+    p = _exponent(p, "the jp check", closed=False)
     a, b = _segment(a, b)
     norm_a = math.hypot(*a)
     norm_b = math.hypot(*b)
@@ -180,6 +178,9 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
     # weight would square an underflowing length and divide by it
     length, along = _along_segment(a, b, p)
     rhs = (p - 1.0) * length * along
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        # |b - a|^p beyond the float range, which _segment's gate allows
+        raise DomainError(f"jp check sides overflow: lhs={lhs!r}, rhs={rhs!r}")
     return _check(lhs, rhs)
 
 
@@ -187,9 +188,7 @@ def young_variant_check(A: float, B: float, p: float) -> InequalityCheck:
     """A^p <= A^2 B^(p-2) + B^p for A >= 0, B > 0, 1 < p < 2."""
     A = float(A)
     B = float(B)
-    p = float(p)
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"young check requires 1 < p < 2, got {p!r}")
+    p = _exponent(p, "the young check", closed=False)
     if A < 0.0:
         raise DomainError("A must be >= 0")
     if B <= 0.0:

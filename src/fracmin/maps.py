@@ -120,10 +120,7 @@ def degree(u: GridMap) -> int:
 
 def identity_map(n: int) -> GridMap:
     """phi_i = theta_i; winds once counterclockwise."""
-    n = int(n)
-    if n < MIN_NODES:
-        raise DomainError(f"n must be >= {MIN_NODES}, got {n}")
-    return GridMap(TWO_PI * np.arange(n) / n)
+    return power_map(n, 1)
 
 
 def power_map(n: int, d: int) -> GridMap:
@@ -133,8 +130,6 @@ def power_map(n: int, d: int) -> GridMap:
     """
     n = int(n)
     d = int(d)
-    if n < MIN_NODES:
-        raise DomainError(f"n must be >= {MIN_NODES}, got {n}")
     if n <= 2 * abs(d):
         raise DomainError(f"degree {d} needs n > {2 * abs(d)} nodes, got n={n}")
     return GridMap(d * TWO_PI * np.arange(n) / n)
@@ -144,18 +139,20 @@ def moebius_map(n: int, a) -> GridMap:
     """Boundary trace of the disk automorphism z -> (z - a) / (1 - conj(a) z).
 
     a may be a complex number or an (x, y) pair with |a| < 1.  The phases
-    are a continuous lift of the argument; the map has degree one (at
-    resolutions where its gaps stay below pi).
+    are a continuous lift of the argument.  The trace has degree one, and
+    so must its sample: a grid too coarse for the trace's jump near a/|a|
+    (as n = 9 for |a| = 0.999, whose lift winds 0 times) raises DomainError.
     """
     n = int(n)
-    if n < MIN_NODES:
-        raise DomainError(f"n must be >= {MIN_NODES}, got {n}")
     a = complex(a[0], a[1]) if isinstance(a, (tuple, list)) else complex(a)
     if not (abs(a) < 1.0):
         raise DomainError(f"moebius parameter must lie in the open unit disk, got |a|={abs(a)!r}")
     z = np.exp(1j * TWO_PI * np.arange(n) / n)
     w = (z - a) / (1.0 - np.conj(a) * z)
-    return GridMap(np.unwrap(np.angle(w)))
+    u = GridMap(np.unwrap(np.angle(w)))
+    if not u.admissible or round(u.winding) != 1:
+        raise DomainError(f"{n} nodes miss the Moebius trace's jump at |a|={abs(a)!r}: the sample has no degree one")
+    return u
 
 
 def perturb(u: GridMap, amplitude: float, seed: int) -> GridMap:
@@ -184,7 +181,11 @@ def rotated(u: GridMap, angle: float) -> GridMap:
 def write_map_csv(u: GridMap, path) -> None:
     """Write `theta,phase` rows in radians with 17 significant digits."""
     theta = u.theta
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write map file {str(path)!r}: {exc.strerror}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "phase"])
         for t, phi in zip(theta, u.phases):
@@ -207,20 +208,16 @@ def read_map_csv(path) -> GridMap:
         if header is None or [h.strip() for h in header] != ["theta", "phase"]:
             raise DomainError(f"expected header 'theta,phase', got {header!r}")
         rows = [row for row in reader if row]
-    if len(rows) < MIN_NODES:
-        raise DomainError(f"map file needs at least {MIN_NODES} rows, got {len(rows)}")
     try:
         theta = np.array([float(r[0]) for r in rows])
         phases = np.array([float(r[1]) for r in rows])
     except (IndexError, ValueError) as exc:
         raise DomainError(f"malformed map row: {exc}") from exc
-    n = len(rows)
-    expected = TWO_PI * np.arange(n) / n
+    u = GridMap(phases)
     if np.any(np.diff(theta) <= 0.0):
         raise DomainError("theta grid must be strictly increasing")
-    if np.max(np.abs(theta - expected)) > 1e-9:
+    if np.max(np.abs(theta - u.theta)) > 1e-9:
         raise DomainError("theta grid is not the uniform grid 2*pi*i/n")
-    u = GridMap(phases)
     if not is_admissible(u):
         raise AdmissibilityError("map file contains a phase gap of magnitude >= pi")
     return u

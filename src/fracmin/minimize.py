@@ -16,16 +16,15 @@ limit itself.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyParams, degree_lower_bound, energy_and_gradient, identity_energy_closed_form
-from .errors import DomainError
-from .maps import GridMap, degree, is_admissible, perturb, power_map
+from .energy import EnergyParams, energy_and_gradient
+from .errors import DomainError, _exponent
+from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
 
-__all__ = ["MinimizeConfig", "MinimizeResult", "ScanRow", "descend_from", "minimize", "minimize_scan"]
+__all__ = ["MinimizeConfig", "MinimizeResult", "descend_from", "minimize"]
 
 _INITIAL_STEP = 1.0
 _ARMIJO_SHRINK = 0.5
@@ -48,10 +47,9 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and 1.0 < self.p <= 2.0):
-            raise DomainError(f"minimization exponent must satisfy 1 < p <= 2, got {self.p!r}")
-        if self.n < 8:
-            raise DomainError(f"n must be >= 8, got {self.n}")
+        object.__setattr__(self, "p", _exponent(self.p, "minimization"))
+        if self.n < MIN_NODES:
+            raise DomainError(f"n must be >= {MIN_NODES}, got {self.n}")
         if self.n <= 2 * abs(self.degree_target):
             raise DomainError(
                 f"degree {self.degree_target} needs n > {2 * abs(self.degree_target)}, got n={self.n}"
@@ -186,7 +184,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     102-160 at p = 1.5 and 172-236 at p = p' and 1.2, to energies within
     4.4e-7 of E_p(Id), with largest gaps of 0.052-0.054 (h = 0.049); in
     degree 2 at p = 1.5 they stop at max_iters within 5.8e-7 of 2 E_p(Id),
-    with largest gaps of 0.11.  Under the raw scheme the same degree-1
+    with largest gaps of 0.11.  Under the uncorrected double sum the degree-1
     restarts concentrated: at p = 1.5 the largest gap reached pi and the
     runs ended in the line search after 480-527 iterations, and the
     degree-2 ones after 145-168.
@@ -211,31 +209,3 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         raise DomainError("no admissible starting map with the target degree")
     return best_converged if best_converged is not None else best_any
 
-
-@dataclass(frozen=True)
-class ScanRow:
-    p: float
-    min_energy: float
-    identity_energy: float
-    lower_bound: float
-    converged: bool
-
-
-def minimize_scan(p_values, base_config: MinimizeConfig) -> list[ScanRow]:
-    """One minimize run per exponent, tabulated against the closed-form
-    identity energy (a feasible degree-one competitor) and the winding
-    lower bound."""
-    rows = []
-    for p in p_values:
-        config = replace(base_config, p=float(p))
-        result = minimize(config)
-        rows.append(
-            ScanRow(
-                p=float(p),
-                min_energy=result.final_energy,
-                identity_energy=identity_energy_closed_form(float(p)),
-                lower_bound=degree_lower_bound(float(p), config.degree_target),
-                converged=result.converged,
-            )
-        )
-    return rows

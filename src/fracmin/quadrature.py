@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _exponent
 
 __all__ = ["integrate_singular", "integral_sin_power"]
 
@@ -147,11 +147,7 @@ def integral_sin_power(p: float) -> float:
     singularity then concentrates measurable mass at endpoint distances
     below the range of binary64, where no quadrature node can reach.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0:
-        raise DomainError(f"integral diverges for p <= 1 (got p={p!r})")
-    if p > 2.0:
-        raise DomainError(f"p > 2 is outside the supported range (got p={p!r})")
+    p = _exponent(p, "the integral")
     exponent = p - 2.0
     half_pi = 0.5 * math.pi
 

@@ -27,7 +27,6 @@ from fracmin import (
     jp_monotonicity_check,
     log2_series,
     minimize,
-    minimize_scan,
     moebius_map,
     perturb,
     power_map,
@@ -70,13 +69,13 @@ def test_criterion_01_critical_exponent():
     )
 
 
-def test_criterion_02_identity_energy_p2():
+def test_criterion_02_identity_energy_p2(raw_double_sum):
     started = time.perf_counter()
     closed = identity_energy_closed_form(2.0)
     closed_ok = abs(closed - FOUR_PI_SQ) <= 1e-9 * FOUR_PI_SQ
     errors = []
     for n in (64, 128, 256, 512, 1024):
-        errors.append(abs(energy(identity_map(n), EnergyParams(2.0, scheme="raw")) - closed))
+        errors.append(abs(energy(identity_map(n), EnergyParams(2.0)) - closed))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     within_1pct = errors[-1] <= 0.01 * closed
     elapsed = time.perf_counter() - started
@@ -192,14 +191,13 @@ def test_criterion_08_minimizer_ground_truth():
 
 def test_criterion_09_minimizer_sandwich():
     p_prime = critical_p(1e-10).p_prime
-    rows = minimize_scan(
-        [1.2, 1.4, p_prime, 1.8], MinimizeConfig(p=1.5, degree_target=1, n=256)
-    )
+    p_values = [1.2, 1.4, p_prime, 1.8]
     ok = True
-    for row in rows:
-        ok = ok and row.converged
-        ok = ok and row.lower_bound * 0.98 <= row.min_energy <= row.identity_energy + 1e-9
-    report(9, "minimizer bound sandwich", ok, ", ".join(f"p={row.p:.3f}" for row in rows))
+    for p in p_values:
+        result = minimize(MinimizeConfig(p=p, degree_target=1, n=256))
+        ok = ok and result.converged
+        ok = ok and degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity_energy_closed_form(p) + 1e-9
+    report(9, "minimizer bound sandwich", ok, ", ".join(f"p={p:.3f}" for p in p_values))
 
 
 def test_criterion_10_inequality_suites():

@@ -135,7 +135,7 @@ class TestReports:
         code, report = run_json(capsys, ["moebius", "--a-re", "0.5", "--a-im", "0.2", "--n", "1048576"])
         assert code == 0
         checks = {check["name"]: check["passed"] for check in report["checks"]}
-        assert checks == {"degree_is_one": True, "matches_identity_energy": True, "matches_discrete_closed_form": True}
+        assert checks == {"matches_identity_energy": True, "matches_discrete_closed_form": True}
         assert report["results"]["energy"] == pytest.approx(FOUR_PI_SQ, rel=1e-12)
 
     def test_moebius_closed_form_check_detects_wrong_energy(self, capsys, monkeypatch):
@@ -303,6 +303,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "phase gap" in captured.err
+
+    def test_unresolved_moebius_trace(self, capsys):
+        # 9 nodes miss the jump of the trace at |a| = 0.999: the sampled
+        # lift winds 0 times, which is a domain error, not a failed check
+        assert run(["moebius", "--a-re", "0.5994", "--a-im", "0.7992", "--n", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no degree one" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--out", ["critical-p"]),
+            ("--map-out", ["moebius", "--a-re", "0.3", "--n", "64"]),
+            ("--map-out", ["minimize", "--p", "1.5", "--degree", "1", "--n", "32", "--restarts", "0"]),
+            ("--trace-out", ["minimize", "--p", "1.5", "--degree", "1", "--n", "32", "--restarts", "0"]),
+            ("--table-out", ["monotonicity-scan", "--grid-size", "10"]),
+        ],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, flag, argv):
+        # a file in a missing directory: exit 3 with the message on stderr,
+        # as for a map file that cannot be read, and no report
+        target = str(tmp_path / "missing" / "out")
+        assert run([*argv, flag, target]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: cannot write") and repr(target) in captured.err
+
+    def test_scan_p_values(self, capsys):
+        # an entry that is not a number is a usage error, like --p abc; an
+        # empty list parses but names no exponent
+        assert run(["scan", "--p-values", "1.5,x"]) == 2
+        assert "--p-values" in capsys.readouterr().err
+        assert run(["scan", "--p-values", ","]) == 3
+        assert "at least one exponent" in capsys.readouterr().err
 
     def test_failed_check_exit(self, capsys):
         # 64 nodes do not resolve the Moebius map at a = 0.99 (largest gap

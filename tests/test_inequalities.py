@@ -1,6 +1,5 @@
 """Inequality margins on designed equality cases and seeded random sweeps."""
 
-import importlib
 import math
 
 import mpmath
@@ -20,9 +19,6 @@ from fracmin import (
     segment_weight_integral,
     young_variant_check,
 )
-
-# the package binds the name fracmin.energy to a function
-energy_module = importlib.import_module("fracmin.energy")
 
 PS = (1.1, 1.3, 1.5, 1.7, 1.9)
 
@@ -306,6 +302,13 @@ class TestJpMonotonicity:
         with pytest.raises(DomainError):
             jp_monotonicity_check(a, b, 1.5)
 
+    @pytest.mark.parametrize("a, b", [((0.6e308, 0.0), (0.0, 0.6e308)), ([0.89e308], [-0.89e308])])
+    def test_overflowing_sides_rejected(self, a, b):
+        # the endpoints pass the segment gate, but |b - a|^p overflows:
+        # both sides were inf and the margin nan
+        with pytest.raises(DomainError, match="overflow"):
+            jp_monotonicity_check(a, b, 1.5)
+
 
 class TestYoungVariant:
     def test_zero_a(self):
@@ -338,13 +341,13 @@ class TestBbmDegree:
         check = bbm_degree_check(power_map(64, 0), 1.5)
         assert check.lhs >= 0.0 and check.rhs == 0.0
 
-    def test_identity_sharp_within_slack(self, monkeypatch):
+    def test_identity_sharp_within_slack(self, request):
         # the corrected energy meets the sharp constant to rounding
         check = bbm_degree_check(identity_map(512), 2.0)
         assert abs(check.margin) <= 1e-14 * check.rhs
-        # in the raw scheme (a zero correction weight adds exactly 0.0) the
-        # diagonal-free sum sits 1/n below the sharp constant
-        monkeypatch.setattr(energy_module, "_correction_weight", lambda q: 0.0)
+        # the double sum alone, without the diagonal, sits 1/n below the
+        # sharp constant
+        request.getfixturevalue("raw_double_sum")
         check = bbm_degree_check(identity_map(512), 2.0)
         assert check.margin < 0.0
         assert check.lhs >= 0.98 * check.rhs

@@ -70,6 +70,18 @@ class TestConstructionsAndDegree:
     def test_power_map_degree(self, n, d):
         assert degree(power_map(n, d)) == d
 
+    @pytest.mark.parametrize("make", [identity_map, lambda n: power_map(n, 0), lambda n: moebius_map(n, 0.3)])
+    def test_grid_size_gate(self, make):
+        # every constructor takes the grid map's own gate on the node count
+        with pytest.raises(DomainError, match="at least 8 nodes"):
+            make(7)
+        assert make(8).n == 8
+
+    def test_identity_is_the_degree_one_power_map(self):
+        for n in (8, 9, 64, 1000):
+            expected = 2.0 * math.pi * np.arange(n) / n
+            assert identity_map(n).phases.tobytes() == power_map(n, 1).phases.tobytes() == expected.tobytes()
+
     def test_power_map_size_guard(self):
         with pytest.raises(DomainError):
             power_map(8, 4)  # needs n > 8
@@ -164,6 +176,13 @@ class TestMoebius:
         with pytest.raises(DomainError):
             moebius_map(64, (0.8, 0.8))
 
+    def test_unresolved_trace_rejected(self):
+        # at |a| = 0.999 the trace jumps between two of the 9 nodes, and the
+        # sampled lift winds 0 times with every gap 0.013
+        with pytest.raises(DomainError, match="no degree one"):
+            moebius_map(9, (0.5994, 0.7992))
+        assert degree(moebius_map(4096, (0.5994, 0.7992))) == 1
+
     def test_concentration_grows_with_radius(self):
         max_gaps = []
         for r in (0.0, 0.2, 0.4, 0.6):
@@ -204,6 +223,10 @@ class TestCsv:
         write_map_csv(u, path)
         v = read_map_csv(path)
         assert np.array_equal(u.phases, v.phases)
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot write map file"):
+            write_map_csv(identity_map(8), tmp_path / "missing" / "map.csv")
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"

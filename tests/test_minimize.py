@@ -17,7 +17,6 @@ from fracmin import (
     energy_gradient,
     identity_energy_closed_form,
     minimize,
-    minimize_scan,
     perturb,
     power_map,
     rotated,
@@ -170,7 +169,7 @@ class TestFusedDescent:
         assert len(passes) == steps + 1 == result.evaluations
         assert set(passes) == {(True, True)}
 
-    def test_every_termination_occurs(self, monkeypatch):
+    def test_every_termination_occurs(self, request):
         converged = descend_from(power_map(32, 1), MinimizeConfig(p=1.5, degree_target=1, n=32))
         assert converged.termination == "grad_tol" and converged.converged
         assert converged.evaluations == 1
@@ -178,9 +177,9 @@ class TestFusedDescent:
         capped = descend_from(perturb(power_map(32, 1), 0.1, 1), capped_config)
         assert capped.termination == "max_iters" and not capped.converged
         assert capped.iterations == 5 and capped.evaluations >= 6
-        # in the raw scheme (a zero correction weight adds exactly 0.0) the
-        # winding concentrates until no step keeps degree one
-        monkeypatch.setattr(energy_module, "_correction_weight", lambda q: 0.0)
+        # under the double sum alone the winding concentrates until no step
+        # keeps degree one
+        request.getfixturevalue("raw_double_sum")
         stuck = descend_from(perturb(power_map(16, 1), 0.1, 1), MinimizeConfig(p=1.5, degree_target=1, n=16))
         assert stuck.termination == "line_search" and not stuck.converged
         assert stuck.iterations < 1000 and stuck.grad_norm > 1e-5
@@ -227,15 +226,15 @@ class TestMinimize:
 
 
 class TestScan:
+    """One minimize run per exponent, as the scan subcommand makes them."""
+
     def test_rows_satisfy_sandwich(self):
-        rows = minimize_scan([1.4, 1.8, 2.0], MinimizeConfig(p=1.5, degree_target=1, **FAST))
-        assert [row.p for row in rows] == [1.4, 1.8, 2.0]
-        for row in rows:
-            assert row.converged
-            assert row.lower_bound * 0.98 <= row.min_energy <= row.identity_energy + 1e-9
+        for p in (1.4, 1.8, 2.0):
+            result = minimize(MinimizeConfig(p=p, degree_target=1, **FAST))
+            assert result.converged
+            assert degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity_energy_closed_form(p) + 1e-9
 
     def test_p2_row_near_ground_truth(self):
-        rows = minimize_scan([2.0], MinimizeConfig(p=1.5, degree_target=1, **FAST))
-        (row,) = rows
-        assert row.min_energy == pytest.approx(FOUR_PI_SQ, rel=0.05)
-        assert row.identity_energy == pytest.approx(FOUR_PI_SQ, rel=1e-9)
+        result = minimize(MinimizeConfig(p=2.0, degree_target=1, **FAST))
+        assert result.final_energy == pytest.approx(FOUR_PI_SQ, rel=0.05)
+        assert identity_energy_closed_form(2.0) == pytest.approx(FOUR_PI_SQ, rel=1e-9)

@@ -1,5 +1,6 @@
 """The package namespace: exactly the submodules' public names."""
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -41,6 +42,19 @@ def test_no_quadrature_options():
         obj = getattr(fracmin, name)
         if inspect.isfunction(obj):
             assert "spec" not in inspect.signature(obj).parameters, name
+
+
+def test_energy_params_holds_only_the_exponent():
+    # one discretization: no scheme or other option beside p
+    assert [field.name for field in dataclasses.fields(fracmin.EnergyParams)] == ["p"]
+
+
+def test_no_scan_wrapper():
+    # the scan subcommand calls minimize once per exponent
+    minimize_module = importlib.import_module("fracmin.minimize")
+    for name in ("minimize_scan", "ScanRow"):
+        assert name not in fracmin.__all__
+        assert not hasattr(fracmin, name) and not hasattr(minimize_module, name)
 
 
 def test_import_and_small_calls_start_no_thread():
