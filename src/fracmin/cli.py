@@ -22,6 +22,7 @@ from .critical import critical_p, derivative_sign_condition, monotonicity_scan
 from .energy import (
     FOUR_PI_SQ,
     EnergyParams,
+    _error_estimate,
     degree_lower_bound,
     energy,
     energy_gradient,
@@ -50,14 +51,6 @@ REFERENCE_CRITICAL_P = 1.139210840326630521723
 REFERENCE_CRITICAL_TOL = 1e-12
 # the value the paper quotes, reported next to the root as data
 PAPER_CRITICAL_P = 1.13924
-
-# |E_p(u_a) / E_p(Id) - 1| / max_gap^(p+1) on Moebius maps, measured up to
-# 1.1e-3 for max_gap <= 1 (a up to 0.999, n = 8 .. 2^20, p = 1.05 .. 2);
-# twice that bounds the error of every resolved grid.  Under-resolved
-# grids (max_gap of 2.5 and above) exceed it, up to 5.3e-3.
-_MOEBIUS_ERROR_CONSTANT = 2e-3
-# relative rounding allowance of the energy, as for the discrete closed form
-_MOEBIUS_ROUNDING = 1e-12
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -228,10 +221,9 @@ def _cmd_moebius(args):
     value = energy(u, EnergyParams(args.p))
     max_gap = float(np.max(np.abs(u.gaps)))
     identity = identity_energy_closed_form(args.p)
-    # Moebius invariance: the continuum energy is E_p(Id) at every p.  The
-    # corrected energy's error is O(h^(p+1)) with h scaled by the map's
-    # stretch, so it is predicted from max_gap^(p+1) plus rounding.
-    error_bound = _MOEBIUS_ERROR_CONSTANT * max_gap ** (args.p + 1.0) + _MOEBIUS_ROUNDING
+    # Moebius invariance: the continuum energy is E_p(Id) at every p, so
+    # the energy must match it within its own error estimate
+    error_bound = _error_estimate(u, args.p)
     results = {
         "n": u.n,
         "degree": d,
@@ -261,7 +253,6 @@ def _minimize_config(args, p: float) -> MinimizeConfig:
         degree_target=args.degree,
         n=args.n,
         max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -277,6 +268,8 @@ def _cmd_minimize(args):
         "final_degree": result.final_degree,
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
+        "decrement_rel": result.decrement_rel,
+        "error_estimate_rel": result.error_estimate_rel,
         "converged": result.converged,
         "termination": result.termination,
         "evaluations": result.evaluations,
@@ -422,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, required=True)
 
     s = add_parser("critical-p", help="solve the critical-exponent equation")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=1e-12, help="stop once |residual| <= tol, in [1e-13, 1e-4]")
 
     s = add_parser("monotonicity-scan", help="sign scan of the energy derivative over (1.01, 1.99)")
     s.add_argument("--grid-size", type=int, default=100)
@@ -451,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_minimize_options(sp):
         sp.add_argument("--n", type=int, default=256)
         sp.add_argument("--max-iters", type=int, default=1000)
-        sp.add_argument("--grad-tol", type=float, default=1e-5)
         sp.add_argument("--restarts", type=int, default=3)
         sp.add_argument("--seed", type=int, default=0)
 

@@ -55,19 +55,20 @@ def _gap(p: float) -> float:
     return beta(0.5 * (p - 1.0), 0.5) - FIVE_PI
 
 
-def critical_p(tol: float = 1e-10) -> CriticalReport:
+def critical_p(tol: float = 1e-12) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
     The root is bracketed on (1.0001, 2), refined by a secant step with
-    bisection fallback until |residual| <= min(tol, 1e-12), and
-    cross-checked against the singular-quadrature evaluation of the same
-    integral.  tol must lie in [1e-13, 1e-4]; the residual floor of the
-    Beta path is about 1.2e-14, so a smaller target is unreachable.
+    bisection fallback until |residual| <= tol, and cross-checked against
+    the singular-quadrature evaluation of the same integral.  tol must lie
+    in [1e-13, 1e-4]; the residual floor of the Beta path is about
+    1.2e-14, so a smaller target is unreachable.  Near the root the
+    residual changes by about 100 per unit of p, so p' is within about
+    tol/100 of the root.
     """
     tol = float(tol)
     if not (1e-13 <= tol <= 1e-4):
         raise DomainError(f"tol must lie in [1e-13, 1e-4], got {tol!r}")
-    target = min(tol, 1e-12)
     lo, hi = _BRACKET_LO, _BRACKET_HI
     f_lo, f_hi = _gap(lo), _gap(hi)
     if not (f_lo > 0.0 > f_hi):
@@ -86,7 +87,7 @@ def critical_p(tol: float = 1e-10) -> CriticalReport:
             candidate = 0.5 * (lo + hi)
         p = candidate
         f_p = _gap(p)
-        if abs(f_p) <= target:
+        if abs(f_p) <= tol:
             break
         if f_p > 0.0:
             lo, f_lo = p, f_p
@@ -94,8 +95,8 @@ def critical_p(tol: float = 1e-10) -> CriticalReport:
             hi, f_hi = p, f_p
         if hi - lo <= 4.0 * np.finfo(float).eps:
             break
-    if abs(f_p) > target:
-        raise ConvergenceError(f"root residual {f_p:.3e} above target {target:.3e}")
+    if abs(f_p) > tol:
+        raise ConvergenceError(f"root residual {f_p:.3e} above target {tol:.3e}")
     residual_quadrature = integral_sin_power(p) - FIVE_PI
     return CriticalReport(
         p_prime=p,

@@ -1,5 +1,6 @@
 """CLI reports: schema validity, determinism, exit codes, side files."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -9,7 +10,18 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fracmin import GridMap, energy, energy_gradient, identity_map, perturb, read_map_csv, wrap_angle, write_map_csv
+from fracmin import (
+    GridMap,
+    descend_from,
+    energy,
+    energy_gradient,
+    identity_map,
+    perturb,
+    power_map,
+    read_map_csv,
+    wrap_angle,
+    write_map_csv,
+)
 from fracmin.cli import REFERENCE_CRITICAL_P, run
 
 # the package binds the name fracmin.energy to the function
@@ -191,6 +203,10 @@ class TestReports:
         assert report["results"]["final_degree"] == 1
         assert report["results"]["termination"] == "grad_tol"
         assert report["results"]["evaluations"] >= report["results"]["iterations"] + 1
+        # the stop held: the decrement is a tenth of the error estimate or less
+        results = report["results"]
+        assert 0.0 <= results["decrement_rel"] <= 0.1 * results["error_estimate_rel"]
+        assert 1e-12 < results["error_estimate_rel"] < 1e-4
         final = read_map_csv(map_out)
         assert final.n == 64
         lines = trace_out.read_text().strip().splitlines()
@@ -264,6 +280,9 @@ class TestDeterminism:
     def test_removed_options_are_usage_errors(self, capsys):
         assert run(["--format", "csv", "id-energy", "--p", "2"]) == 2
         assert run(["minimize", "--p", "1.5", "--degree", "1", "--step-rule", "fixed"]) == 2
+        # the stop is relative to the energy's error estimate, not a fixed norm
+        assert run(["minimize", "--p", "1.5", "--degree", "1", "--grad-tol", "1e-5"]) == 2
+        assert run(["scan", "--p-values", "1.5", "--grad-tol", "1e-5"]) == 2
         capsys.readouterr()
 
 
@@ -347,13 +366,19 @@ class TestExitCodes:
         assert code == 1
         assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_identity_energy"]
 
-    def test_nonconvergence_exit(self, capsys):
-        code = run(
-            ["minimize", "--p", "1.5", "--degree", "1", "--n", "64",
-             "--max-iters", "1", "--grad-tol", "1e-16", "--restarts", "0"]
-        )
+    def test_nonconvergence_exit(self, capsys, monkeypatch):
+        # every run of the real minimize converges, so a single capped step
+        # from a perturbed start stands in for it
+        def capped(config):
+            start = perturb(power_map(config.n, config.degree_target), 0.1, 1)
+            return descend_from(start, dataclasses.replace(config, max_iters=1))
+
+        monkeypatch.setattr("fracmin.cli.minimize", capped)
+        code = run(["minimize", "--p", "1.5", "--degree", "1", "--n", "64", "--restarts", "0"])
         assert code == 4
-        capsys.readouterr()
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["termination"] == "max_iters"
+        assert report["results"]["converged"] is False
 
     def test_gradient_check_detects_wrong_gradient(self, capsys, monkeypatch):
         # a gradient off by one part in 1e4 must fail the check

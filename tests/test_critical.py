@@ -58,6 +58,17 @@ class TestCriticalP:
             b = critical_p(tol / 2.0).p_prime
             assert abs(a - b) <= 10.0 * tol
 
+    def test_tol_is_the_residual_target(self):
+        loose = critical_p(1e-4)
+        tight = critical_p(1e-12)
+        assert abs(loose.residual_beta) <= 1e-4
+        assert loose.iterations < tight.iterations
+        # the residual moves by about 100 per unit of p near the root
+        assert abs(loose.p_prime - REFERENCE) <= 1e-6
+
+    def test_default_tol(self):
+        assert critical_p() == critical_p(1e-12)
+
     @pytest.mark.parametrize("bad", [1e-15, 1e-14, 1e-3, 0.0, -1e-9])
     def test_tol_domain(self, bad):
         with pytest.raises(DomainError):

@@ -27,6 +27,8 @@ energy_module = importlib.import_module("fracmin.energy")
 minimize_module = importlib.import_module("fracmin.minimize")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
+# root of B((p-1)/2, 1/2) = 5 pi, from mpmath at 40 digits
+P_PRIME = 1.139210840326630521723
 
 FAST = dict(n=64, max_iters=300, restarts=1)
 
@@ -39,15 +41,20 @@ class TestConfig:
             dict(p=2.3, degree_target=1, n=64),
             dict(p=1.5, degree_target=5, n=10),
             dict(p=1.5, degree_target=1, n=4),
-            dict(p=1.5, degree_target=1, n=64, grad_tol=0.0),
+            dict(p=math.nan, degree_target=1, n=64),
             dict(p=1.5, degree_target=1, n=64, max_iters=0),
             dict(p=1.5, degree_target=1, n=64, restarts=-1),
-            dict(p=1.5, degree_target=1, n=64, grad_tol=math.nan),
+            dict(p=1.5, degree_target=1, n=7),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             MinimizeConfig(**kwargs)
+
+    def test_no_fixed_gradient_tolerance(self):
+        # the stop is relative to the energy's error estimate at every n
+        with pytest.raises(TypeError):
+            MinimizeConfig(p=1.5, degree_target=1, n=64, grad_tol=1e-5)
 
 
 class TestDescend:
@@ -84,46 +91,42 @@ def two_pass_descent(start, config):
     """The descent loop with separate kernel passes: energy for every
     trial step, then energy_gradient for the accepted one.
 
-    Returns (final_energy, grad_norm, iterations, converged, trace)."""
+    Returns (final_energy, grad_norm, decrement_rel, iterations,
+    converged, trace)."""
     m = minimize_module
     params = EnergyParams(config.p)
+    symbol = m._sobolev_symbol(start.n, config.p)
     point = start
     current = energy(point, params)
     trace = [current]
     grad = energy_gradient(point, params)
-    grad_norm = float(np.linalg.norm(grad))
+    direction = m._sobolev_gradient(grad, symbol)
+    decrement = float(grad @ direction)
     iterations = 0
-    aborted = False
-    trial_step = m._INITIAL_STEP
-    while grad_norm > config.grad_tol and iterations < config.max_iters and not aborted:
-        grad_sq = grad_norm * grad_norm
-        step = trial_step
+
+    def stop():
+        return decrement <= m._STOP_FRACTION * energy_module._error_estimate(point, config.p) * current
+
+    while not stop() and iterations < config.max_iters:
+        step = 1.0
         for _ in range(m._MAX_HALVINGS + 1):
-            candidate = GridMap(point.phases - step * grad)
+            candidate = GridMap(point.phases - step * direction)
             if m._candidate_degree(candidate) == config.degree_target:
                 trial = energy(candidate, params)
-                if trial <= current - m._ARMIJO_DECREASE * step * grad_sq:
+                if trial <= current - m._ARMIJO_DECREASE * step * decrement:
                     break
             step *= m._ARMIJO_SHRINK
         else:
-            aborted = True
             break
         iterations += 1
-        previous_grad = grad
         point = candidate
         current = trial
         trace.append(current)
         grad = energy_gradient(point, params)
-        grad_norm = float(np.linalg.norm(grad))
-        grad_change = grad - previous_grad
-        curvature = float(grad_change @ grad_change)
-        slope = -step * float(previous_grad @ grad_change)
-        if curvature > 0.0 and slope > 0.0:
-            trial_step = min(max(slope / curvature, m._TRIAL_STEP_RANGE[0]), m._TRIAL_STEP_RANGE[1])
-        else:
-            trial_step = m._INITIAL_STEP
-    converged = (grad_norm <= config.grad_tol) and not aborted
-    return current, grad_norm, iterations, converged, np.array(trace)
+        direction = m._sobolev_gradient(grad, symbol)
+        decrement = float(grad @ direction)
+    grad_norm = float(np.linalg.norm(grad))
+    return current, grad_norm, decrement / current, iterations, stop(), np.array(trace)
 
 
 class TestFusedDescent:
@@ -135,11 +138,12 @@ class TestFusedDescent:
         for seed in (1, 2, 3):
             start = perturb(power_map(64, 1), 0.1, seed)
             result = descend_from(start, config)
-            final_energy, grad_norm, iterations, converged, trace = two_pass_descent(start, config)
+            final_energy, grad_norm, decrement_rel, iterations, converged, trace = two_pass_descent(start, config)
             assert result.iterations == iterations > 0
             assert result.converged == converged
             assert result.final_energy == final_energy
             assert result.grad_norm == grad_norm
+            assert result.decrement_rel == decrement_rel
             assert result.energy_trace.tobytes() == trace.tobytes()
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -238,3 +242,38 @@ class TestScan:
         result = minimize(MinimizeConfig(p=2.0, degree_target=1, **FAST))
         assert result.final_energy == pytest.approx(FOUR_PI_SQ, rel=0.05)
         assert identity_energy_closed_form(2.0) == pytest.approx(FOUR_PI_SQ, rel=1e-9)
+
+
+class TestPreconditionedDescent:
+    """Steps along P^-1 g converge in a number of iterations that does not
+    grow with n, and stop at the energy's own error estimate."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("p, d", [(P_PRIME, 1), (1.5, 1), (2.0, 1), (1.5, 2)])
+    def test_iterations_stay_flat_in_n(self, n, p, d):
+        config = MinimizeConfig(p=p, degree_target=d, n=n)
+        for seed in (1, 2, 3):
+            result = descend_from(perturb(power_map(n, d), 0.1, seed), config)
+            assert result.converged and result.iterations <= 40
+            assert 0.0 <= result.decrement_rel <= 0.1 * result.error_estimate_rel
+            gap = result.final_energy / (d * identity_energy_closed_form(p)) - 1.0
+            assert abs(gap) <= result.error_estimate_rel
+
+    def test_unpreconditioned_steps_exceed_the_bound(self, monkeypatch):
+        # with P = I the same loop is plain gradient descent, whose condition
+        # number grows like n^(3-p)
+        monkeypatch.setattr(minimize_module, "_sobolev_symbol", lambda n, p: np.ones(n // 2 + 1))
+        config = MinimizeConfig(p=1.5, degree_target=1, n=128, max_iters=41)
+        result = descend_from(perturb(power_map(128, 1), 0.1, 1), config)
+        assert result.termination == "max_iters"
+
+    def test_symbol(self):
+        symbol = minimize_module._sobolev_symbol(8, 1.5)
+        h = 2.0 * math.pi / 8
+        assert symbol == pytest.approx([h * (1.0 + m) ** 1.5 for m in range(5)], rel=1e-15)
+        grad = perturb(power_map(8, 1), 0.3, 4).phases - power_map(8, 1).phases
+        direction = minimize_module._sobolev_gradient(grad, symbol)
+        # P^-1 is symmetric positive definite: the decrement is positive
+        assert float(grad @ direction) > 0.0
+        modes = np.fft.rfft(direction) * symbol
+        assert np.allclose(modes, np.fft.rfft(grad), rtol=0.0, atol=1e-14)
