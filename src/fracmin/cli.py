@@ -11,6 +11,7 @@ report byte for byte; no timestamps are emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -182,36 +183,98 @@ def _cmd_degree(args):
     return results, checks, None
 
 
+# Taylor remainder test of the gradient (Farrell, Ham, Funke and Rognes,
+# SIAM J. Sci. Comput. 35, 2013): along a direction v the remainder
+# r(eps) = |E(phi + eps v) - E(phi) - eps g.v| falls like eps^2 when g is
+# the gradient, and only like eps when g is off along v.
+_TAYLOR_FIRST_STEP = 1e-2
+_TAYLOR_STEP_RATIO = 4.0
+_TAYLOR_LEVELS = 10
+# remainders at or below this multiple of |E| are rounding, not Taylor terms
+_TAYLOR_FLOOR = 1e-12
+_TAYLOR_MIN_ORDER = 1.8
+
+
+def _taylor_directions(u: GridMap, seed: int, grad: np.ndarray) -> list[np.ndarray]:
+    """Four directions, each scaled to max |v| = 1: a smooth field of five
+    random Fourier modes, a standard-normal field that reaches every node,
+    a field that moves one node, and the gradient under test, along which
+    a scaled gradient leaves the largest linear remainder.
+
+    The two random fields are functions of the target phase, not of the
+    grid angle: the normal one interpolates independent normal values at n
+    equally spaced target angles.  They move two targets that nearly
+    coincide by nearly the same amount, so the energy stays smooth along
+    them where a perturbed map folds back onto itself; a field of the grid
+    angle pulls such a pair through each other at steps near 1e-6, where
+    the remainder falls only at order p.
+    """
+    # a stream apart from the perturb draw that made the map
+    rng = np.random.default_rng((int(seed) % 2**63, 1))
+    angles = np.outer(u.phases, np.arange(1, 6))
+    smooth = np.cos(angles) @ rng.uniform(-1.0, 1.0, 5) + np.sin(angles) @ rng.uniform(-1.0, 1.0, 5)
+    normal = np.interp(u.phases, u.theta, rng.standard_normal(u.n), period=2.0 * math.pi)
+    node = np.zeros(u.n)
+    node[rng.integers(u.n)] = 1.0
+    # a gradient that is exactly zero, as at the identity on some small
+    # grids, gives no direction
+    directions = [smooth, normal, node, grad] if np.any(grad) else [smooth, normal, node]
+    return [v / np.max(np.abs(v)) for v in directions]
+
+
+def _taylor_order(u: GridMap, params: EnergyParams, value: float, slope: float, v: np.ndarray):
+    """(order, calls): the last observed order log_4(r_{k-1}/r_k) along v,
+    None when fewer than two remainders clear the rounding floor, and the
+    energy calls made.  The ladder stops at the first remainder at the floor."""
+    floor = _TAYLOR_FLOOR * abs(value)
+    remainders = []
+    step = _TAYLOR_FIRST_STEP
+    for calls in range(1, _TAYLOR_LEVELS + 1):
+        shifted = energy(GridMap(u.phases + step * v), params)
+        remainder = abs(shifted - value - step * slope)
+        if remainder <= floor:
+            break
+        remainders.append(remainder)
+        step /= _TAYLOR_STEP_RATIO
+    if len(remainders) < 2:
+        return None, calls
+    return math.log(remainders[-2] / remainders[-1], _TAYLOR_STEP_RATIO), calls
+
+
 def _cmd_gradient_check(args):
+    """Taylor remainder test of energy_gradient on a perturbed degree-one map.
+
+    Along each direction the remainder must fall at order >= 1.8 between
+    its last two steps above the rounding floor; a direction that keeps
+    fewer than two such remainders is rounding-limited and fails.
+    """
     u = perturb(power_map(args.n, 1), args.amplitude, args.seed)
     params = EnergyParams(args.p)
-    analytic = energy_gradient(u, params)
-    step = 1e-6
-
-    def shifted(i, multiple):
-        bump = np.zeros(u.n)
-        bump[i] = multiple * step
-        return energy(GridMap(u.phases + bump), params)
-
-    # five-point central stencil: truncation error O(step^4), where the
-    # two-point form's O(step^2) error alone can exceed the tolerance
-    fd = np.empty(u.n)
-    for i in range(u.n):
-        near = shifted(i, 1) - shifted(i, -1)
-        far = shifted(i, 2) - shifted(i, -2)
-        fd[i] = (8.0 * near - far) / (12.0 * step)
-    deviation = np.abs(analytic - fd)
-    tolerance = 1e-5 * np.abs(fd) + 1e-7
-    worst = float(np.min(tolerance - deviation))
+    value = energy(u, params)
+    grad = energy_gradient(u, params)
+    orders = []
+    evaluations = 1
+    for v in _taylor_directions(u, args.seed, grad):
+        order, calls = _taylor_order(u, params, value, float(grad @ v), v)
+        orders.append(order)
+        evaluations += calls
+    observed = [order for order in orders if order is not None]
+    rounding_limited = len(orders) - len(observed)
+    # with no observed order at all, the order check reads 0
+    min_order = min(observed, default=0.0)
     results = {
         "n": u.n,
         "p": args.p,
-        "max_abs_deviation": float(np.max(deviation)),
-        "max_rel_error": float(np.max(deviation / np.maximum(np.abs(fd), 1e-7))),
-        # at most 1 exactly when the check passes, unlike max_rel_error
-        "max_tolerance_ratio": float(np.max(deviation / tolerance)),
+        "orders": orders,
+        "min_order": min_order,
+        "rounding_limited": rounding_limited,
+        "energy_evaluations": evaluations,
     }
-    checks = [_check("matches_finite_differences", worst >= 0.0, worst)]
+    checks = [
+        # a direction whose remainders sink into rounding shows no order
+        _tolerance_check("no_rounding_limited_direction", rounding_limited, 0.0),
+        _bound_check("taylor_remainder_order", min_order, _TAYLOR_MIN_ORDER),
+    ]
     return results, checks, args.seed
 
 
@@ -392,6 +455,9 @@ def _cmd_bbm_check(args):
 # ------------------------------------------------------------------ driver
 
 
+# built on the first run, not at import, and then reused: parse_args keeps
+# no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracmin",
@@ -428,7 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s = add_parser("degree", help="winding number of a map read from CSV")
     s.add_argument("--map", required=True)
 
-    s = add_parser("gradient-check", help="analytic gradient vs central differences on a random map")
+    s = add_parser(
+        "gradient-check",
+        help="Taylor remainder test of the analytic gradient along four directions on a random map",
+    )
     s.add_argument("--n", type=int, default=64)
     s.add_argument("--p", type=float, default=1.5)
     s.add_argument("--seed", type=int, default=0)

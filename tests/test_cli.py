@@ -22,7 +22,7 @@ from fracmin import (
     wrap_angle,
     write_map_csv,
 )
-from fracmin.cli import REFERENCE_CRITICAL_P, run
+from fracmin.cli import REFERENCE_CRITICAL_P, _build_parser, run
 
 # the package binds the name fracmin.energy to the function
 energy_module = importlib.import_module("fracmin.energy")
@@ -113,23 +113,31 @@ class TestReports:
         assert code == 0
         jsonschema.validate(report, schema)
         assert report["seed"] == 3
-        assert report["results"]["max_rel_error"] <= 1e-5
+        results = report["results"]
+        assert len(results["orders"]) == 4 and results["rounding_limited"] == 0
+        assert results["min_order"] == min(results["orders"]) >= 1.8
+        assert results["energy_evaluations"] <= 45
+        assert [check["name"] for check in report["checks"]] == [
+            "no_rounding_limited_direction",
+            "taylor_remainder_order",
+        ]
 
     def test_gradient_check_stencil_truncation(self, capsys):
-        # the two-point stencil's own truncation error failed this seed
-        # (max relative error 1.94e-5 against the 1e-5 tolerance)
+        # the five-point stencil this check replaced failed this seed with its
+        # own truncation error (max relative error 1.94e-5 against 1e-5)
         code, report = run_json(capsys, ["gradient-check", "--n", "64", "--p", "1.5", "--seed", "295"])
         assert code == 0
-        assert report["checks"][0]["passed"]
-        assert report["results"]["max_rel_error"] <= 1e-5
+        assert all(check["passed"] for check in report["checks"])
+        assert report["results"]["min_order"] >= 1.8
 
     def test_gradient_check_tolerance_ratio(self, capsys):
-        # max_rel_error reads 6.6e-5 here although the check passes; the
-        # ratio to the check's own tolerance is what the check compares
+        # the stencil reported a relative error of 6.6e-5 here although its
+        # check passed; the Taylor check's margin is the order it compares
         code, report = run_json(capsys, ["gradient-check", "--n", "64", "--p", "2", "--seed", "13"])
         assert code == 0
-        assert report["checks"][0]["passed"]
-        assert report["results"]["max_tolerance_ratio"] <= 1.0
+        order_check = report["checks"][1]
+        assert order_check["passed"]
+        assert order_check["margin"] == report["results"]["min_order"] - 1.8
 
     def test_moebius(self, capsys, schema):
         code, report = run_json(
@@ -277,6 +285,28 @@ class TestDeterminism:
         assert report["command"] == "critical-p"
         assert "out" not in report["parameters"]
 
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        # the parser is built on the first run and reused, so no option of
+        # one call may leak into the next: interleaved subcommands, --out
+        # before and after the subcommand, then omitted, and a usage error
+        # after a success give the reports of fresh parses
+        leading, trailing = tmp_path / "leading.json", tmp_path / "trailing.json"
+        assert run(["--out", str(leading), "id-energy", "--p", "1.5"]) == 0
+        assert run(["critical-p", "--tol", "1e-10", "--out", str(trailing)]) == 0
+        assert run(["gradient-check", "--n", "16", "--seed", "4"]) == 0
+        gradient = json.loads(capsys.readouterr().out)
+        assert run(["id-energy", "--p", "1.5"]) == 0
+        assert capsys.readouterr().out == leading.read_text()
+        assert run(["critical-p", "--tol", "1e-10"]) == 0
+        assert capsys.readouterr().out == trailing.read_text()
+        assert run(["id-energy"]) == 2
+        assert "--p" in capsys.readouterr().err
+        assert run(["gradient-check"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"] == {"amplitude": 0.3, "n": 64, "p": 1.5, "seed": 0}
+        assert gradient["parameters"]["n"] == 16 and gradient["seed"] == 4
+        assert _build_parser() is _build_parser()
+
     def test_removed_options_are_usage_errors(self, capsys):
         assert run(["--format", "csv", "id-energy", "--p", "2"]) == 2
         assert run(["minimize", "--p", "1.5", "--degree", "1", "--step-rule", "fixed"]) == 2
@@ -284,6 +314,91 @@ class TestDeterminism:
         assert run(["minimize", "--p", "1.5", "--degree", "1", "--grad-tol", "1e-5"]) == 2
         assert run(["scan", "--p-values", "1.5", "--grad-tol", "1e-5"]) == 2
         capsys.readouterr()
+
+
+def _shifted_correction(u, params):
+    """The gradient with its diagonal correction's neighbour difference
+    w_{i-1} - w_i moved one node along, to w_{i-2} - w_{i-1}."""
+    p = params.p
+    w = energy_module._correction_weight(p) * p * np.abs(u.gaps) ** (p - 1.0) * np.sign(u.gaps)
+    correction = np.roll(w, 1) - w
+    return energy_gradient(u, params) - correction + np.roll(correction, 1)
+
+
+def _flipped_row(row):
+    def gradient(u, params):
+        grad = energy_gradient(u, params)
+        grad[row] = -grad[row]
+        return grad
+
+    return gradient
+
+
+class TestGradientCheck:
+    """The Taylor remainder test behind gradient-check: it passes correct
+    gradients where the five-point stencil failed them, fails wrong ones,
+    and stays within a fixed number of energy calls."""
+
+    def test_fine_grid_in_few_energy_calls(self, capsys, monkeypatch):
+        # the stencil made 4n = 4096 calls here and failed the correct
+        # gradient with a tolerance ratio of 1.29
+        calls = []
+
+        def counted(u, params):
+            calls.append(u.n)
+            return energy(u, params)
+
+        monkeypatch.setattr("fracmin.cli.energy", counted)
+        code, report = run_json(capsys, ["gradient-check", "--n", "1024", "--p", "1.3", "--seed", "5"])
+        assert code == 0
+        assert len(calls) <= 45
+        assert report["results"]["energy_evaluations"] == len(calls)
+
+    @pytest.mark.parametrize("seed", ["21", "37", "51", "79"])
+    def test_nearly_folded_maps(self, capsys, seed):
+        # these maps bring two distant nodes' targets within about 1e-6 of
+        # each other; the stencil's step crossed that scale and failed them
+        code, report = run_json(capsys, ["gradient-check", "--n", "128", "--p", "1.05", "--seed", seed])
+        assert code == 0, report["results"]
+
+    @pytest.mark.parametrize("n", ["32", "64"])
+    @pytest.mark.parametrize("p", ["1.05", "1.13921", "1.5", "2"])
+    def test_seed_sweep(self, capsys, n, p):
+        # the benchmark draws a new gradient-check seed with every run
+        failed = []
+        for seed in range(50):
+            code, report = run_json(capsys, ["gradient-check", "--n", n, "--p", p, "--seed", str(seed)])
+            if code != 0:
+                failed.append((seed, report["results"]["orders"]))
+        assert failed == []
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda u, params: energy_gradient(u, params) * (1.0 + 1e-3),
+            _flipped_row(0),
+            _flipped_row(-1),
+            _shifted_correction,
+        ],
+        ids=["scaled_1e-3", "row_0_flipped", "row_n-1_flipped", "correction_shifted"],
+    )
+    @pytest.mark.parametrize("n, p", [("32", "1.5"), ("128", "1.13921")])
+    def test_detects_mutations(self, capsys, monkeypatch, wrong, n, p):
+        monkeypatch.setattr("fracmin.cli.energy_gradient", wrong)
+        code, report = run_json(capsys, ["gradient-check", "--n", n, "--p", p, "--seed", "3"])
+        assert code == 1
+        assert report["results"]["min_order"] < 1.8
+        assert report["results"]["rounding_limited"] == 0
+
+    def test_constant_direction_is_rounding_limited(self, capsys, monkeypatch):
+        # rotation invariance makes g.1 = 0, so the remainder along v = 1 is
+        # pure rounding: no order is observed and the check fails
+        monkeypatch.setattr("fracmin.cli._taylor_directions", lambda u, seed, grad: [np.ones(u.n)])
+        code, report = run_json(capsys, ["gradient-check", "--n", "64", "--p", "1.5", "--seed", "3"])
+        assert code == 1
+        results = report["results"]
+        assert results["orders"] == [None] and results["rounding_limited"] == 1
+        assert [check["passed"] for check in report["checks"]] == [False, False]
 
 
 class TestExitCodes:
@@ -387,5 +502,5 @@ class TestExitCodes:
         )
         code, report = run_json(capsys, ["gradient-check", "--n", "32", "--p", "1.5", "--seed", "3"])
         assert code == 1
-        assert not report["checks"][0]["passed"]
-        assert report["results"]["max_tolerance_ratio"] > 1.0
+        assert not report["checks"][1]["passed"]
+        assert report["results"]["min_order"] < 1.8
