@@ -5,8 +5,8 @@ The defining equation, after dividing out the common factors, is
 
     B((p-1)/2, 1/2) = 5*pi    equivalently    integral_0^pi (sin g)^(p-2) dg = 5*pi.
 
-The left side is strictly decreasing in p (the identity energy is), so a
-bracketing secant/bisection hybrid on (1.0001, 2) pins the root; the
+The left side is strictly decreasing in p (the identity energy is), so
+false position with a bisection fallback on (1.0001, 2) pins the root; the
 quadrature path then revalidates the residual independently of the Beta
 closed form.
 """
@@ -58,9 +58,10 @@ def _gap(p: float) -> float:
 def critical_p(tol: float = 1e-12) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
-    The root is bracketed on (1.0001, 2), refined by a secant step with
-    bisection fallback until |residual| <= tol, and cross-checked against
-    the singular-quadrature evaluation of the same integral.  tol must lie
+    The root is bracketed on (1.0001, 2), refined by false position with
+    the Illinois update and a bisection fallback until |residual| <= tol,
+    and cross-checked against the singular-quadrature evaluation of the
+    same integral.  tol must lie
     in [1e-13, 1e-4]; the residual floor of the Beta path is about
     1.2e-14, so a smaller target is unreachable.  Near the root the
     residual changes by about 100 per unit of p, so p' is within about
@@ -75,6 +76,7 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
         raise ConvergenceError("critical equation lost its sign change on (1.0001, 2)")
     p = lo
     f_p = f_lo
+    kept = None  # the bracket end the last step kept
     iterations = 0
     for _ in range(200):
         iterations += 1
@@ -89,10 +91,18 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
         f_p = _gap(p)
         if abs(f_p) <= tol:
             break
+        # Illinois update: an end kept twice in a row has its residual
+        # halved, so the next secant moves toward it instead of stalling
         if f_p > 0.0:
             lo, f_lo = p, f_p
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
             hi, f_hi = p, f_p
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
         if hi - lo <= 4.0 * np.finfo(float).eps:
             break
     if abs(f_p) > tol:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyParams, _error_estimate, energy_and_gradient
+from .energy import EnergyParams, _error_estimate, degree_lower_bound, energy_and_gradient
 from .errors import DomainError, _exponent
 from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
 
@@ -67,7 +67,8 @@ class MinimizeResult:
     """One descent run's outcome.
 
     termination says why the run stopped: "grad_tol" (converged: the
-    decrement fell to a tenth of the error estimate), "max_iters", or
+    decrement fell to a tenth of the error estimate, or the energy to the
+    degree-0 floor), "max_iters", or
     "line_search" (no step of the backtracking kept the degree and
     decreased the energy enough).  evaluations counts the kernel passes
     the run made: the start plus every trial step that kept the target
@@ -126,7 +127,10 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     trace is therefore non-increasing.  The run converges once
     lambda^2 <= 0.1 eps E, with eps the energy's estimated relative
     discretization error at the current map: a step could then gain no
-    more than the grid resolves.  The stop does not depend on n.
+    more than the grid resolves.  Near a constant map that test cannot be
+    met, so a run also converges once E is below a tenth of the grid's
+    error on the energy of one winding, far below any map of degree >= 1.
+    No tolerance is fixed in advance.
     """
     params = EnergyParams(config.p)
     target = config.degree_target
@@ -142,8 +146,12 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     direction = _sobolev_gradient(grad, symbol)
     decrement = float(grad @ direction)
     error_estimate = _error_estimate(point, config.p)
+    # near a constant map, where the degree-0 minimum E = 0 lies, lambda^2 / E
+    # grows as E -> 0 (p < 2); E >= 0 bounds the decrease still to be made,
+    # so E at a tenth of the grid's error on one winding's energy also stops
+    floor = _STOP_FRACTION * _error_estimate(power_map(start.n, 1), config.p) * degree_lower_bound(config.p, 1)
     iterations = 0
-    while decrement > _STOP_FRACTION * error_estimate * current and iterations < config.max_iters:
+    while decrement > _STOP_FRACTION * error_estimate * current and current > floor and iterations < config.max_iters:
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = GridMap(point.phases - step * direction)
@@ -163,7 +171,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         direction = _sobolev_gradient(grad, symbol)
         decrement = float(grad @ direction)
         error_estimate = _error_estimate(point, config.p)
-    if decrement <= _STOP_FRACTION * error_estimate * current:
+    if decrement <= _STOP_FRACTION * error_estimate * current or current <= floor:
         termination = "grad_tol"
     elif iterations >= config.max_iters:
         termination = "max_iters"

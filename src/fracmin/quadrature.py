@@ -6,9 +6,11 @@ absorbs any integrable algebraic singularity x^alpha, alpha > -1, without
 scheme-specific weights.  Every integral refines to at most level 12
 (step 2^-12 in t) and stops once two successive levels agree to 1e-10.
 
-Each level's t-only node factors are computed once per process and
-cached; a call scales them to its interval and evaluates the centre and
-levels 0-3, which the stopping rule always needs, in one integrand call.
+The t-only node factors of levels 0-3, which the stopping rule always
+needs, form one joined table, and each deeper level has its own; each
+is built once per process, on first use.  A call scales the joined
+table to its interval and evaluates it and the centre in one integrand
+call; each level then sums its own slice of the pair terms.
 
 Precision note: nodes are generated as exact distances from the nearer
 endpoint, so an integrand singular at an endpoint is sampled at full
@@ -48,40 +50,52 @@ def _eval_batch(f, x):
     values = np.asarray(f(x), dtype=np.float64)
     if values.shape != x.shape:
         raise DomainError("integrand must return one value per node")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError("integrand evaluated to a non-finite value at an interior node")
     return values
 
 
 @functools.cache
-def _level_table(level):
-    """The t-only factors of the nodes a level adds: q, 1 + q, cosh t, (1 + q)^2.
+def _node_table(first, last):
+    """The t-only factors of the nodes levels first..last add, joined in
+    level order: q, 1 + q, cosh t, (1 + q)^2, and the index at which
+    each level starts.
 
     Level 0 holds t = 1..5 (the centre t = 0 is separate); level k >= 1
     holds the odd multiples of 2^-k below _T_MAX.  q = exp(-pi sinh t)
     lies in (0, 1] and does not overflow for t <= 6.  The arrays are
     shared by every call, so they are read-only.
     """
-    h = 0.5**level
-    t = np.arange(1.0, _T_MAX) if level == 0 else np.arange(1.0, math.ceil(_T_MAX / h), 2.0) * h
+    levels = []
+    for level in range(first, last + 1):
+        h = 0.5**level
+        levels.append(np.arange(1.0, _T_MAX) if level == 0 else np.arange(1.0, math.ceil(_T_MAX / h), 2.0) * h)
+    t = np.concatenate(levels)
     u = 0.5 * math.pi * np.sinh(t)
     q = np.exp(-2.0 * u)
-    table = (q, 1.0 + q, np.cosh(t), (1.0 + q) ** 2)
+    table = (q, 1.0 + q, np.cosh(t), (1.0 + q) ** 2, np.cumsum([0] + [x.size for x in levels[:-1]]))
     for column in table:
         column.setflags(write=False)
     return table
 
 
-def _level_nodes(level, a, b):
-    """A level's nodes, lower ones then upper ones, and the weight of each pair."""
-    q, one_plus_q, cosh_t, one_plus_q_sq = _level_table(level)
+def _scaled(table, a, b):
+    """A table's nodes scaled to (a, b), lower ones then upper ones, the
+    weight of each pair, and the mask of the pairs kept: those whose
+    distance from the endpoint does not underflow to 0."""
+    q, one_plus_q, cosh_t, one_plus_q_sq, _ = table
     length = b - a
     dist = length * q / one_plus_q  # distance from the nearer endpoint
     # dx/dt = (length/2) (pi/2) cosh(t) sech^2(u), sech^2(u) = 4q/(1+q)^2
     weight = 0.5 * length * (0.5 * math.pi) * cosh_t * 4.0 * q / one_plus_q_sq
     keep = dist > 0.0
     dist, weight = dist[keep], weight[keep]
-    return np.concatenate((a + dist, b - dist)), weight
+    return np.concatenate((a + dist, b - dist)), weight, keep
+
+
+def _pair_terms(values, weight):
+    """weight (f(lower) + f(upper)) for values laid out lower then upper."""
+    return weight * (values[: weight.size] + values[weight.size :])
 
 
 def _tanh_sinh_estimates(f, a, b, max_level):
@@ -90,23 +104,27 @@ def _tanh_sinh_estimates(f, a, b, max_level):
     The step h = 2^-level halves each level, reusing every node already
     evaluated: each level only adds the odd multiples of the new h.
     _tanh_sinh never stops before level _MIN_LEVEL, so the centre and
-    the levels up to it are evaluated in one integrand call.
+    the levels up to it are scaled from one joined table and evaluated
+    in one integrand call.  Each level sums its own slice of the pair
+    terms, in the order a level-by-level loop sums them.
     """
     length = b - a
-    batch = [_level_nodes(level, a, b) for level in range(min(max_level, _MIN_LEVEL) + 1)]
-    values = _eval_batch(f, np.concatenate([[a + 0.5 * length]] + [x for x, _ in batch]))
+    first = min(max_level, _MIN_LEVEL)
+    table = _node_table(0, first)
+    x, weight, keep = _scaled(table, a, b)
+    values = _eval_batch(f, np.concatenate(([a + 0.5 * length], x)))
+    terms = _pair_terms(values[1:], weight)
+    counts = np.add.reduceat(keep, table[-1]).tolist()  # pairs kept per level
     total = values[0] * (0.25 * math.pi * length)
-    start = 1
+    start = 0
     for level in range(max_level + 1):
-        if level < len(batch):
-            x, weight = batch[level]
-            level_values = values[start : start + x.size]
-            start += x.size
+        if level <= first:
+            level_terms = terms[start : start + counts[level]]
+            start += counts[level]
         else:
-            x, weight = _level_nodes(level, a, b)
-            level_values = _eval_batch(f, x)
-        lower, upper = level_values[: weight.size], level_values[weight.size :]
-        level_sum = float(np.sum(weight * (lower + upper)))
+            x, weight, _ = _scaled(_node_table(level, level), a, b)
+            level_terms = _pair_terms(_eval_batch(f, x), weight)
+        level_sum = float(np.add.reduce(level_terms))
         total = total + level_sum if level == 0 else 0.5 * total + level_sum * 0.5**level
         yield total
 

@@ -66,6 +66,12 @@ class TestCriticalP:
         # the residual moves by about 100 per unit of p near the root
         assert abs(loose.p_prime - REFERENCE) <= 1e-6
 
+    def test_illinois_update_does_not_stall(self):
+        # plain false position keeps one stale end and needed 40 steps
+        report = critical_p(1e-12)
+        assert report.iterations <= 30
+        assert report.p_prime == REFERENCE  # the double nearest the root
+
     def test_default_tol(self):
         assert critical_p() == critical_p(1e-12)
 

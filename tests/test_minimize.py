@@ -196,6 +196,16 @@ class TestMinimize:
         assert result.final_energy <= 1e-8
         assert result.final_degree == 0
 
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0])
+    def test_degree_zero_descent_converges(self, p):
+        # near a constant map lambda^2 / E grows as E -> 0, so the relative
+        # stop alone ended the p = 1.5 run in line_search after 44 iterations
+        start = perturb(power_map(64, 0), 0.1, 1)
+        result = descend_from(start, MinimizeConfig(p=p, degree_target=0, n=64))
+        assert result.termination == "grad_tol" and result.iterations <= 40
+        assert result.final_energy <= 1e-5 * degree_lower_bound(p, 1)
+        assert result.final_degree == 0
+
     def test_p2_ground_truth(self):
         result = minimize(MinimizeConfig(p=2.0, degree_target=1, n=256))
         assert result.converged

@@ -1,6 +1,7 @@
 """Quadrature engine against closed-form antiderivatives and the Beta oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fracmin import (
     integral_sin_power,
     integrate_singular,
 )
-from fracmin.quadrature import _tanh_sinh, _tanh_sinh_estimates
+from fracmin import inequalities
+from fracmin.quadrature import _node_table, _tanh_sinh, _tanh_sinh_estimates
 
 
 def _midpoint_refined(f, a, b):
@@ -210,6 +212,14 @@ def _segment_piece(w_sq, w_dot, seg_sq, p):
     )
 
 
+def _foot_piece_case(d, lo, span, p):
+    """The integrand and interval that inequalities._foot_piece integrates."""
+    calls = []
+    with mock.patch.object(inequalities, "integrate_singular", lambda f, a, b: calls.append((f, a, b)) or 0.0):
+        inequalities._foot_piece(d, lo, span, p)
+    return calls[0]
+
+
 REFERENCE_CASES = [
     (np.ones_like, 0.0, 1.0),  # converged at level 3, the earliest stop
     (_sin_power_remainder(1.13921), 0.0, 0.5 * math.pi),
@@ -219,6 +229,9 @@ REFERENCE_CASES = [
     (_segment_piece(2.5e-9, -3e-16, 7.25, 1.05), 0.0, 0.31),
     (lambda t: t**-0.9, 0.0, 1.0),
     (lambda t: t**-0.5, 0.0, 1e-300),  # the deepest distances underflow and are dropped
+    # of levels 0-3 only the last level-3 node (t = 5.875) underflows
+    (lambda t: 1e45 * t**-0.5, 0.0, 1e-90),
+    _foot_piece_case(1e-200, 0.0, 1.0, 1.05),  # a line 1e-200 from the origin
     (lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0),
     # level-7 steps of 3.1e-11 and 3.1e-10: these stop at levels 7 and 8
     # only for a tolerance within a factor 3 of 1e-10
@@ -250,6 +263,31 @@ class TestAgainstReferenceLoop:
         f_ref, nodes_ref = _recording(f)
         assert integrate_singular(f_new, a, b) == _reference_integrate(f_ref, a, b)
         assert np.array_equal(np.sort(np.concatenate(nodes_new)), np.sort(np.concatenate(nodes_ref)))
+
+    @pytest.mark.parametrize("f, stop_level", [(np.ones_like, 3), (lambda t: np.cos(400.0 * t), 7)])
+    def test_integrand_calls(self, f, stop_level):
+        # one call for the centre and levels 0-3, then one per deeper level
+        f_new, nodes = _recording(f)
+        integrate_singular(f_new, 0.0, 1.0)
+        assert len(nodes) == 1 + (stop_level - 3)
+        assert nodes[0].size == 1 + 2 * 47
+
+    def test_only_the_last_level_three_node_underflows(self):
+        q, one_plus_q = _node_table(0, 3)[:2]
+        dropped = np.flatnonzero(1e-90 * q / one_plus_q == 0.0)
+        assert dropped.tolist() == [q.size - 1]
+
+    def test_node_tables_built_once(self):
+        def f(t):
+            return np.cos(12800.0 * t)  # reaches level 12
+
+        integrate_singular(f, 0.0, 1.0)
+        misses = _node_table.cache_info().misses
+        for _ in range(3):
+            integrate_singular(f, 0.0, 1.0)
+            integrate_singular(np.ones_like, 0.0, 1e-90)
+        assert _node_table.cache_info().misses == misses
+        assert _node_table(0, 3)[0].size == 47
 
     def test_no_level_beyond_twelve(self):
         # twice the frequency of the last reference case needs level 13
