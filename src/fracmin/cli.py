@@ -26,7 +26,7 @@ from .energy import (
     _error_estimate,
     degree_lower_bound,
     energy,
-    energy_gradient,
+    energy_and_gradient,
     identity_energy_closed_form,
     identity_energy_derivative,
     identity_energy_quadrature,
@@ -242,7 +242,7 @@ def _taylor_order(u: GridMap, params: EnergyParams, value: float, slope: float, 
 
 
 def _cmd_gradient_check(args):
-    """Taylor remainder test of energy_gradient on a perturbed degree-one map.
+    """Taylor remainder test of the gradient on a perturbed degree-one map.
 
     Along each direction the remainder must fall at order >= 1.8 between
     its last two steps above the rounding floor; a direction that keeps
@@ -250,8 +250,7 @@ def _cmd_gradient_check(args):
     """
     u = perturb(power_map(args.n, 1), args.amplitude, args.seed)
     params = EnergyParams(args.p)
-    value = energy(u, params)
-    grad = energy_gradient(u, params)
+    value, grad = energy_and_gradient(u, params)
     orders = []
     evaluations = 1
     for v in _taylor_directions(u, args.seed, grad):
@@ -398,6 +397,8 @@ def _cmd_scan(args):
 
 
 def _cmd_inequality_suite(args):
+    if args.count < 1:
+        raise DomainError(f"count must be >= 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     jp_min = math.inf
     for _ in range(args.count):

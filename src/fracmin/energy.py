@@ -62,18 +62,20 @@ Each offset's terms are folded over i, and the per-offset sums
 combined, in a fixed pairwise-tree order: the energy's bits do not
 depend on the tile width, and results are reproducible bit for bit.
 
-A call of more than one tile, in a process that may run on two or more
-CPUs, shares its tiles with one helper thread, started on the first
-such call (and again in a forked child); numpy releases the interpreter
-lock inside each tile's array operations, so the two run side by side.
-Both threads claim tiles from one counter into their own work arrays.
-Each tile returns its per-offset energy sums and its gradient row sums,
-which the caller stores and adds in tile order.  The bits of every
-result are therefore the same with or without the helper and under any
-scheduling; concurrent callers share the one helper.  The caller never
-waits for the helper: when the next result is still in the helper's
-hands and it may claim no other tile, it computes that tile itself, so
-a helper whose CPU the host takes away delays no call.
+A call of more than one tile splits its tiles into two fixed halves.
+The caller runs the first half in order into gradient rows of its own.
+In a process that may run on two or more CPUs, one helper thread,
+started on the first such call (and again in a forked child), runs the
+second half in order into rows of its own and publishes a checkpoint
+(tiles done, a copy of its rows) after each tile; numpy releases the
+interpreter lock inside each tile's array operations, so the two run
+side by side.  The caller never waits: once its half is done it stops
+the helper and runs the second half on from the last checkpoint, so it
+repeats at most the tile the helper is in, and a helper whose CPU the
+host takes away delays no call.  The gradient is the first half's rows
+plus the second half's, and each offset's energy sum has a slot of its
+own, so the split, not the thread count or the scheduling, fixes the
+bits of every result; concurrent callers share the one helper.
 
 At p = 2 the same double sum is computed in O(n log n) time and O(n)
 memory instead.  With z_i = exp(i(phi_i - phi_0)), its DFT Z and
@@ -137,17 +139,15 @@ _ROUNDING = 1e-12
 # Pair elements per gradient tile: the kernel takes B = max(1,
 # _TILE_ELEMENTS // n) offsets of all n nodes at a time, and twice as many
 # for the energy alone, whose tile has two work arrays, not four.  Either
-# tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the
-# caller's and the helper's tiles together hold what one 2^16 tile did.
+# tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the work
+# arrays of the two halves, the caller's and the helper's, together hold
+# what one 2^16 tile did.
 # On a 2-core Xeon guest 2^18 ran 16-25% slower than 2^16 at n >= 1024,
 # and serially 2^15 and 2^16 tie.  With the helper, 2^16 for every tile
 # cut the benchmark's kernel wall time further (1.74 -> 1.01 s, against
 # 1.22 s at 2^15, one 15 s run each) but raised its peak RSS by 6%,
 # against 0.6% at 2^15.
 _TILE_ELEMENTS = 1 << 15
-
-# claimed tiles of one shared call that may await the caller at once
-_HELD_TILES = 4
 
 
 @dataclass(frozen=True)
@@ -304,9 +304,9 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         # copy, for the skewed mirror read below
         return np.empty((2, width, n)), np.empty((width, 2 * n)) if gradient else None
 
-    def tile(k0, work):
-        """Offsets k0..k0+rows-1: their energy sums and the gradient's direct
-        and mirrored row sums, each None where absent."""
+    def tile(k0, work, grad, per_offset):
+        """Offsets k0..k0+rows-1: their energy sums into their slots of
+        per_offset, their direct less their mirrored row sums onto grad."""
         pair, term = work
         rows = min(width, half + 1 - k0)
         offsets = slice(k0 - 1, k0 - 1 + rows)
@@ -322,34 +322,73 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
             w[x == 0.0] = 0.0
         # one pow serves both outputs: the energy term is w |u_i - u_j|^2,
         # the gradient term w sin(phi_i - phi_j)
-        sums = None
         if value:
             x *= w
-            sums = _pairwise_fold(x.T) / node_sq[offsets]
+            per_offset[offsets] = _pairwise_fold(x.T) / node_sq[offsets]
         if not gradient:
-            return sums, None, None
+            return
         sine *= w
         sine /= node_sq[offsets, None]
+        grad += sine.sum(axis=0)
         skewed = min(rows, mirror + 1 - k0)
-        if skewed <= 0:
-            return sums, sine.sum(axis=0), None
-        term[:rows, n:] = sine
-        # row q read from column n - k0 - q: entry [q, j] is the
-        # offset-(k0+q) term of node (j - k0 - q) mod n
-        step_q, step_i = term.strides
-        mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
-        return sums, sine.sum(axis=0), mirrored.sum(axis=0)
+        if skewed > 0:
+            term[:rows, n:] = sine
+            # row q read from column n - k0 - q: entry [q, j] is the
+            # offset-(k0+q) term of node (j - k0 - q) mod n
+            step_q, step_i = term.strides
+            mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
+            grad -= mirrored.sum(axis=0)
 
+    # two fixed halves of the tiles, each added in order into rows of its own
     starts = range(1, half + 1, width)
+    split = (len(starts) + 1) // 2
     per_offset = np.empty(half) if value else None
     grad = np.zeros(n) if gradient else None
-    for k0, (sums, direct, mirrored) in zip(starts, _tile_results(tile, buffers, starts)):
+    if split < len(starts):
+        # the helper's half, in arrays of its own: after each tile it
+        # publishes a new checkpoint (tiles done, a copy of its rows).  A
+        # published checkpoint, like a done tile's slots of helper_offsets,
+        # is never changed after it is published.
+        helper_offsets = np.empty(half) if value else None
+        checkpoint = 0, (np.zeros(n) if gradient else None)
+        stopped = False
+
+        def second_half():
+            nonlocal checkpoint
+            work, helper_grad = buffers(), (np.zeros(n) if gradient else None)
+            for done, k0 in enumerate(starts[split:], 1):
+                if stopped:
+                    return
+                try:
+                    tile(k0, work, helper_grad, helper_offsets)
+                except Exception:  # the caller runs the tile itself, and raises there
+                    return
+                checkpoint = done, (helper_grad.copy() if gradient else None)
+
+        if _usable_cpus() >= 2:
+            _helper().put(second_half)
+    work = buffers()
+    try:
+        for k0 in starts[:split]:
+            tile(k0, work, grad, per_offset)
+    finally:
+        stopped = True  # the helper starts no tile of this call once it sees this
+    if split < len(starts):
+        # the caller never waits: it goes on from the last checkpoint in a
+        # copy of its own, repeating at most the tile the helper is in.  A
+        # late helper can never replace a result the caller uses with a
+        # different or missing one: it writes only its own arrays and
+        # checkpoints that the caller no longer reads.
+        done, published = checkpoint
+        resume = split + done
         if value:
-            per_offset[k0 - 1 : k0 - 1 + sums.size] = sums
+            kept = slice(split * width, resume * width)
+            per_offset[kept] = helper_offsets[kept]
+        second = published.copy() if gradient else None
+        for k0 in starts[resume:]:
+            tile(k0, work, second, per_offset)
         if gradient:
-            grad += direct
-            if mirrored is not None:
-                grad -= mirrored
+            grad += second
     total = None
     if value:
         # offsets above n//2 repeat those below, while the middle offset of
@@ -369,96 +408,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _tile_results(tile, buffers, starts: range):
-    """tile(k0, work) for each k0 in starts, in that order.
-
-    A call of more than one tile on a process that may use two CPUs
-    shares its tiles with the helper thread: both claim tiles from one
-    counter, each with its own buffers() as work arrays.  The caller
-    receives every result in tile order whoever computed it, so the
-    results do not depend on the thread count or the scheduling.
-    """
-    if len(starts) > 1 and _usable_cpus() >= 2:
-        job = _SharedTiles(tile, buffers, starts)
-        _helper().put(job)
-        return job.results()
-    work = buffers()
-    return (tile(k0, work) for k0 in starts)
-
-
-class _SharedTiles:
-    """The tiles of one kernel call, claimed in order by its caller and the helper.
-
-    A claimed tile is held until the caller takes its result, and the
-    helper claims none while _HELD_TILES are held.  The caller never
-    waits: when the next result is still with the helper and it may
-    claim nothing more, it runs that tile itself.  A helper that the
-    host deschedules mid-tile thus delays no call.
-    """
-
-    def __init__(self, tile, buffers, starts: range):
-        self._tile = tile
-        self._buffers = buffers
-        self._starts = starts
-        self._claimed = 0
-        self._taken = 0
-        self._done = {}
-        self._changed = threading.Condition()
-
-    def help(self) -> None:
-        """The helper's share: claim and run tiles until every tile is claimed."""
-        work = None
-        while True:
-            with self._changed:
-                while self._claimed < len(self._starts) and self._claimed - self._taken >= _HELD_TILES:
-                    self._changed.wait()
-                if self._claimed == len(self._starts):
-                    return
-                index = self._claimed
-                self._claimed += 1
-            try:
-                if work is None:
-                    work = self._buffers()
-                result = self._tile(self._starts[index], work)
-            except Exception:  # the caller runs the tile itself, and raises there
-                continue
-            with self._changed:
-                if index >= self._taken:
-                    self._done[index] = result
-
-    def results(self):
-        """Each tile's result in tile order, run by the caller unless the helper has it."""
-        work = self._buffers()
-        try:
-            for taken in range(len(self._starts)):
-                while True:
-                    with self._changed:
-                        if taken in self._done:
-                            result = self._done.pop(taken)
-                            break
-                        free = self._claimed < len(self._starts) and self._claimed - taken < _HELD_TILES
-                        if taken < self._claimed and not free:
-                            index = taken  # the helper's, unfinished: run it here
-                        else:
-                            index = self._claimed
-                            self._claimed += 1
-                    result = self._tile(self._starts[index], work)
-                    if index == taken:
-                        break
-                    with self._changed:
-                        self._done[index] = result
-                with self._changed:
-                    self._taken = taken + 1
-                    self._done.pop(taken, None)  # the helper's late copy
-                    self._changed.notify()
-                yield result
-        finally:
-            # an abandoned call leaves the helper nothing to claim
-            with self._changed:
-                self._claimed = len(self._starts)
-                self._changed.notify()
-
-
 _helper_jobs = None
 _helper_lock = threading.Lock()
 
@@ -476,7 +425,7 @@ def _helper() -> queue.SimpleQueue:
 
 def _serve(jobs: queue.SimpleQueue) -> None:
     while True:
-        jobs.get().help()
+        jobs.get()()
 
 
 def _forget_helper() -> None:

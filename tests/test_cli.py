@@ -14,6 +14,7 @@ from fracmin import (
     GridMap,
     descend_from,
     energy,
+    energy_and_gradient,
     energy_gradient,
     identity_map,
     perturb,
@@ -325,6 +326,11 @@ def _shifted_correction(u, params):
     return energy_gradient(u, params) - correction + np.roll(correction, 1)
 
 
+def _gradient_pass(gradient):
+    """energy_and_gradient with its gradient taken from gradient(u, params)."""
+    return lambda u, params: (energy(u, params), gradient(u, params))
+
+
 def _flipped_row(row):
     def gradient(u, params):
         grad = energy_gradient(u, params)
@@ -344,11 +350,15 @@ class TestGradientCheck:
         # gradient with a tolerance ratio of 1.29
         calls = []
 
-        def counted(u, params):
-            calls.append(u.n)
-            return energy(u, params)
+        def counted(kernel):
+            def call(u, params):
+                calls.append(u.n)
+                return kernel(u, params)
 
-        monkeypatch.setattr("fracmin.cli.energy", counted)
+            return call
+
+        monkeypatch.setattr("fracmin.cli.energy", counted(energy))
+        monkeypatch.setattr("fracmin.cli.energy_and_gradient", counted(energy_and_gradient))
         code, report = run_json(capsys, ["gradient-check", "--n", "1024", "--p", "1.3", "--seed", "5"])
         assert code == 0
         assert len(calls) <= 45
@@ -384,11 +394,22 @@ class TestGradientCheck:
     )
     @pytest.mark.parametrize("n, p", [("32", "1.5"), ("128", "1.13921")])
     def test_detects_mutations(self, capsys, monkeypatch, wrong, n, p):
-        monkeypatch.setattr("fracmin.cli.energy_gradient", wrong)
+        monkeypatch.setattr("fracmin.cli.energy_and_gradient", _gradient_pass(wrong))
         code, report = run_json(capsys, ["gradient-check", "--n", n, "--p", p, "--seed", "3"])
         assert code == 1
         assert report["results"]["min_order"] < 1.8
         assert report["results"]["rounding_limited"] == 0
+
+    @pytest.mark.parametrize("n", ["64", "600", "1024"])
+    def test_one_kernel_pass_at_the_base_map(self, capsys, monkeypatch, n):
+        # the energy and the gradient at the base map come from one kernel
+        # pass; the separate calls give the same report bytes
+        argv = ["gradient-check", "--n", n, "--p", "1.3", "--seed", "2"]
+        assert run(argv) == 0
+        fused = capsys.readouterr().out
+        monkeypatch.setattr("fracmin.cli.energy_and_gradient", _gradient_pass(energy_gradient))
+        assert run(argv) == 0
+        assert capsys.readouterr().out == fused
 
     def test_constant_direction_is_rounding_limited(self, capsys, monkeypatch):
         # rotation invariance makes g.1 = 0, so the remainder along v = 1 is
@@ -465,6 +486,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("domain error: cannot write") and repr(target) in captured.err
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_inequality_suite_count_below_one(self, capsys, count):
+        # no draw leaves the margins at inf, which no JSON report can hold:
+        # bad input, not a failed check
+        assert run(["inequality-suite", "--count", count]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: count must be >= 1")
+
     def test_scan_p_values(self, capsys):
         # an entry that is not a number is a usage error, like --p abc; an
         # empty list parses but names no exponent
@@ -498,7 +528,8 @@ class TestExitCodes:
     def test_gradient_check_detects_wrong_gradient(self, capsys, monkeypatch):
         # a gradient off by one part in 1e4 must fail the check
         monkeypatch.setattr(
-            "fracmin.cli.energy_gradient", lambda u, params: energy_gradient(u, params) * (1.0 + 1e-4)
+            "fracmin.cli.energy_and_gradient",
+            _gradient_pass(lambda u, params: energy_gradient(u, params) * (1.0 + 1e-4)),
         )
         code, report = run_json(capsys, ["gradient-check", "--n", "32", "--p", "1.5", "--seed", "3"])
         assert code == 1

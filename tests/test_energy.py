@@ -381,7 +381,7 @@ class TestKernel:
     @pytest.mark.parametrize("n", [512, 1000, 1024, 4097])
     def test_bytes_do_not_depend_on_the_helper(self, monkeypatch, n):
         # 0 helpers (one usable CPU) and 1 helper (two) give the same bytes:
-        # energies fold per-offset slots, and gradients add tile sums in order
+        # energies fold per-offset slots, and gradients add two fixed halves
         tile_threads = set()
         helped = False
         product_terms = energy_module._product_terms
@@ -464,6 +464,51 @@ class TestKernel:
             release.set()
         assert entered.is_set()
         assert results[0][0] == value and results[0][1].tobytes() == grad.tobytes()
+
+    def test_caller_takes_over_from_the_last_checkpoint(self, monkeypatch):
+        # a helper stalled after it has published k tiles of its half: the
+        # caller finishes that half from the checkpoint without waiting, and
+        # of the helper's first k tiles it runs at most one again
+        k = 3
+        entered, release = threading.Event(), threading.Event()
+        product_terms = energy_module._product_terms
+        helper_tiles, caller_tiles = [], []
+
+        def stalling(cs2, k0, *rest):
+            if threading.current_thread().name == "fracmin-tiles":
+                if len(helper_tiles) == k:
+                    entered.set()
+                    release.wait(timeout=120.0)
+                else:
+                    helper_tiles.append(k0)
+            else:
+                # the caller's half starts once the helper has stalled
+                entered.wait(timeout=60.0)
+                caller_tiles.append(k0)
+            return product_terms(cs2, k0, *rest)
+
+        n = 4096
+        u = random_admissible_map(n, 1, 0.3, 14)
+        params = EnergyParams(1.13921)
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 1)
+        value, grad = energy_and_gradient(u, params)
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(energy_module, "_product_terms", stalling)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(energy_and_gradient(u, params)))
+        try:
+            caller.start()
+            caller.join(timeout=60.0)
+            assert not caller.is_alive() and not release.is_set()
+        finally:
+            release.set()
+        assert entered.is_set()
+        assert results[0][0] == value and results[0][1].tobytes() == grad.tobytes()
+        starts = range(1, n // 2 + 1, energy_module._TILE_ELEMENTS // n)
+        split = (len(starts) + 1) // 2
+        assert helper_tiles == list(starts[split : split + k])
+        assert len(set(caller_tiles) & set(helper_tiles)) <= 1
+        assert set(caller_tiles) | set(helper_tiles) == set(starts)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity calls")
     def test_one_cpu_gives_the_same_bytes(self):
