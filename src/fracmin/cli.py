@@ -52,6 +52,9 @@ REFERENCE_CRITICAL_P = 1.139210840326630521723
 REFERENCE_CRITICAL_TOL = 1e-12
 # the value the paper quotes, reported next to the root as data
 PAPER_CRITICAL_P = 1.13924
+# a winding bound holds when the energy reaches this fraction of it: the
+# 2% covers the discretization error of coarse grids
+_WINDING_SLACK = 0.98
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -138,16 +141,15 @@ def _cmd_critical_p(args):
         "paper_p_prime": PAPER_CRITICAL_P,
         "paper_gap": PAPER_CRITICAL_P - report.p_prime,
     }
+    # both bounds widen with a looser --tol: the residual may reach tol, and
+    # it moves by about 100 per unit of p, so p' may be off by tol/100
+    reference_tol = max(REFERENCE_CRITICAL_TOL, args.tol / 50.0)
     checks = [
-        _tolerance_check("beta_residual", report.residual_beta, 1e-10),
+        _tolerance_check("beta_residual", report.residual_beta, max(1e-10, args.tol)),
         _tolerance_check(
             "path_agreement", report.residual_beta - report.residual_quadrature, 1e-8
         ),
-        _tolerance_check(
-            "matches_reference_value",
-            report.p_prime - REFERENCE_CRITICAL_P,
-            REFERENCE_CRITICAL_TOL,
-        ),
+        _tolerance_check("matches_reference_value", report.p_prime - REFERENCE_CRITICAL_P, reference_tol),
     ]
     return results, checks, None
 
@@ -309,22 +311,13 @@ def _cmd_moebius(args):
     return results, checks, None
 
 
-def _minimize_config(args, p: float) -> MinimizeConfig:
-    return MinimizeConfig(
-        p=p,
-        degree_target=args.degree,
-        n=args.n,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-
-
-def _cmd_minimize(args):
-    config = _minimize_config(args, args.p)
-    result = minimize(config)
-    start_energy = energy(power_map(args.n, args.degree), EnergyParams(args.p))
-    bound = degree_lower_bound(args.p, args.degree)
+def _minimize_at(args, p: float):
+    """(result, results, checks) of one minimize run at exponent p: the
+    minimum keeps the target degree, clears the winding bound less its
+    slack, and lies no higher than the class's own start map z^d."""
+    result = minimize(MinimizeConfig(p, args.degree, args.n, args.max_iters, args.restarts, args.seed))
+    start_energy = energy(power_map(args.n, args.degree), EnergyParams(p))
+    bound = degree_lower_bound(p, args.degree)
     results = {
         "final_energy": result.final_energy,
         "final_degree": result.final_degree,
@@ -340,11 +333,14 @@ def _cmd_minimize(args):
     }
     checks = [
         _tolerance_check("degree_preserved", result.final_degree - args.degree, 0.0),
-        _bound_check("above_lower_bound", result.final_energy, 0.98 * bound - 1e-12),
-        _bound_check(
-            "feasible_competitor", start_energy + 1e-9, result.final_energy
-        ),
+        _bound_check("above_lower_bound", result.final_energy, _WINDING_SLACK * bound),
+        _bound_check("feasible_competitor", start_energy + 1e-9, result.final_energy),
     ]
+    return result, results, checks
+
+
+def _cmd_minimize(args):
+    result, results, checks = _minimize_at(args, args.p)
     if args.map_out:
         write_map_csv(result.final_map, args.map_out)
     if args.trace_out:
@@ -371,35 +367,21 @@ def _cmd_scan(args):
     p_values = _exponent_list(args.p_values)
     if not p_values:
         raise DomainError("scan needs at least one exponent in --p-values")
-    # one minimize run per exponent, tabulated against the closed-form
-    # identity energy (a feasible degree-one competitor) and the winding
-    # lower bound
+    # one minimize report per exponent; the closed-form identity energy
+    # rides along as data
     rows = []
     checks = []
-    all_converged = True
     for p in p_values:
-        result = minimize(_minimize_config(args, p))
-        identity = identity_energy_closed_form(p)
-        bound = degree_lower_bound(p, args.degree)
-        rows.append(
-            {
-                "p": p,
-                "min_energy": result.final_energy,
-                "identity_energy": identity,
-                "lower_bound": bound,
-                "converged": result.converged,
-            }
-        )
-        slack = min(result.final_energy - 0.98 * bound, identity + 1e-9 - result.final_energy)
-        checks.append(_check(f"sandwich_p={p:g}", slack >= 0.0, slack))
-        all_converged = all_converged and result.converged
-    return {"rows": rows}, checks, args.seed, all_converged
+        _, results, run_checks = _minimize_at(args, p)
+        rows.append({"p": p, **results, "identity_energy": identity_energy_closed_form(p)})
+        checks += [{**check, "name": f"{check['name']}_p={p:g}"} for check in run_checks]
+    return {"rows": rows}, checks, args.seed, all(row["converged"] for row in rows)
 
 
 def _cmd_inequality_suite(args):
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(int(args.seed) % 2**63)
     jp_min = math.inf
     for _ in range(args.count):
         m = int(rng.integers(1, 4))
@@ -449,7 +431,7 @@ def _cmd_bbm_check(args):
         "lower_bound": check.rhs,
         "margin": check.margin,
     }
-    checks = [_bound_check("holds_with_2pct_slack", check.lhs, 0.98 * check.rhs)]
+    checks = [_bound_check("holds_with_2pct_slack", check.lhs, _WINDING_SLACK * check.rhs)]
     return results, checks, None
 
 
@@ -524,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--map-out", default=None, help="write the final map as CSV")
     s.add_argument("--trace-out", default=None, help="write the energy trace as CSV")
 
-    s = add_parser("scan", help="minimize across several exponents and tabulate the bound sandwich")
+    s = add_parser("scan", help="the minimize report and its checks at each of several exponents")
     s.add_argument("--p-values", type=_exponent_list_arg, required=True, help="comma-separated exponents")
     s.add_argument("--degree", type=int, default=1)
     add_minimize_options(s)

@@ -151,7 +151,9 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     # so E at a tenth of the grid's error on one winding's energy also stops
     floor = _STOP_FRACTION * _error_estimate(power_map(start.n, 1), config.p) * degree_lower_bound(config.p, 1)
     iterations = 0
-    while decrement > _STOP_FRACTION * error_estimate * current and current > floor and iterations < config.max_iters:
+    while not (stopped := decrement <= _STOP_FRACTION * error_estimate * current or current <= floor):
+        if iterations >= config.max_iters:
+            break
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = GridMap(point.phases - step * direction)
@@ -171,7 +173,8 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         direction = _sobolev_gradient(grad, symbol)
         decrement = float(grad @ direction)
         error_estimate = _error_estimate(point, config.p)
-    if decrement <= _STOP_FRACTION * error_estimate * current or current <= floor:
+    # a failed line search leaves the state, and so stopped, as last tested
+    if stopped:
         termination = "grad_tol"
     elif iterations >= config.max_iters:
         termination = "max_iters"
@@ -216,19 +219,10 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     starts = [base]
     for r in range(1, config.restarts + 1):
         starts.append(perturb(base, _RESTART_AMPLITUDE, config.seed + r))
-    best_converged = None
-    best_any = None
-    for start in starts:
-        if _candidate_degree(start) != config.degree_target:
-            continue  # a perturbed start broke admissibility; skip it
-        result = descend_from(start, config)
-        if best_any is None or result.final_energy < best_any.final_energy:
-            best_any = result
-        if result.converged and (
-            best_converged is None or result.final_energy < best_converged.final_energy
-        ):
-            best_converged = result
-    if best_any is None:
+    # a perturbed start that broke admissibility is skipped
+    runs = [descend_from(start, config) for start in starts if _candidate_degree(start) == config.degree_target]
+    if not runs:
         raise DomainError("no admissible starting map with the target degree")
-    return best_converged if best_converged is not None else best_any
+    # min keeps the earliest of equal energies
+    return min([run for run in runs if run.converged] or runs, key=lambda run: run.final_energy)
 

@@ -9,6 +9,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     GridMap,
@@ -24,6 +26,7 @@ from fracmin import (
     write_map_csv,
 )
 from fracmin.cli import REFERENCE_CRITICAL_P, _build_parser, run
+from fracmin.critical import critical_p
 
 # the package binds the name fracmin.energy to the function
 energy_module = importlib.import_module("fracmin.energy")
@@ -71,6 +74,28 @@ class TestReports:
         # a convergence failure
         assert run(["critical-p", "--tol", "1e-14"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["1e-13", "1e-10", "1e-8", "1e-6", "1e-4"])
+    def test_critical_p_meets_its_tol(self, capsys, schema, tol):
+        # a root found to a looser tol passes bounds derived from that tol
+        code, report = run_json(capsys, ["critical-p", "--tol", tol])
+        assert code == 0
+        jsonschema.validate(report, schema)
+        assert all(check["passed"] for check in report["checks"])
+        assert abs(report["results"]["residual_beta"]) <= float(tol)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_critical_p_reference_check_detects_shifted_root(self, capsys, monkeypatch, tol, sign):
+        # p' off by tol/20 is 2.5 times the tol/50 that the check allows
+        def shifted(tol):
+            report = critical_p(tol)
+            return dataclasses.replace(report, p_prime=report.p_prime + sign * tol / 20.0)
+
+        monkeypatch.setattr("fracmin.cli.critical_p", shifted)
+        code, report = run_json(capsys, ["critical-p", "--tol", repr(tol)])
+        assert code == 1
+        assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_reference_value"]
 
     def test_id_energy_derivative(self, capsys, schema):
         code, report = run_json(capsys, ["id-energy-derivative", "--p", "1.5"])
@@ -222,17 +247,29 @@ class TestReports:
         assert lines[0] == "iter,energy"
         assert len(lines) == report["results"]["iterations"] + 2
 
-    def test_scan(self, capsys, schema):
-        code, report = run_json(
-            capsys,
-            ["scan", "--p-values", "1.5,2.0", "--degree", "1", "--n", "64",
-             "--max-iters", "200", "--restarts", "1"],
-        )
+    @pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3])
+    def test_scan(self, capsys, schema, degree):
+        # every row is the minimize report at its exponent, checks included:
+        # the competitor is the class's own start map z^d, so a converged
+        # minimum passes in every degree, not in degree one alone
+        options = ["--degree", str(degree), "--n", "64", "--restarts", "1"]
+        code, report = run_json(capsys, ["scan", "--p-values", "1.2,1.5,2", *options])
         assert code == 0
         jsonschema.validate(report, schema)
         rows = report["results"]["rows"]
-        assert [row["p"] for row in rows] == [1.5, 2.0]
+        assert [row["p"] for row in rows] == [1.2, 1.5, 2.0]
         assert all(check["passed"] for check in report["checks"])
+        names = ["degree_preserved", "above_lower_bound", "feasible_competitor"]
+        assert [check["name"] for check in report["checks"]] == [
+            f"{name}_p={p:g}" for p in (1.2, 1.5, 2.0) for name in names
+        ]
+        for row in rows:
+            code, single = run_json(capsys, ["minimize", "--p", repr(row["p"]), *options])
+            assert code == 0
+            assert row == {"p": row["p"], **single["results"], "identity_energy": row["identity_energy"]}
+            assert [check["margin"] for check in single["checks"]] == [
+                check["margin"] for check in report["checks"] if check["name"].endswith(f"_p={row['p']:g}")
+            ]
 
     def test_inequality_suite(self, capsys, schema):
         code, report = run_json(
@@ -268,6 +305,14 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert "step-rule" not in json.loads(first)["parameters"]
+
+    def test_negative_seed(self, capsys):
+        # every seed is reduced mod 2^63, as perturb reduces it
+        code, negative = run_json(capsys, ["inequality-suite", "--count", "25", "--seed", "-1"])
+        assert code == 0 and negative["seed"] == -1
+        code, reduced = run_json(capsys, ["inequality-suite", "--count", "25", "--seed", str(2**63 - 1)])
+        assert code == 0
+        assert negative["results"] == reduced["results"]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -338,6 +383,29 @@ def _flipped_row(row):
         return grad
 
     return gradient
+
+
+_SEEDED_COMMANDS = {
+    "inequality-suite": ["inequality-suite", "--count", "3"],
+    "gradient-check": ["gradient-check", "--n", "16"],
+    "minimize": ["minimize", "--p", "1.5", "--degree", "1", "--n", "16", "--restarts", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED_COMMANDS))
+@settings(derandomize=True, max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(-(2**70), 2**70))
+@example(seed=-1)
+@example(seed=2**63)
+def test_any_integer_seed(capsys, schema, command, seed):
+    # any integer --seed gives a report, passed or failed, never a traceback
+    code = run([*_SEEDED_COMMANDS[command], "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    jsonschema.validate(report, schema)
+    assert report["seed"] == seed
 
 
 class TestGradientCheck:
