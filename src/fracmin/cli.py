@@ -328,6 +328,7 @@ def _minimize_at(args, p: float):
         "converged": result.converged,
         "termination": result.termination,
         "evaluations": result.evaluations,
+        "total_evaluations": result.total_evaluations,
         "start_energy": start_energy,
         "lower_bound": bound,
     }

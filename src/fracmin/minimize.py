@@ -1,12 +1,15 @@
 """Energy descent over a prescribed winding class.
 
 The lift parametrization makes the circle constraint automatic, so the
-minimization runs as unconstrained descent in phase coordinates, along
-the Sobolev gradient of the energy.  The winding number is locally
-constant under small phase moves; instead of a constraint, every
-candidate step must keep the iterate admissible with the target degree,
-and is halved until it does (or the run aborts).  Descent therefore
-certifies the degree of whatever it returns.
+minimization runs as unconstrained descent in phase coordinates.  In
+degree d != 0 its steps are Newton steps with the Hessian frozen at the
+class's own start map z^d: on power_map(n, d) the Hessian of the
+corrected energy is circulant, so its exact eigenvalues come from one
+rfft of a closed-form row, and P^-1 g costs one real FFT pair.  The
+winding number is locally constant under small phase moves; instead of a
+constraint, every candidate step must keep the iterate admissible with
+the target degree, and is halved until it does (or the run aborts).
+Descent therefore certifies the degree of whatever it returns.
 
 The continuum minimizers form the non-compact family of disk
 automorphism traces, along which the energy is constant; on the grid it
@@ -18,12 +21,20 @@ is made to resolve the concentration limit itself.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyParams, _error_estimate, degree_lower_bound, energy_and_gradient
+from .energy import (
+    EnergyParams,
+    _correction_weight,
+    _error_estimate,
+    _node_chords_sq,
+    degree_lower_bound,
+    energy_and_gradient,
+)
 from .errors import DomainError, _exponent
 from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
 
@@ -72,8 +83,10 @@ class MinimizeResult:
     "line_search" (no step of the backtracking kept the degree and
     decreased the energy enough).  evaluations counts the kernel passes
     the run made: the start plus every trial step that kept the target
-    degree.  grad_norm is the Euclidean norm of the final gradient,
-    decrement_rel the final g . P^-1 g over the energy, and
+    degree.  total_evaluations counts the kernel passes of every run that
+    produced this result: minimize's restarts included, a single run's
+    own from descend_from.  grad_norm is the Euclidean norm of the final
+    gradient, decrement_rel the final g . P^-1 g over the energy, and
     error_estimate_rel the final map's estimated relative energy error.
     """
 
@@ -87,6 +100,7 @@ class MinimizeResult:
     evaluations: int
     decrement_rel: float
     error_estimate_rel: float
+    total_evaluations: int
 
     @property
     def converged(self) -> bool:
@@ -100,9 +114,63 @@ def _candidate_degree(candidate: GridMap) -> int | None:
     return degree(candidate)
 
 
-def _sobolev_symbol(n: int, p: float) -> np.ndarray:
-    """The preconditioner P = h (1 + m)^(3 - p) on the rfft modes m = 0..n/2."""
-    return 2.0 * math.pi / n * (1.0 + np.arange(n // 2 + 1)) ** (3.0 - p)
+def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
+    """Eigenvalues lambda_m, m = 0..n//2, of the corrected energy's Hessian
+    at power_map(n, d), d != 0.
+
+    At z^d every pair at offset k has the phase difference d k h, so the
+    Hessian is circulant: its row is r_k = -2 h^2 F''(d k h) / c_k^2 with
+    F(delta) = (2 - 2 cos delta)^(p/2), r_0 = -sum_{k != 0} r_k, and its
+    eigenvalues are the rfft of that row.  With X = 2 - 2 cos delta,
+    F'' = p X^(p/2-1) (p - 1 - p X / 4), which is 2 cos delta at p = 2.
+    Pairs whose targets coincide (n | d k) have F'' = inf for p < 2; the
+    kernel drops them, and so does the symbol.  The correction
+    w sum_i |D_i|^p adds w p (p - 1) |d h|^(p-2) (2 - 2 cos(2 pi m / n)).
+    """
+    node_sq = _node_chords_sq(n)  # c_j^2 = 2 - 2 cos(2 pi j / n), j = 1..n//2
+    k = np.arange(1, n)
+    target = abs(d) * k % n
+    target = np.minimum(target, n - target)
+    x = np.where(target > 0, node_sq[target - 1], 0.0)
+    with np.errstate(divide="ignore"):
+        curvature = p * x ** (0.5 * p - 1.0) * (p - 1.0 - 0.25 * p * x)
+    if p < 2.0:
+        curvature[target == 0] = 0.0
+    h = 2.0 * math.pi / n
+    row = np.empty(n)
+    row[1:] = -2.0 * h * h * curvature / node_sq[np.minimum(k, n - k) - 1]
+    row[0] = -row[1:].sum()
+    symbol = np.fft.rfft(row).real
+    symbol[1:] += _correction_weight(p) * p * (p - 1.0) * abs(d * h) ** (p - 2.0) * node_sq
+    return symbol
+
+
+@functools.lru_cache(maxsize=64)
+def _sobolev_symbol(n: int, p: float, d: int) -> np.ndarray:
+    """The preconditioner P on the rfft modes m = 0..n//2, for descent in degree d.
+
+    P is _hessian_symbol(n, p, d) with the modes m <= |d| lifted to
+    lambda_{|d|+1}: rotation, the Moebius modes and, for |d| >= 2, the
+    discrete saddle modes, on which z^d's Hessian is zero or negative.
+    Two cases fall back to the model symbol h (1 + m)^(3-p), which has
+    the Hessian's growth rate but not its constant:
+    - degree 0.  The constant map has no Hessian for p < 2 (F''(0)
+      diverges), and the d = 1 symbol there ended in max_iters at p = 2
+      (n = 64, 256) and at p = 1.05, n = 256;
+    - grids too coarse for z^d, where the lifted symbol still has a mode
+      <= 0 (z^d is a saddle of the grid energy there).  Over n < 400 and
+      p >= 1.01 this happens only at n <= 8.5 |d|, where z^d's gaps
+      exceed 0.74.
+    Cached per (n, p, d) and shared by every run, so the array is read-only.
+    """
+    symbol = None
+    if 0 < abs(d) < n // 2:
+        symbol = _hessian_symbol(n, p, d)
+        symbol[: abs(d) + 1] = symbol[abs(d) + 1]
+    if symbol is None or symbol.min() <= 0.0:
+        symbol = 2.0 * math.pi / n * (1.0 + np.arange(n // 2 + 1)) ** (3.0 - p)
+    symbol.setflags(write=False)
+    return symbol
 
 
 def _sobolev_gradient(grad: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -111,32 +179,37 @@ def _sobolev_gradient(grad: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
-    """One Sobolev-preconditioned descent run from an admissible starting map.
+    """One preconditioned descent run from an admissible starting map.
 
-    Around a smooth map the energy's second variation acts like
-    (-Delta)^((3-p)/2), so plain gradient steps are limited by the
-    highest grid mode.  The run steps along d = P^-1 g instead, with P the
-    symbol h (1 + |m|)^(3-p) on Fourier mode m (the Sobolev gradient of
-    Neuberger; Yu, Schumacher and Crane precondition repulsive curves the
-    same way), so the unit step is about right at every n.
+    The run steps along d = P^-1 g, a Sobolev gradient in the sense of
+    Neuberger (Yu, Schumacher and Crane precondition repulsive curves the
+    same way).  P is the symbol of the energy's Hessian at z^d
+    (_sobolev_symbol), so near z^d the unit step is a Newton step; degree
+    0 uses the model symbol h (1 + |m|)^(3-p).  The Hessian grows like
+    |m|^(3-p), so plain gradient steps would be limited by the highest
+    grid mode.
 
     Each step backtracks from 1: it must preserve the target degree and
     decrease the energy by the Armijo margin 1e-4 t lambda^2, where
-    lambda^2 = g . P^-1 g; violating steps are halved up to 40 times,
-    after which the run aborts as non-converged.  The returned energy
-    trace is therefore non-increasing.  The run converges once
-    lambda^2 <= 0.1 eps E, with eps the energy's estimated relative
-    discretization error at the current map: a step could then gain no
-    more than the grid resolves.  Near a constant map that test cannot be
-    met, so a run also converges once E is below a tenth of the grid's
-    error on the energy of one winding, far below any map of degree >= 1.
-    No tolerance is fixed in advance.
+    lambda^2 = g . P^-1 g is the Newton decrement; violating steps are
+    halved up to 40 times, after which the run aborts as non-converged.
+    The returned energy trace is therefore non-increasing.  The run
+    converges once lambda^2 <= 0.1 eps E, with eps the energy's estimated
+    relative discretization error at the current map: a step could then
+    gain no more than the grid resolves.  Near a constant map that test
+    cannot be met, so a run also converges once E is below a tenth of the
+    grid's error on the energy of one winding, far below any map of
+    degree >= 1.  No tolerance is fixed in advance.
+
+    From perturb(power_map(n, d), 0.1, seed), seeds 1-3, every run
+    converged in 1-5 iterations and 2-6 kernel passes, with no halving,
+    over n = 32 to 1024, p = 1.05 to 2 and d = 1, 2.
     """
     params = EnergyParams(config.p)
     target = config.degree_target
     if _candidate_degree(start) != target:
         raise DomainError("starting map does not carry the target degree")
-    symbol = _sobolev_symbol(start.n, config.p)
+    symbol = _sobolev_symbol(start.n, config.p, target)
     point = start
     # every kernel pass yields the gradient too, so an accepted trial's
     # gradient is already in hand
@@ -191,6 +264,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         evaluations=evaluations,
         decrement_rel=decrement / current if current > 0.0 else 0.0,
         error_estimate_rel=error_estimate,
+        total_evaluations=evaluations,
     )
 
 
@@ -204,16 +278,18 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     reported through MinimizeResult.converged, not an exception.
 
     Measured at n = 128 with restart seeds 1-3, every restart converges
-    (grad_tol).  In degree 1 that takes 6-8 iterations at p = 2, 12-13
-    at p = 1.5, 7-9 at p = p' and 6-7 at p = 1.2; the energies lie
-    within 4.2e-7 of E_p(Id) and below it, with largest gaps of
-    0.052-0.057 (h = 0.049).  In degree 2 at p = 1.5 they take 6-7
-    iterations and end 5.5e-7 to 8.7e-7 above 2 E_p(Id), with largest
-    gaps of 0.11; the unperturbed z^2, 4.3e-7 below, is returned.  A
-    whole minimize took 6-28 ms for each of these cases, and 37 ms at
-    n = 256, p = p', on a 2-core Xeon guest.  Every one of these gaps to
-    d E_p(Id) is inside the run's error estimate, which is 2.9e-7
-    relative at p = 2 and up to 8.6e-6 in degree 2.
+    (grad_tol) without halving a step.  In degree 1 that takes 3
+    iterations at p = 2 and p = 1.5, and 3-4 at p = p' and p = 1.2; the
+    energies lie within 4.5e-7 of E_p(Id) and below it, with largest
+    gaps of 0.053-0.056 (h = 0.049).  In degree 2 at p = 1.5 they take
+    2-3 iterations and end 6.3e-7 to 9.0e-7 above 2 E_p(Id), with
+    largest gaps of 0.11; the unperturbed z^2, 4.3e-7 below, is
+    returned.  A whole minimize made 11-15 kernel passes
+    (total_evaluations) and took 1.7-6.7 ms for each of these cases, and
+    16 passes and 19 ms at n = 256, p = p', on a 2-core Xeon guest.
+    Every one of these gaps to d E_p(Id) is inside the run's error
+    estimate, which is 2.9e-7 to 3.2e-7 relative at p = 2 and up to
+    8.8e-6 in degree 2.
     """
     base = power_map(config.n, config.degree_target)
     starts = [base]
@@ -224,5 +300,6 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     if not runs:
         raise DomainError("no admissible starting map with the target degree")
     # min keeps the earliest of equal energies
-    return min([run for run in runs if run.converged] or runs, key=lambda run: run.final_energy)
+    best = min([run for run in runs if run.converged] or runs, key=lambda run: run.final_energy)
+    return replace(best, total_evaluations=sum(run.evaluations for run in runs))
 

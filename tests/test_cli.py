@@ -220,9 +220,17 @@ class TestReports:
             # whose leading error term nearly cancels, to within a factor 10
             assert error >= 0.1 * results["error_bound_rel"]
 
-    def test_minimize_with_side_files(self, capsys, schema, tmp_path):
+    def test_minimize_with_side_files(self, capsys, schema, tmp_path, monkeypatch):
         map_out = tmp_path / "final.csv"
         trace_out = tmp_path / "trace.csv"
+        passes = []
+        kernel = energy_module._kernel
+
+        def counting_kernel(*args):
+            passes.append(args[0].n)
+            return kernel(*args)
+
+        monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
         code, report = run_json(
             capsys,
             [
@@ -237,6 +245,9 @@ class TestReports:
         assert report["results"]["final_degree"] == 1
         assert report["results"]["termination"] == "grad_tol"
         assert report["results"]["evaluations"] >= report["results"]["iterations"] + 1
+        # every pass but one, the start map's energy, is a descent run's
+        assert report["results"]["total_evaluations"] == len(passes) - 1
+        assert report["results"]["total_evaluations"] > report["results"]["evaluations"]
         # the stop held: the decrement is a tenth of the error estimate or less
         results = report["results"]
         assert 0.0 <= results["decrement_rel"] <= 0.1 * results["error_estimate_rel"]

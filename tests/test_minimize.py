@@ -17,6 +17,7 @@ from fracmin import (
     energy_gradient,
     identity_energy_closed_form,
     minimize,
+    moebius_map,
     perturb,
     power_map,
     rotated,
@@ -95,7 +96,7 @@ def two_pass_descent(start, config):
     converged, trace)."""
     m = minimize_module
     params = EnergyParams(config.p)
-    symbol = m._sobolev_symbol(start.n, config.p)
+    symbol = m._sobolev_symbol(start.n, config.p, config.degree_target)
     point = start
     current = energy(point, params)
     trace = [current]
@@ -146,8 +147,15 @@ class TestFusedDescent:
             assert result.decrement_rel == decrement_rel
             assert result.energy_trace.tobytes() == trace.tobytes()
 
-    @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_one_kernel_pass_per_trial(self, monkeypatch, p):
+    # from a perturbed z^d every unit step is accepted, so these starts are
+    # chosen to reject trials: away from z the symbol of z's Hessian
+    # overshoots at p = 1.5, and degree 0 descends on the model symbol
+    @pytest.mark.parametrize(
+        "p, d, start",
+        [(1.5, 1, perturb(moebius_map(64, (0.5, 0.2)), 0.1, 2)), (2.0, 0, perturb(power_map(64, 0), 0.1, 2))],
+        ids=["1.5", "2.0"],
+    )
+    def test_one_kernel_pass_per_trial(self, monkeypatch, p, d, start):
         passes = []
         trials = []
         kernel = energy_module._kernel
@@ -158,14 +166,13 @@ class TestFusedDescent:
             return kernel(*args)
 
         def counting_degree(candidate):
-            d = candidate_degree(candidate)
-            trials.append(d == 1)
-            return d
+            degree = candidate_degree(candidate)
+            trials.append(degree == d)
+            return degree
 
         monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
         monkeypatch.setattr(minimize_module, "_candidate_degree", counting_degree)
-        config = MinimizeConfig(p=p, degree_target=1, **FAST)
-        result = descend_from(perturb(power_map(64, 1), 0.1, 2), config)
+        result = descend_from(start, MinimizeConfig(p=p, degree_target=d, **FAST))
         # the first degree test is the start's; each later one that keeps
         # the degree is a trial step the kernel evaluates
         steps = sum(trials[1:])
@@ -177,10 +184,10 @@ class TestFusedDescent:
         converged = descend_from(power_map(32, 1), MinimizeConfig(p=1.5, degree_target=1, n=32))
         assert converged.termination == "grad_tol" and converged.converged
         assert converged.evaluations == 1
-        capped_config = MinimizeConfig(p=1.5, degree_target=1, n=32, max_iters=5)
+        capped_config = MinimizeConfig(p=1.5, degree_target=1, n=32, max_iters=2)
         capped = descend_from(perturb(power_map(32, 1), 0.1, 1), capped_config)
         assert capped.termination == "max_iters" and not capped.converged
-        assert capped.iterations == 5 and capped.evaluations >= 6
+        assert capped.iterations == 2 and capped.evaluations >= 3
         # under the double sum alone the winding concentrates until no step
         # keeps degree one
         request.getfixturevalue("raw_double_sum")
@@ -225,6 +232,21 @@ class TestMinimize:
         start = energy(power_map(64, 2), EnergyParams(1.3))
         assert result.final_energy <= start + 1e-9
 
+    def test_total_evaluations_count_every_run(self, monkeypatch):
+        calls = []
+        kernel = energy_module._kernel
+
+        def counting_kernel(*args):
+            calls.append(args[0].n)
+            return kernel(*args)
+
+        monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
+        result = minimize(MinimizeConfig(p=1.5, degree_target=1, n=64, restarts=2))
+        assert result.total_evaluations == len(calls) > result.evaluations
+        calls.clear()
+        single = minimize(MinimizeConfig(p=1.5, degree_target=1, n=64, restarts=0))
+        assert single.total_evaluations == single.evaluations == len(calls)
+
     def test_deterministic(self):
         config = MinimizeConfig(p=1.5, degree_target=1, **FAST)
         a = minimize(config)
@@ -255,16 +277,19 @@ class TestScan:
 
 
 class TestPreconditionedDescent:
-    """Steps along P^-1 g converge in a number of iterations that does not
-    grow with n, and stop at the energy's own error estimate."""
+    """Steps along P^-1 g, with P the Hessian symbol at z^d, converge in a
+    few unit steps at every n and stop at the energy's own error estimate."""
 
-    @pytest.mark.parametrize("n", [64, 128, 256])
-    @pytest.mark.parametrize("p, d", [(P_PRIME, 1), (1.5, 1), (2.0, 1), (1.5, 2)])
+    @pytest.mark.parametrize("n", [64, 128, 255, 256])
+    @pytest.mark.parametrize("p, d", [(P_PRIME, 1), (1.5, 1), (2.0, 1), (1.5, 2), (1.05, 1)])
     def test_iterations_stay_flat_in_n(self, n, p, d):
+        # the model symbol h (1 + m)^(3-p) took 6-33 iterations and 11-34
+        # passes here at n >= 128 in degree 1
         config = MinimizeConfig(p=p, degree_target=d, n=n)
         for seed in (1, 2, 3):
             result = descend_from(perturb(power_map(n, d), 0.1, seed), config)
-            assert result.converged and result.iterations <= 40
+            assert result.converged and result.iterations <= 6
+            assert result.evaluations <= result.iterations + 2
             assert 0.0 <= result.decrement_rel <= 0.1 * result.error_estimate_rel
             gap = result.final_energy / (d * identity_energy_closed_form(p)) - 1.0
             assert abs(gap) <= result.error_estimate_rel
@@ -272,13 +297,52 @@ class TestPreconditionedDescent:
     def test_unpreconditioned_steps_exceed_the_bound(self, monkeypatch):
         # with P = I the same loop is plain gradient descent, whose condition
         # number grows like n^(3-p)
-        monkeypatch.setattr(minimize_module, "_sobolev_symbol", lambda n, p: np.ones(n // 2 + 1))
+        monkeypatch.setattr(minimize_module, "_sobolev_symbol", lambda n, p, d: np.ones(n // 2 + 1))
         config = MinimizeConfig(p=1.5, degree_target=1, n=128, max_iters=41)
         result = descend_from(perturb(power_map(128, 1), 0.1, 1), config)
         assert result.termination == "max_iters"
 
-    def test_symbol(self):
-        symbol = minimize_module._sobolev_symbol(8, 1.5)
+    @pytest.mark.parametrize("n, d", [(257, 2), (256, 1)])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_hessian_symbol_matches_central_differences(self, n, d, p):
+        # z^d's Hessian is circulant, so each cosine mode is an eigenvector;
+        # the modes m <= d are compared before they are lifted
+        symbol = minimize_module._hessian_symbol(n, p, d)
+        params = EnergyParams(p)
+        phases = power_map(n, d).phases
+        step = 1e-5
+        for m in (1, 2, 3, 10):
+            mode = np.cos(2.0 * math.pi * m * np.arange(n) / n)
+            forward = energy_gradient(GridMap(phases + step * mode), params)
+            backward = energy_gradient(GridMap(phases - step * mode), params)
+            deviation = np.max(np.abs((forward - backward) / (2.0 * step) - symbol[m] * mode))
+            if m > d:
+                assert deviation <= 1e-6 * abs(symbol[m])
+            else:
+                assert deviation <= 1e-7
+
+    @pytest.mark.parametrize("p", [1.01, 1.05, P_PRIME, 1.5, 2.0])
+    def test_symbol_is_positive_on_every_accepted_grid(self, p):
+        grids = [(n, d) for n in range(8, 34) for d in range(-(n // 2), n // 2 + 1) if n > 2 * abs(d)]
+        for n, d in grids + [(128, 2)]:
+            MinimizeConfig(p=p, degree_target=d, n=n)  # the grid is accepted
+            symbol = minimize_module._sobolev_symbol(n, p, d)
+            assert symbol.shape == (n // 2 + 1,)
+            assert np.all(np.isfinite(symbol)) and np.all(symbol > 0.0), (n, d)
+            assert not symbol.flags.writeable
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_symbol_lifts_the_modes_up_to_the_degree(self, p):
+        # on resolved grids P is the Hessian symbol above |d|, and the modes
+        # below it, rotation, Moebius and saddle modes, take lambda_{|d|+1}
+        for n, d in [(64, 1), (65, -2), (128, 2), (255, 3)]:
+            hessian = minimize_module._hessian_symbol(n, p, d)
+            symbol = minimize_module._sobolev_symbol(n, p, d)
+            assert np.array_equal(symbol[abs(d) + 1 :], hessian[abs(d) + 1 :])
+            assert np.all(symbol[: abs(d) + 1] == hessian[abs(d) + 1])
+
+    def test_model_symbol_in_degree_zero(self):
+        symbol = minimize_module._sobolev_symbol(8, 1.5, 0)
         h = 2.0 * math.pi / 8
         assert symbol == pytest.approx([h * (1.0 + m) ** 1.5 for m in range(5)], rel=1e-15)
         grad = perturb(power_map(8, 1), 0.3, 4).phases - power_map(8, 1).phases
