@@ -24,6 +24,7 @@ from .energy import (
     FOUR_PI_SQ,
     EnergyParams,
     _error_estimate,
+    _unfolded_sign,
     degree_lower_bound,
     energy,
     energy_and_gradient,
@@ -298,10 +299,15 @@ def _cmd_moebius(args):
     }
     checks = [_tolerance_check("matches_identity_energy", value / identity - 1.0, error_bound)]
     if args.p == 2.0:
-        # the discrete closed form is that of the raw double sum; at p = 2
-        # the correction weight -2 zeta(0) is 1, so the raw sum is the
-        # energy less sum_i |D_i|^2, with no second kernel call
-        raw = value - float(np.sum(u.gaps**2))
+        # the discrete closed form is that of the raw double sum.  At p = 2
+        # the correction is sum_i D_i^2 (weight -2 zeta(0) = 1) less T2,
+        # which is -sum_i (D_i - D_{i-1})^2 / 12 there (zeta(-2) = 0)
+        # where T2 applies; so the raw sum is the energy less both, with
+        # no second kernel call
+        gaps = u.gaps
+        raw = value - float(np.sum(gaps**2))
+        if _unfolded_sign(gaps) != 0.0:
+            raw -= float(np.sum((gaps - np.roll(gaps, 1)) ** 2)) / 12.0
         closed = moebius_energy_closed_form(u.n, complex(args.a_re, args.a_im))
         results["ground_truth_ratio"] = value / FOUR_PI_SQ
         results["discrete_closed_form"] = closed

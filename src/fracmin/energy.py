@@ -13,22 +13,46 @@ The diagonal i = j is excluded, which biases the sum low by O(h^(p-1)).
 The generalized Euler-Maclaurin expansion of the punctured trapezoid
 rule (Navot 1961; Kapur and Rokhlin, SIAM J. Numer. Anal. 34, 1997)
 gives the leading error of row i as 2 zeta(2-p) h^(p-1) |phi'_i|^p, and
-the energy subtracts it:
+the energy subtracts it and the expansion's next term T2:
 
-    E_p(u) = (double sum) - 2 zeta(2-p) sum_i |D_i|^p,
+    E_p(u) = (double sum) - 2 zeta(2-p) sum_i |D_i|^p - T2,
 
-with D_i the wrapped neighbour gaps u.gaps, at O(n) extra cost and one
-length-n pow per call.  Its gradient adds -2 zeta(2-p) p (w_{i-1} - w_i),
-w = |D|^(p-2) D.  On smooth maps the error then falls like h^(p+1): the
+with D_i the wrapped neighbour gaps u.gaps, v = D/h, vbar_i =
+(D_i + D_{i-1})/2h, phi''_i = (D_i - D_{i-1})/h^2 and
+
+    T2 = h^(p+1) [2 zeta(-p) h sum_i |v_i|^p (1/12 - p v_i^2/24)
+         - (p(p-1)/12) (zeta(-p) - zeta(2-p)) h sum_i |vbar_i|^(p-2) phi''_i^2].
+
+The first sum of T2 is Navot's zeta(-p) term; the second is the O(h^2)
+error that the gaps bring into sum_i |D_i|^p, its third-derivative part
+integrated by parts.  zeta(-p) comes from the functional equation and
+zeta(1+p), and is exactly 0 at p = 2.  The two terms cost O(n) work
+and two length-n pows per call, and their gradients are stencils in
+the gaps: the zeta term adds -2 zeta(2-p) p (w_{i-1} - w_i),
+w = |D|^(p-2) D.
+
+The fold rule: T2 expands about phi' != 0, so it applies only when
+every gap is nonzero and has the sign of the winding, and, as the next
+term of a series in the gaps, only when every gap is below a quarter
+turn.  Constant, degree-0, folded (some gap of the wrong sign or zero)
+and unresolved maps get the zeta term alone, bit for bit as before T2
+was added.  Where a gap of a degree-1 map crosses zero or pi/2 the
+energy therefore jumps by T2, which is O(h^(p+1)) relative on
+resolved grids.
+
+On resolved degree +-1 maps the error then falls like h^(p+3): the
 closed-form identity-map energy
 
     E_p(Id) = 2^p * pi * B((p-1)/2, 1/2)
 
-is met to 1.8e-6 relative at n = 64 and to 2.5e-10 at n = 4096 for
-p = p', and at p = 2, where zeta(0) = -1/2, it is exactly 4 pi^2 up to
-rounding.  The uncorrected double sum alone approaches E_p(Id) from
-below, monotonically in n (31% low at n = 4096, p = p'), and at p = 2
-the identity gives 4 pi^2 (1 - 1/n).
+is met to 5.5e-11 relative at n = 64 and to 1.2e-15 at n = 4096 for
+p = p' (the zeta term alone left 1.8e-6 and 2.5e-10), and at p = 2,
+where zeta(0) = -1/2 and T2 vanishes on the identity, it is exactly
+4 pi^2 up to rounding.  At |d| >= 2 the order stays h^(p+1): z^d also
+meets itself where u(x) = u(y) with x != y, a singular set that no
+diagonal term sees.  The uncorrected double sum alone approaches
+E_p(Id) from below, monotonically in n (31% low at n = 4096, p = p'),
+and at p = 2 the identity gives 4 pi^2 (1 - 1/n).
 
 One kernel evaluates both the energy and its gradient.  It takes
 c_i = cos phi_i and s_i = sin phi_i once per call, so it makes O(n)
@@ -129,12 +153,17 @@ __all__ = [
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 # |E_p(u_a) / E_p(Id) - 1| / max_gap^(p+1) on Moebius maps, measured up to
-# 1.1e-3 for max_gap <= 1 (a up to 0.999, n = 8 .. 2^20, p = 1.05 .. 2);
-# twice that bounds the error of every resolved grid.  Under-resolved
-# grids (max_gap of 2.5 and above) exceed it, up to 5.3e-3.
+# 1.1e-3 for max_gap <= 1 (a up to 0.999, n = 8 .. 2^20, p = 1.05 .. 2)
+# for the energy without T2; twice that bounds the error of every
+# resolved grid.  Under-resolved grids (max_gap of 2.5 and above) exceed
+# it, up to 5.3e-3.  With T2 the estimate is conservative on resolved
+# degree +-1 maps, whose error falls like h^(p+3); it still models the
+# O(h^(p+1)) error of folded maps and of degree |d| >= 2.
 _ERROR_CONSTANT = 2e-3
 # relative rounding allowance of the energy, as for the discrete closed form
 _ROUNDING = 1e-12
+# T2 applies only to maps whose gaps all lie below this (_unfolded_sign)
+_SECOND_TERM_MAX_GAP = 0.5 * math.pi
 
 # Pair elements per gradient tile: the kernel takes B = max(1,
 # _TILE_ELEMENTS // n) offsets of all n nodes at a time, and twice as many
@@ -236,24 +265,115 @@ def _correction_weight(p: float) -> float:
     return -2.0 * zeta(2.0 - p)
 
 
+@functools.lru_cache(maxsize=64)
+def _zeta_negative(p: float) -> float:
+    """zeta(-p) = -2 (2 pi)^(-1-p) sin(pi (2 - p) / 2) Gamma(1 + p) zeta(1 + p),
+    by the functional equation; exactly 0 at p = 2, where the sine's
+    argument is 0."""
+    return -2.0 * (2.0 * math.pi) ** (-1.0 - p) * math.sin(0.5 * math.pi * (2.0 - p)) * math.gamma(1.0 + p) * zeta(1.0 + p)
+
+
+@functools.lru_cache(maxsize=64)
+def _second_weights(p: float) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) with -T2 = sum_i |D_i|^p (alpha h^2 + beta D_i^2)
+    + gamma sum_i |D_i + D_{i-1}|^(p-2) (D_i - D_{i-1})^2; (0, -0, 1/12) at p = 2."""
+    z = _zeta_negative(p)
+    return -z / 6.0, p * z / 12.0, 2.0 ** (2.0 - p) * p * (p - 1.0) / 12.0 * (z - zeta(2.0 - p))
+
+
 def _add_diagonal_correction(u: GridMap, p: float, total: float | None, grad: np.ndarray | None):
-    """total + c sum_i |D_i|^p and grad + c p (w_{i-1} - w_i), w = |D|^(p-2) D,
-    with c = -2 zeta(2 - p) and D the wrapped neighbour gaps; one pow serves both."""
-    weight = _correction_weight(p)
+    """total and grad plus the diagonal correction of u and its gradient.
+
+    The correction is c sum_i |D_i|^p, c = -2 zeta(2 - p), less T2 where
+    _unfolded_sign admits it (module docstring).  It is a sum over the
+    gaps, so its gradient is q_{i-1} - q_i, with q_i its derivative in D_i.
+    """
     gaps = u.gaps
     magnitude = np.abs(gaps)
     rise = magnitude ** (p - 1.0)  # |D|^(p-1), zero where a gap is
-    if total is not None:
-        # numpy's pairwise sum of a contiguous array, in a fixed order; at
-        # n = 2^20 math.fsum took 80 ms, against 114 ms for the p = 2 kernel
-        total += weight * float(np.sum(rise * magnitude))
+    sign = _unfolded_sign(gaps)
+    if sign == 0.0:
+        weight = _correction_weight(p)
+        if total is not None:
+            # numpy's pairwise sum of a contiguous array, in a fixed order; at
+            # n = 2^20 math.fsum took 80 ms, against 114 ms for the p = 2 kernel
+            total += weight * float(np.sum(rise * magnitude))
+        if grad is not None:
+            slope = np.copysign(rise, gaps, out=rise)
+            slope *= weight * p
+    else:
+        value, slope = _unfolded_correction(magnitude, rise, p, total is not None, grad is not None)
+        if total is not None:
+            total += value
+        if grad is not None and sign < 0.0:
+            # the derivative in D_i is sign(D_i) times that in |D_i|
+            np.negative(slope, out=slope)
     if grad is not None:
-        w = np.copysign(rise, gaps, out=rise)
-        w *= weight * p
-        grad[1:] += w[:-1]
-        grad[0] += w[-1]
-        grad -= w
+        grad[1:] += slope[:-1]
+        grad[0] += slope[-1]
+        grad -= slope
     return total, grad
+
+
+def _unfolded_sign(gaps: np.ndarray) -> float:
+    """1 or -1 when every gap has that sign and a magnitude in (0, pi/2),
+    else 0: T2 applies only where this is nonzero.
+
+    T2 expands about phi' != 0, so constant, degree-0 and folded maps get
+    the zeta term alone.  It is the next term of a series in the gaps, so
+    maps that move a quarter turn or more between nodes do too: on Moebius
+    maps (a up to 0.998, n = 32 to 2048, p = 1.05 to 2) T2 lowered the
+    error wherever the largest gap was at most 1.77 and raised it from
+    1.98 on (at p = 2; at every p from 2.36).
+    """
+    # the ufunc reductions skip ndarray.min's wrapper: 1.3 us against 2.5 at n = 128
+    low, high = np.minimum.reduce(gaps), np.maximum.reduce(gaps)
+    if 0.0 < low and high < _SECOND_TERM_MAX_GAP:
+        return 1.0
+    if -_SECOND_TERM_MAX_GAP < low and high < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _unfolded_correction(magnitude, rise, p: float, value: bool, gradient: bool):
+    """(the correction, its derivatives in a_i) at the gap magnitudes
+    a = |D| of an unfolded map, each only when its flag is set, else None.
+
+    The correction, c sum_i |D_i|^p less T2, is
+    sum_i a_i^p (c + alpha h^2 + beta a_i^2) + gamma sum_i S_i^(p-2) B_i^2,
+    with S_i = a_i + a_{i-1}, B_i = a_i - a_{i-1} and rise = a^(p-1); term
+    i of the second sum depends on a_i and a_{i-1}.
+    """
+    alpha, beta, gamma = _second_weights(p)
+    h = 2.0 * math.pi / magnitude.size
+    flat = _correction_weight(p) + alpha * h * h
+    square = magnitude * magnitude
+    previous = np.concatenate((magnitude[-1:], magnitude[:-1]))
+    span = magnitude + previous
+    bend = magnitude - previous
+    bent = span ** (p - 2.0)
+    bent *= bend  # S_i^(p-2) B_i
+    total = slope = None
+    if value:
+        # np.dot, as in _spectral: at n = 64 numpy's sum takes 2.7 us, dot 0.6
+        coefficient = beta * square
+        coefficient += flat
+        total = float(np.dot(rise * magnitude, coefficient)) + gamma * float(np.dot(bent, bend))
+    if gradient:
+        # d/da_i of the first sum, of second-sum term i, and of term i + 1
+        slope = (beta * (p + 2.0)) * square
+        slope += flat * p
+        slope *= rise
+        curve = bend / span
+        curve *= gamma * (p - 2.0)
+        curve *= bent  # gamma (p - 2) S_i^(p-3) B_i^2
+        bent *= 2.0 * gamma
+        slope += curve
+        slope += bent
+        curve -= bent
+        slope[:-1] += curve[1:]
+        slope[-1] += curve[0]
+    return total, slope
 
 
 def _spectral(u: GridMap, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
@@ -302,7 +422,9 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     def buffers():
         # each row of the gradient's term buffer is followed by its periodic
         # copy, for the skewed mirror read below
-        return np.empty((2, width, n)), np.empty((width, 2 * n)) if gradient else None
+        size = 2 * width * n
+        work = _work_space(2 * size if gradient else size)
+        return work[:size].reshape(2, width, n), work[size:].reshape(width, 2 * n) if gradient else None
 
     def tile(k0, work, grad, per_offset):
         """Offsets k0..k0+rows-1: their energy sums into their slots of
@@ -400,6 +522,26 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     return total, (2.0 * h * h * p * grad if gradient else None)
 
 
+_work = threading.local()
+
+
+def _work_space(size: int) -> np.ndarray:
+    """size float64 elements of work space for this thread's tiles.
+
+    A tile fills at most 4 _TILE_ELEMENTS elements unless one offset row
+    alone is wider; that much is kept per thread between calls.  Fresh
+    arrays cost their page faults on every call: 288 minor faults and
+    about 0.5 ms of a 1.3 ms gradient call at n = 256.
+    """
+    kept = getattr(_work, "space", None)
+    if kept is not None and kept.size >= size:
+        return kept[:size]
+    space = np.empty(size)
+    if size <= 4 * _TILE_ELEMENTS:
+        _work.space = space
+    return space
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -461,7 +603,8 @@ def energy_gradient(u: GridMap, params: EnergyParams) -> np.ndarray:
     with tau_k the unit tangent at u_k.  The dot product simplifies to
     sin(phi_k - phi_j); coincident target points contribute zero (valid
     since p > 1).  The diagonal correction adds its gradient
-    -2 zeta(2-p) p (w_{k-1} - w_k), w = |D|^(p-2) D.
+    -2 zeta(2-p) p (w_{k-1} - w_k), w = |D|^(p-2) D, and on unfolded
+    maps that of T2.
     """
     return _kernel(u, params, False, True)[1]
 

@@ -48,8 +48,14 @@ def wrap_angle(x):
     -wrap_angle(x) bit for bit wherever the result lies inside, so a
     reflected map has exactly the negated gaps.
     """
-    w = x - TWO_PI * np.round(np.divide(x, TWO_PI))
-    return np.where(w > math.pi, w - TWO_PI, np.where(w <= -math.pi, w + TWO_PI, w))
+    # x + (-2 pi) rint(x / 2 pi) is x - 2 pi round(x / 2 pi) bit for bit;
+    # in place, at n = 64 it takes half the time of np.round and np.where
+    w = np.asarray(np.rint(np.divide(x, TWO_PI)))
+    w *= -TWO_PI
+    w += x
+    w[w > math.pi] -= TWO_PI
+    w[w <= -math.pi] += TWO_PI
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +99,7 @@ class GridMap:
     @cached_property
     def admissible(self) -> bool:
         """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
-        return bool(np.all(np.abs(self.gaps) < math.pi))
+        return bool(np.abs(self.gaps).max() < math.pi)
 
 
 def is_admissible(u: GridMap) -> bool:

@@ -32,6 +32,8 @@ from .energy import (
     _correction_weight,
     _error_estimate,
     _node_chords_sq,
+    _second_weights,
+    _unfolded_sign,
     degree_lower_bound,
     energy_and_gradient,
 )
@@ -124,8 +126,12 @@ def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
     eigenvalues are the rfft of that row.  With X = 2 - 2 cos delta,
     F'' = p X^(p/2-1) (p - 1 - p X / 4), which is 2 cos delta at p = 2.
     Pairs whose targets coincide (n | d k) have F'' = inf for p < 2; the
-    kernel drops them, and so does the symbol.  The correction
-    w sum_i |D_i|^p adds w p (p - 1) |d h|^(p-2) (2 - 2 cos(2 pi m / n)).
+    kernel drops them, and so does the symbol.  With every gap a = |d h|,
+    the correction sum_i f(|D_i|) adds f''(a) (2 - 2 cos(2 pi m / n)):
+    f(a) = w a^p, or (w + alpha h^2) a^p + beta a^(p+2) where T2 applies
+    to z^d (a < pi/2).  There T2's second sum, gamma sum_i |S_i|^(p-2)
+    B_i^2, is quadratic in B_i = D_i - D_{i-1}, which is 0 at z^d, so it
+    adds 2 gamma (2 a)^(p-2) (2 - 2 cos(2 pi m / n))^2.
     """
     node_sq = _node_chords_sq(n)  # c_j^2 = 2 - 2 cos(2 pi j / n), j = 1..n//2
     k = np.arange(1, n)
@@ -141,7 +147,14 @@ def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
     row[1:] = -2.0 * h * h * curvature / node_sq[np.minimum(k, n - k) - 1]
     row[0] = -row[1:].sum()
     symbol = np.fft.rfft(row).real
-    symbol[1:] += _correction_weight(p) * p * (p - 1.0) * abs(d * h) ** (p - 2.0) * node_sq
+    a = abs(d * h)
+    stretch = _correction_weight(p) * p * (p - 1.0) * a ** (p - 2.0)
+    bending = 0.0
+    if _unfolded_sign(power_map(n, d).gaps) != 0.0:
+        alpha, beta, gamma = _second_weights(p)
+        stretch += alpha * h * h * p * (p - 1.0) * a ** (p - 2.0) + beta * (p + 2.0) * (p + 1.0) * a**p
+        bending = 2.0 * gamma * (2.0 * a) ** (p - 2.0)
+    symbol[1:] += (stretch + bending * node_sq) * node_sq
     return symbol
 
 
@@ -279,14 +292,15 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
 
     Measured at n = 128 with restart seeds 1-3, every restart converges
     (grad_tol) without halving a step.  In degree 1 that takes 3
-    iterations at p = 2 and p = 1.5, and 3-4 at p = p' and p = 1.2; the
-    energies lie within 4.5e-7 of E_p(Id) and below it, with largest
-    gaps of 0.053-0.056 (h = 0.049).  In degree 2 at p = 1.5 they take
-    2-3 iterations and end 6.3e-7 to 9.0e-7 above 2 E_p(Id), with
-    largest gaps of 0.11; the unperturbed z^2, 4.3e-7 below, is
+    iterations at p = 2 and p = 1.5, and 3-4 at p = p' and p = 1.2, with
+    largest gaps of 0.053-0.056 (h = 0.049).  The restarts stop 1e-11 to
+    8.3e-8 above E_p(Id), short of the unperturbed z, which lies within
+    3.1e-12 of it and is returned.  In degree 2 at p = 1.5 they take 2-3
+    iterations and end from 4.5e-8 below to 2.1e-7 above 2 E_p(Id), with
+    largest gaps of 0.11; the unperturbed z^2, 1.3e-6 below, is
     returned.  A whole minimize made 11-15 kernel passes
-    (total_evaluations) and took 1.7-6.7 ms for each of these cases, and
-    16 passes and 19 ms at n = 256, p = p', on a 2-core Xeon guest.
+    (total_evaluations) and took 2-10 ms for each of these cases, and
+    16 passes and 17 ms at n = 256, p = p', on a 2-core Xeon guest.
     Every one of these gaps to d E_p(Id) is inside the run's error
     estimate, which is 2.9e-7 to 3.2e-7 relative at p = 2 and up to
     8.8e-6 in degree 2.

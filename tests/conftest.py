@@ -17,3 +17,11 @@ def raw_double_sum(monkeypatch):
     # the package binds the name fracmin.energy to the function
     energy_module = importlib.import_module("fracmin.energy")
     monkeypatch.setattr(energy_module, "_add_diagonal_correction", lambda u, p, total, grad: (total, grad))
+
+
+@pytest.fixture
+def without_second_term(monkeypatch):
+    """Give every map the zeta-corrected energy without T2, as the fold
+    rule gives a folded one."""
+    energy_module = importlib.import_module("fracmin.energy")
+    monkeypatch.setattr(energy_module, "_unfolded_sign", lambda gaps: 0.0)

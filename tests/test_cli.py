@@ -207,8 +207,9 @@ class TestReports:
 
     @pytest.mark.parametrize("p", ["1.13921", "1.5", "1.8", "2"])
     @pytest.mark.parametrize("a", ["0", "0.5", "0.9"])
-    def test_moebius_identity_check_at_every_p(self, capsys, p, a):
-        code, report = run_json(capsys, ["moebius", "--a-re", a, "--n", "256", "--p", p])
+    def test_moebius_identity_check_at_every_p(self, capsys, request, p, a):
+        argv = ["moebius", "--a-re", a, "--n", "256", "--p", p]
+        code, report = run_json(capsys, argv)
         assert code == 0
         check = next(c for c in report["checks"] if c["name"] == "matches_identity_energy")
         results = report["results"]
@@ -216,9 +217,16 @@ class TestReports:
         assert error <= results["error_bound_rel"]
         assert check["margin"] == results["error_bound_rel"] - error
         if a != "0":
-            # the bound predicts the error of a map that is not the identity,
-            # whose leading error term nearly cancels, to within a factor 10
-            assert error >= 0.1 * results["error_bound_rel"]
+            # the bound models the O(h^(p+1)) error that T2 removes on this
+            # unfolded trace: it predicts the error of the energy without T2,
+            # on a map that is not the identity, whose leading error term
+            # nearly cancels, to within a factor 10
+            request.getfixturevalue("without_second_term")
+            code, report = run_json(capsys, argv)
+            results = report["results"]
+            error_without = abs(results["energy"] / results["identity_energy"] - 1.0)
+            assert 0.1 * results["error_bound_rel"] <= error_without <= results["error_bound_rel"]
+            assert error < 0.1 * error_without
 
     def test_minimize_with_side_files(self, capsys, schema, tmp_path, monkeypatch):
         map_out = tmp_path / "final.csv"

@@ -16,6 +16,7 @@ from fracmin import (
     energy,
     energy_gradient,
     identity_energy_closed_form,
+    identity_map,
     minimize,
     moebius_map,
     perturb,
@@ -265,10 +266,14 @@ class TestScan:
     """One minimize run per exponent, as the scan subcommand makes them."""
 
     def test_rows_satisfy_sandwich(self):
+        # the minimum lies no higher than the identity, whose energy on the
+        # grid can lie above E_p(Id) by its own error (2.5e-11 relative at
+        # p = 1.4, n = 64)
         for p in (1.4, 1.8, 2.0):
             result = minimize(MinimizeConfig(p=p, degree_target=1, **FAST))
             assert result.converged
-            assert degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity_energy_closed_form(p) + 1e-9
+            identity = max(identity_energy_closed_form(p), energy(identity_map(FAST["n"]), EnergyParams(p)))
+            assert degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity + 1e-9
 
     def test_p2_row_near_ground_truth(self):
         result = minimize(MinimizeConfig(p=2.0, degree_target=1, **FAST))

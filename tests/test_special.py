@@ -105,7 +105,8 @@ def assert_zeta_matches_mpmath(s):
 
 
 class TestZeta:
-    """zeta(s) on [0, 1), where the energy's diagonal correction needs it."""
+    """zeta(s) on [0, 1) and (2, 3], where the energy's diagonal corrections
+    need zeta(2 - p) and zeta(1 + p)."""
 
     @pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 0.5, 0.86, 0.95, 0.999])
     def test_against_mpmath(self, s):
@@ -116,11 +117,20 @@ class TestZeta:
     def test_sweep_against_mpmath(self, s):
         assert_zeta_matches_mpmath(s)
 
+    @pytest.mark.parametrize("s", [2.0 + 1e-12, 2.001, 2.05, 2.13921, 2.5, 2.99, 3.0])
+    def test_above_two_against_mpmath(self, s):
+        assert_zeta_matches_mpmath(s)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(s=st.floats(2.0, 3.0, exclude_min=True))
+    def test_sweep_above_two_against_mpmath(self, s):
+        assert_zeta_matches_mpmath(s)
+
     def test_zero_is_minus_one_half_exactly(self):
         # the diagonal correction at p = 2 then makes the identity energy 4 pi^2
         assert zeta(0.0) == -0.5
 
-    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0, 1.5, 2.0, 3.0000000000000004, 4.0, math.inf, math.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             zeta(bad)
