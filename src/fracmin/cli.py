@@ -381,7 +381,9 @@ def _cmd_scan(args):
     for p in p_values:
         _, results, run_checks = _minimize_at(args, p)
         rows.append({"p": p, **results, "identity_energy": identity_energy_closed_form(p)})
-        checks += [{**check, "name": f"{check['name']}_p={p:g}"} for check in run_checks]
+        # :g where it reads back as p, so that distinct exponents keep distinct names
+        label = f"{p:g}" if float(f"{p:g}") == p else repr(p)
+        checks += [{**check, "name": f"{check['name']}_p={label}"} for check in run_checks]
     return {"rows": rows}, checks, args.seed, all(row["converged"] for row in rows)
 
 

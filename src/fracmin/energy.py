@@ -29,7 +29,8 @@ integrated by parts.  zeta(-p) comes from the functional equation and
 zeta(1+p), and is exactly 0 at p = 2.  The two terms cost O(n) work
 and two length-n pows per call, and their gradients are stencils in
 the gaps: the zeta term adds -2 zeta(2-p) p (w_{i-1} - w_i),
-w = |D|^(p-2) D.
+w = |D|^(p-2) D.  The Hessian at z^d, descent's preconditioner, is
+computed here too, from the same coefficients (_hessian_symbol).
 
 The fold rule: T2 expands about phi' != 0, so it applies only when
 every gap is nonzero and has the sign of the winding, and, as the next
@@ -133,7 +134,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, _exponent
-from .maps import GridMap, is_admissible
+from .maps import GridMap, is_admissible, power_map
 from .quadrature import integral_sin_power
 from .special import beta, digamma, zeta
 
@@ -281,33 +282,77 @@ def _second_weights(p: float) -> tuple[float, float, float]:
     return -z / 6.0, p * z / 12.0, 2.0 ** (2.0 - p) * p * (p - 1.0) / 12.0 * (z - zeta(2.0 - p))
 
 
+def _correction_coefficients(p: float, n: int, unfolded: bool) -> tuple[float, float, float]:
+    """(flat, beta, gamma) of the diagonal correction on the n-grid.
+
+    The correction, -2 zeta(2 - p) sum_i |D_i|^p less T2 where T2 applies
+    (unfolded, by _unfolded_sign), is
+
+        sum_i a_i^p (flat + beta a_i^2) + gamma sum_i S_i^(p-2) B_i^2,
+
+    with a = |D|, S_i = a_i + a_{i-1} and B_i = a_i - a_{i-1}: flat =
+    -2 zeta(2 - p) + alpha h^2 and (alpha, beta, gamma) = _second_weights(p).
+    Maps that the fold rule excludes get (-2 zeta(2 - p), 0, 0).  The
+    energy, its gradient and its Hessian at z^d all read these.
+    """
+    weight = _correction_weight(p)
+    if not unfolded:
+        return weight, 0.0, 0.0
+    alpha, beta, gamma = _second_weights(p)
+    h = 2.0 * math.pi / n
+    return weight + alpha * h * h, beta, gamma
+
+
 def _add_diagonal_correction(u: GridMap, p: float, total: float | None, grad: np.ndarray | None):
     """total and grad plus the diagonal correction of u and its gradient.
 
-    The correction is c sum_i |D_i|^p, c = -2 zeta(2 - p), less T2 where
-    _unfolded_sign admits it (module docstring).  It is a sum over the
-    gaps, so its gradient is q_{i-1} - q_i, with q_i its derivative in D_i.
+    The correction is that of _correction_coefficients.  It is a sum over
+    the gaps, so its gradient is q_{i-1} - q_i, with q_i its derivative in
+    D_i: sign(D_i) times that in a_i.  Term i of the second sum depends on
+    a_i and a_{i-1}.
     """
     gaps = u.gaps
     magnitude = np.abs(gaps)
-    rise = magnitude ** (p - 1.0)  # |D|^(p-1), zero where a gap is
+    rise = magnitude ** (p - 1.0)  # a^(p-1), zero where a gap is
     sign = _unfolded_sign(gaps)
+    flat, beta, gamma = _correction_coefficients(p, gaps.size, sign != 0.0)
     if sign == 0.0:
-        weight = _correction_weight(p)
+        # beta = gamma = 0, and the gaps may take either sign
         if total is not None:
             # numpy's pairwise sum of a contiguous array, in a fixed order; at
             # n = 2^20 math.fsum took 80 ms, against 114 ms for the p = 2 kernel
-            total += weight * float(np.sum(rise * magnitude))
+            total += flat * float(np.sum(rise * magnitude))
         if grad is not None:
             slope = np.copysign(rise, gaps, out=rise)
-            slope *= weight * p
+            slope *= flat * p
     else:
-        value, slope = _unfolded_correction(magnitude, rise, p, total is not None, grad is not None)
+        square = magnitude * magnitude
+        previous = np.concatenate((magnitude[-1:], magnitude[:-1]))
+        span = magnitude + previous
+        bend = magnitude - previous
+        bent = span ** (p - 2.0)
+        bent *= bend  # S_i^(p-2) B_i
         if total is not None:
-            total += value
-        if grad is not None and sign < 0.0:
-            # the derivative in D_i is sign(D_i) times that in |D_i|
-            np.negative(slope, out=slope)
+            # np.dot, as in _spectral: at n = 64 numpy's sum takes 2.7 us, dot 0.6
+            coefficient = beta * square
+            coefficient += flat
+            total += float(np.dot(rise * magnitude, coefficient)) + gamma * float(np.dot(bent, bend))
+        if grad is not None:
+            # d/da_i of the first sum, of second-sum term i, and of term i + 1
+            slope = (beta * (p + 2.0)) * square
+            slope += flat * p
+            slope *= rise
+            curve = bend / span
+            curve *= gamma * (p - 2.0)
+            curve *= bent  # gamma (p - 2) S_i^(p-3) B_i^2
+            bent *= 2.0 * gamma
+            slope += curve
+            slope += bent
+            curve -= bent
+            slope[:-1] += curve[1:]
+            slope[-1] += curve[0]
+            if sign < 0.0:
+                np.negative(slope, out=slope)
     if grad is not None:
         grad[1:] += slope[:-1]
         grad[0] += slope[-1]
@@ -335,45 +380,44 @@ def _unfolded_sign(gaps: np.ndarray) -> float:
     return 0.0
 
 
-def _unfolded_correction(magnitude, rise, p: float, value: bool, gradient: bool):
-    """(the correction, its derivatives in a_i) at the gap magnitudes
-    a = |D| of an unfolded map, each only when its flag is set, else None.
+def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
+    """Eigenvalues lambda_m, m = 0..n//2, of the corrected energy's Hessian
+    at power_map(n, d), d != 0.
 
-    The correction, c sum_i |D_i|^p less T2, is
-    sum_i a_i^p (c + alpha h^2 + beta a_i^2) + gamma sum_i S_i^(p-2) B_i^2,
-    with S_i = a_i + a_{i-1}, B_i = a_i - a_{i-1} and rise = a^(p-1); term
-    i of the second sum depends on a_i and a_{i-1}.
+    At z^d every pair at offset k has the phase difference d k h, so the
+    Hessian is circulant: its row is r_k = -2 h^2 F''(d k h) / c_k^2 with
+    F(delta) = (2 - 2 cos delta)^(p/2), r_0 = -sum_{k != 0} r_k, and its
+    eigenvalues are the rfft of that row.  With X = 2 - 2 cos delta,
+    F'' = p X^(p/2-1) (p - 1 - p X / 4), which is 2 cos delta at p = 2.
+    Pairs whose targets coincide (n | d k) have F'' = inf for p < 2; the
+    kernel drops them, and so does the symbol.  Every gap of z^d has the
+    magnitude a = |d h|, so the correction's first sum, sum_i f(a_i) with
+    f(a) = a^p (flat + beta a^2), adds f''(a) (2 - 2 cos(2 pi m / n)).
+    Its second sum is quadratic in B_i, which is 0 at z^d, so it adds
+    2 gamma (2 a)^(p-2) (2 - 2 cos(2 pi m / n))^2.  (flat, beta, gamma)
+    come from _correction_coefficients, with the fold rule applied to
+    z^d's gaps.
     """
-    alpha, beta, gamma = _second_weights(p)
-    h = 2.0 * math.pi / magnitude.size
-    flat = _correction_weight(p) + alpha * h * h
-    square = magnitude * magnitude
-    previous = np.concatenate((magnitude[-1:], magnitude[:-1]))
-    span = magnitude + previous
-    bend = magnitude - previous
-    bent = span ** (p - 2.0)
-    bent *= bend  # S_i^(p-2) B_i
-    total = slope = None
-    if value:
-        # np.dot, as in _spectral: at n = 64 numpy's sum takes 2.7 us, dot 0.6
-        coefficient = beta * square
-        coefficient += flat
-        total = float(np.dot(rise * magnitude, coefficient)) + gamma * float(np.dot(bent, bend))
-    if gradient:
-        # d/da_i of the first sum, of second-sum term i, and of term i + 1
-        slope = (beta * (p + 2.0)) * square
-        slope += flat * p
-        slope *= rise
-        curve = bend / span
-        curve *= gamma * (p - 2.0)
-        curve *= bent  # gamma (p - 2) S_i^(p-3) B_i^2
-        bent *= 2.0 * gamma
-        slope += curve
-        slope += bent
-        curve -= bent
-        slope[:-1] += curve[1:]
-        slope[-1] += curve[0]
-    return total, slope
+    node_sq = _node_chords_sq(n)  # c_j^2 = 2 - 2 cos(2 pi j / n), j = 1..n//2
+    k = np.arange(1, n)
+    target = abs(d) * k % n
+    target = np.minimum(target, n - target)
+    x = np.where(target > 0, node_sq[target - 1], 0.0)
+    with np.errstate(divide="ignore"):
+        curvature = p * x ** (0.5 * p - 1.0) * (p - 1.0 - 0.25 * p * x)
+    if p < 2.0:
+        curvature[target == 0] = 0.0
+    h = 2.0 * math.pi / n
+    row = np.empty(n)
+    row[1:] = -2.0 * h * h * curvature / node_sq[np.minimum(k, n - k) - 1]
+    row[0] = -row[1:].sum()
+    symbol = np.fft.rfft(row).real
+    flat, beta, gamma = _correction_coefficients(p, n, _unfolded_sign(power_map(n, d).gaps) != 0.0)
+    a = abs(d * h)
+    stretch = flat * p * (p - 1.0) * a ** (p - 2.0) + beta * (p + 2.0) * (p + 1.0) * a**p
+    bending = 2.0 * gamma * (2.0 * a) ** (p - 2.0)
+    symbol[1:] += (stretch + bending * node_sq) * node_sq
+    return symbol
 
 
 def _spectral(u: GridMap, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:

@@ -5,7 +5,9 @@ minimization runs as unconstrained descent in phase coordinates.  In
 degree d != 0 its steps are Newton steps with the Hessian frozen at the
 class's own start map z^d: on power_map(n, d) the Hessian of the
 corrected energy is circulant, so its exact eigenvalues come from one
-rfft of a closed-form row, and P^-1 g costs one real FFT pair.  The
+rfft of a closed-form row, and P^-1 g costs one real FFT pair.  That
+symbol is energy._hessian_symbol, which reads the diagonal correction
+from the same coefficients as the energy and its gradient.  The
 winding number is locally constant under small phase moves; instead of a
 constraint, every candidate step must keep the iterate admissible with
 the target degree, and is halved until it does (or the run aborts).
@@ -27,16 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (
-    EnergyParams,
-    _correction_weight,
-    _error_estimate,
-    _node_chords_sq,
-    _second_weights,
-    _unfolded_sign,
-    degree_lower_bound,
-    energy_and_gradient,
-)
+from .energy import EnergyParams, _error_estimate, _hessian_symbol, degree_lower_bound, energy_and_gradient
 from .errors import DomainError, _exponent
 from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
 
@@ -116,53 +109,11 @@ def _candidate_degree(candidate: GridMap) -> int | None:
     return degree(candidate)
 
 
-def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
-    """Eigenvalues lambda_m, m = 0..n//2, of the corrected energy's Hessian
-    at power_map(n, d), d != 0.
-
-    At z^d every pair at offset k has the phase difference d k h, so the
-    Hessian is circulant: its row is r_k = -2 h^2 F''(d k h) / c_k^2 with
-    F(delta) = (2 - 2 cos delta)^(p/2), r_0 = -sum_{k != 0} r_k, and its
-    eigenvalues are the rfft of that row.  With X = 2 - 2 cos delta,
-    F'' = p X^(p/2-1) (p - 1 - p X / 4), which is 2 cos delta at p = 2.
-    Pairs whose targets coincide (n | d k) have F'' = inf for p < 2; the
-    kernel drops them, and so does the symbol.  With every gap a = |d h|,
-    the correction sum_i f(|D_i|) adds f''(a) (2 - 2 cos(2 pi m / n)):
-    f(a) = w a^p, or (w + alpha h^2) a^p + beta a^(p+2) where T2 applies
-    to z^d (a < pi/2).  There T2's second sum, gamma sum_i |S_i|^(p-2)
-    B_i^2, is quadratic in B_i = D_i - D_{i-1}, which is 0 at z^d, so it
-    adds 2 gamma (2 a)^(p-2) (2 - 2 cos(2 pi m / n))^2.
-    """
-    node_sq = _node_chords_sq(n)  # c_j^2 = 2 - 2 cos(2 pi j / n), j = 1..n//2
-    k = np.arange(1, n)
-    target = abs(d) * k % n
-    target = np.minimum(target, n - target)
-    x = np.where(target > 0, node_sq[target - 1], 0.0)
-    with np.errstate(divide="ignore"):
-        curvature = p * x ** (0.5 * p - 1.0) * (p - 1.0 - 0.25 * p * x)
-    if p < 2.0:
-        curvature[target == 0] = 0.0
-    h = 2.0 * math.pi / n
-    row = np.empty(n)
-    row[1:] = -2.0 * h * h * curvature / node_sq[np.minimum(k, n - k) - 1]
-    row[0] = -row[1:].sum()
-    symbol = np.fft.rfft(row).real
-    a = abs(d * h)
-    stretch = _correction_weight(p) * p * (p - 1.0) * a ** (p - 2.0)
-    bending = 0.0
-    if _unfolded_sign(power_map(n, d).gaps) != 0.0:
-        alpha, beta, gamma = _second_weights(p)
-        stretch += alpha * h * h * p * (p - 1.0) * a ** (p - 2.0) + beta * (p + 2.0) * (p + 1.0) * a**p
-        bending = 2.0 * gamma * (2.0 * a) ** (p - 2.0)
-    symbol[1:] += (stretch + bending * node_sq) * node_sq
-    return symbol
-
-
 @functools.lru_cache(maxsize=64)
 def _sobolev_symbol(n: int, p: float, d: int) -> np.ndarray:
     """The preconditioner P on the rfft modes m = 0..n//2, for descent in degree d.
 
-    P is _hessian_symbol(n, p, d) with the modes m <= |d| lifted to
+    P is energy._hessian_symbol(n, p, d) with the modes m <= |d| lifted to
     lambda_{|d|+1}: rotation, the Moebius modes and, for |d| >= 2, the
     discrete saddle modes, on which z^d's Hessian is zero or negative.
     Two cases fall back to the model symbol h (1 + m)^(3-p), which has
@@ -196,8 +147,9 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
 
     The run steps along d = P^-1 g, a Sobolev gradient in the sense of
     Neuberger (Yu, Schumacher and Crane precondition repulsive curves the
-    same way).  P is the symbol of the energy's Hessian at z^d
-    (_sobolev_symbol), so near z^d the unit step is a Newton step; degree
+    same way).  P is the symbol of the energy's Hessian at z^d, which
+    energy._hessian_symbol computes and _sobolev_symbol lifts on its
+    lowest modes, so near z^d the unit step is a Newton step; degree
     0 uses the model symbol h (1 + |m|)^(3-p).  The Hessian grows like
     |m|^(3-p), so plain gradient steps would be limited by the highest
     grid mode.

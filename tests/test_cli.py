@@ -272,22 +272,24 @@ class TestReports:
         # the competitor is the class's own start map z^d, so a converged
         # minimum passes in every degree, not in degree one alone
         options = ["--degree", str(degree), "--n", "64", "--restarts", "1"]
-        code, report = run_json(capsys, ["scan", "--p-values", "1.2,1.5,2", *options])
+        # 1.1392108 and 1.139211 both print as 1.13921 in :g
+        code, report = run_json(capsys, ["scan", "--p-values", "1.2,1.5,2,1.1392108,1.139211", *options])
         assert code == 0
         jsonschema.validate(report, schema)
         rows = report["results"]["rows"]
-        assert [row["p"] for row in rows] == [1.2, 1.5, 2.0]
+        assert [row["p"] for row in rows] == [1.2, 1.5, 2.0, 1.1392108, 1.139211]
         assert all(check["passed"] for check in report["checks"])
         names = ["degree_preserved", "above_lower_bound", "feasible_competitor"]
+        labels = ["1.2", "1.5", "2", "1.1392108", "1.139211"]
         assert [check["name"] for check in report["checks"]] == [
-            f"{name}_p={p:g}" for p in (1.2, 1.5, 2.0) for name in names
+            f"{name}_p={label}" for label in labels for name in names
         ]
-        for row in rows:
+        for row, label in zip(rows, labels):
             code, single = run_json(capsys, ["minimize", "--p", repr(row["p"]), *options])
             assert code == 0
             assert row == {"p": row["p"], **single["results"], "identity_energy": row["identity_energy"]}
             assert [check["margin"] for check in single["checks"]] == [
-                check["margin"] for check in report["checks"] if check["name"].endswith(f"_p={row['p']:g}")
+                check["margin"] for check in report["checks"] if check["name"].endswith(f"_p={label}")
             ]
 
     def test_inequality_suite(self, capsys, schema):
@@ -468,6 +470,18 @@ class TestGradientCheck:
             if code != 0:
                 failed.append((seed, report["results"]["orders"]))
         assert failed == []
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("p", ["1.05", "1.13921", "1.5", "2"])
+    def test_unfolded_maps(self, capsys, n, p):
+        # at the default amplitude 0.3 the perturbed map is folded, so only
+        # the zeta term's gradient is checked; at 0.02 every gap keeps the
+        # winding's sign and T2's gradient is checked too
+        for seed in range(3):
+            assert energy_module._unfolded_sign(perturb(power_map(n, 1), 0.02, seed).gaps) == 1.0
+            argv = ["gradient-check", "--n", str(n), "--p", p, "--seed", str(seed), "--amplitude", "0.02"]
+            code, report = run_json(capsys, argv)
+            assert code == 0, report["results"]
 
     @pytest.mark.parametrize(
         "wrong",

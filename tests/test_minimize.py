@@ -309,22 +309,27 @@ class TestPreconditionedDescent:
 
     @pytest.mark.parametrize("n, d", [(257, 2), (256, 1)])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
-    def test_hessian_symbol_matches_central_differences(self, n, d, p):
+    def test_hessian_symbol_matches_central_differences(self, monkeypatch, n, d, p):
         # z^d's Hessian is circulant, so each cosine mode is an eigenvector;
-        # the modes m <= d are compared before they are lifted
-        symbol = minimize_module._hessian_symbol(n, p, d)
+        # the modes m <= d are compared before they are lifted.  The symbol
+        # descent uses reads the correction's one definition: with T2's
+        # weights beta and gamma doubled it still matches the gradient
+        alpha, beta, gamma = energy_module._second_weights(p)
         params = EnergyParams(p)
         phases = power_map(n, d).phases
         step = 1e-5
-        for m in (1, 2, 3, 10):
-            mode = np.cos(2.0 * math.pi * m * np.arange(n) / n)
-            forward = energy_gradient(GridMap(phases + step * mode), params)
-            backward = energy_gradient(GridMap(phases - step * mode), params)
-            deviation = np.max(np.abs((forward - backward) / (2.0 * step) - symbol[m] * mode))
-            if m > d:
-                assert deviation <= 1e-6 * abs(symbol[m])
-            else:
-                assert deviation <= 1e-7
+        for scale in (1.0, 2.0):
+            monkeypatch.setattr(energy_module, "_second_weights", lambda q: (alpha, scale * beta, scale * gamma))
+            symbol = minimize_module._hessian_symbol(n, p, d)
+            for m in (1, 2, 3, 10):
+                mode = np.cos(2.0 * math.pi * m * np.arange(n) / n)
+                forward = energy_gradient(GridMap(phases + step * mode), params)
+                backward = energy_gradient(GridMap(phases - step * mode), params)
+                deviation = np.max(np.abs((forward - backward) / (2.0 * step) - symbol[m] * mode))
+                if m > d:
+                    assert deviation <= 1e-6 * abs(symbol[m]), (scale, m)
+                else:
+                    assert deviation <= 1e-7, (scale, m)
 
     @pytest.mark.parametrize("p", [1.01, 1.05, P_PRIME, 1.5, 2.0])
     def test_symbol_is_positive_on_every_accepted_grid(self, p):
