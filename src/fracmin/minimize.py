@@ -1,14 +1,16 @@
 """Energy descent over a prescribed winding class.
 
 The lift parametrization makes the circle constraint automatic, so the
-minimization runs as unconstrained descent in phase coordinates.  In
-degree d != 0 its steps are Newton steps with the Hessian frozen at the
-class's own start map z^d: on power_map(n, d) the Hessian of the
-corrected energy is circulant, so its exact eigenvalues come from one
-rfft of a closed-form row, and P^-1 g costs one real FFT pair.  That
-symbol is energy._hessian_symbol, which reads the diagonal correction
-from the same coefficients as the energy and its gradient.  The
-winding number is locally constant under small phase moves; instead of a
+minimization runs as unconstrained descent in phase coordinates.  Its
+steps are Newton steps with the Hessian frozen at the class's own start
+map z^d: on power_map(n, d) the Hessian of the corrected energy is
+circulant, so its exact eigenvalues come from one rfft of a closed-form
+row, and P^-1 g costs one real FFT pair.  That symbol is
+energy._hessian_symbol, which reads the diagonal correction from the
+same coefficients as the energy and its gradient.  MinimizeConfig
+rejects what it cannot precondition: degree 0, whose minimum is the
+constant map with E = 0, and grids too coarse for z^d.  The winding
+number is locally constant under small phase moves; instead of a
 constraint, every candidate step must keep the iterate admissible with
 the target degree, and is halved until it does (or the run aborts).
 Descent therefore certifies the degree of whatever it returns.
@@ -24,12 +26,11 @@ is made to resolve the concentration limit itself.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyParams, _error_estimate, _hessian_symbol, degree_lower_bound, energy_and_gradient
+from .energy import EnergyParams, _error_estimate, _hessian_symbol, energy_and_gradient
 from .errors import DomainError, _exponent
 from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
 
@@ -58,14 +59,14 @@ class MinimizeConfig:
         object.__setattr__(self, "p", _exponent(self.p, "minimization"))
         if self.n < MIN_NODES:
             raise DomainError(f"n must be >= {MIN_NODES}, got {self.n}")
-        if self.n <= 2 * abs(self.degree_target):
-            raise DomainError(
-                f"degree {self.degree_target} needs n > {2 * abs(self.degree_target)}, got n={self.n}"
-            )
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
         if self.restarts < 0:
             raise DomainError("restarts must be >= 0")
+        if self.degree_target == 0:
+            raise DomainError("degree 0 is not minimized: its minimum is the constant map, with E = 0")
+        if _sobolev_symbol(self.n, self.p, self.degree_target).min() <= 0.0:
+            raise DomainError(f"n={self.n} is too coarse for z^{self.degree_target}: its Hessian symbol has a mode <= 0")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class MinimizeResult:
     """One descent run's outcome.
 
     termination says why the run stopped: "grad_tol" (converged: the
-    decrement fell to a tenth of the error estimate, or the energy to the
-    degree-0 floor), "max_iters", or
+    decrement fell to a tenth of the error estimate), "max_iters", or
     "line_search" (no step of the backtracking kept the degree and
     decreased the energy enough).  evaluations counts the kernel passes
     the run made: the start plus every trial step that kept the target
@@ -111,28 +111,18 @@ def _candidate_degree(candidate: GridMap) -> int | None:
 
 @functools.lru_cache(maxsize=64)
 def _sobolev_symbol(n: int, p: float, d: int) -> np.ndarray:
-    """The preconditioner P on the rfft modes m = 0..n//2, for descent in degree d.
+    """The preconditioner P on the rfft modes m = 0..n//2, for descent in degree d != 0.
 
     P is energy._hessian_symbol(n, p, d) with the modes m <= |d| lifted to
     lambda_{|d|+1}: rotation, the Moebius modes and, for |d| >= 2, the
     discrete saddle modes, on which z^d's Hessian is zero or negative.
-    Two cases fall back to the model symbol h (1 + m)^(3-p), which has
-    the Hessian's growth rate but not its constant:
-    - degree 0.  The constant map has no Hessian for p < 2 (F''(0)
-      diverges), and the d = 1 symbol there ended in max_iters at p = 2
-      (n = 64, 256) and at p = 1.05, n = 256;
-    - grids too coarse for z^d, where the lifted symbol still has a mode
-      <= 0 (z^d is a saddle of the grid energy there).  Over n < 400 and
-      p >= 1.01 this happens only at n <= 8.5 |d|, where z^d's gaps
-      exceed 0.74.
-    Cached per (n, p, d) and shared by every run, so the array is read-only.
+    On a grid too coarse for z^d a mode above |d| stays <= 0, and at
+    n = 2|d| + 1 no mode lies above |d|, so the lift is 0 there;
+    MinimizeConfig rejects both.  Cached per (n, p, d) and shared by
+    every run, so the array is read-only.
     """
-    symbol = None
-    if 0 < abs(d) < n // 2:
-        symbol = _hessian_symbol(n, p, d)
-        symbol[: abs(d) + 1] = symbol[abs(d) + 1]
-    if symbol is None or symbol.min() <= 0.0:
-        symbol = 2.0 * math.pi / n * (1.0 + np.arange(n // 2 + 1)) ** (3.0 - p)
+    symbol = _hessian_symbol(n, p, d)
+    symbol[: abs(d) + 1] = symbol[abs(d) + 1] if abs(d) < n // 2 else 0.0
     symbol.setflags(write=False)
     return symbol
 
@@ -149,10 +139,9 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     Neuberger (Yu, Schumacher and Crane precondition repulsive curves the
     same way).  P is the symbol of the energy's Hessian at z^d, which
     energy._hessian_symbol computes and _sobolev_symbol lifts on its
-    lowest modes, so near z^d the unit step is a Newton step; degree
-    0 uses the model symbol h (1 + |m|)^(3-p).  The Hessian grows like
-    |m|^(3-p), so plain gradient steps would be limited by the highest
-    grid mode.
+    lowest modes, so near z^d the unit step is a Newton step.  The
+    Hessian grows like |m|^(3-p), so plain gradient steps would be
+    limited by the highest grid mode.
 
     Each step backtracks from 1: it must preserve the target degree and
     decrease the energy by the Armijo margin 1e-4 t lambda^2, where
@@ -161,10 +150,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     The returned energy trace is therefore non-increasing.  The run
     converges once lambda^2 <= 0.1 eps E, with eps the energy's estimated
     relative discretization error at the current map: a step could then
-    gain no more than the grid resolves.  Near a constant map that test
-    cannot be met, so a run also converges once E is below a tenth of the
-    grid's error on the energy of one winding, far below any map of
-    degree >= 1.  No tolerance is fixed in advance.
+    gain no more than the grid resolves.  No tolerance is fixed in advance.
 
     From perturb(power_map(n, d), 0.1, seed), seeds 1-3, every run
     converged in 1-5 iterations and 2-6 kernel passes, with no halving,
@@ -184,12 +170,8 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     direction = _sobolev_gradient(grad, symbol)
     decrement = float(grad @ direction)
     error_estimate = _error_estimate(point, config.p)
-    # near a constant map, where the degree-0 minimum E = 0 lies, lambda^2 / E
-    # grows as E -> 0 (p < 2); E >= 0 bounds the decrease still to be made,
-    # so E at a tenth of the grid's error on one winding's energy also stops
-    floor = _STOP_FRACTION * _error_estimate(power_map(start.n, 1), config.p) * degree_lower_bound(config.p, 1)
     iterations = 0
-    while not (stopped := decrement <= _STOP_FRACTION * error_estimate * current or current <= floor):
+    while not (stopped := decrement <= _STOP_FRACTION * error_estimate * current):
         if iterations >= config.max_iters:
             break
         step = 1.0
@@ -227,7 +209,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
         energy_trace=np.array(trace),
         termination=termination,
         evaluations=evaluations,
-        decrement_rel=decrement / current if current > 0.0 else 0.0,
+        decrement_rel=decrement / current,
         error_estimate_rel=error_estimate,
         total_evaluations=evaluations,
     )
@@ -263,8 +245,6 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         starts.append(perturb(base, _RESTART_AMPLITUDE, config.seed + r))
     # a perturbed start that broke admissibility is skipped
     runs = [descend_from(start, config) for start in starts if _candidate_degree(start) == config.degree_target]
-    if not runs:
-        raise DomainError("no admissible starting map with the target degree")
     # min keeps the earliest of equal energies
     best = min([run for run in runs if run.converged] or runs, key=lambda run: run.final_energy)
     return replace(best, total_evaluations=sum(run.evaluations for run in runs))

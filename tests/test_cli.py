@@ -266,7 +266,7 @@ class TestReports:
         assert lines[0] == "iter,energy"
         assert len(lines) == report["results"]["iterations"] + 2
 
-    @pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("degree", [-2, -1, 1, 2, 3])
     def test_scan(self, capsys, schema, degree):
         # every row is the minimize report at its exponent, checks included:
         # the competitor is the class's own start map z^d, so a converged
@@ -595,6 +595,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("domain error: count must be >= 1")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["minimize", "--p", "1.5", "--degree", "0"], "degree 0 is not minimized"),
+            (["scan", "--p-values", "1.5,2", "--degree", "0"], "degree 0 is not minimized"),
+            (["minimize", "--p", "2", "--degree", "4", "--n", "10"], "too coarse for z^4"),
+        ],
+        ids=["minimize-degree-0", "scan-degree-0", "coarse-grid"],
+    )
+    def test_unpreconditioned_class_rejected(self, capsys, argv, reason):
+        # descent runs only where z^d's Hessian symbol preconditions it
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: ") and reason in captured.err
 
     def test_scan_p_values(self, capsys):
         # an entry that is not a number is a usage error, like --p abc; an

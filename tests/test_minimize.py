@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     DomainError,
@@ -47,6 +49,10 @@ class TestConfig:
             dict(p=1.5, degree_target=1, n=64, max_iters=0),
             dict(p=1.5, degree_target=1, n=64, restarts=-1),
             dict(p=1.5, degree_target=1, n=7),
+            # the constant map is the degree-0 minimum; no descent runs there
+            dict(p=1.5, degree_target=0, n=64),
+            # z^4's Hessian symbol keeps a negative mode above 4 at n = 10
+            dict(p=2.0, degree_target=4, n=10),
         ],
     )
     def test_validation(self, kwargs):
@@ -150,10 +156,10 @@ class TestFusedDescent:
 
     # from a perturbed z^d every unit step is accepted, so these starts are
     # chosen to reject trials: away from z the symbol of z's Hessian
-    # overshoots at p = 1.5, and degree 0 descends on the model symbol
+    # overshoots
     @pytest.mark.parametrize(
         "p, d, start",
-        [(1.5, 1, perturb(moebius_map(64, (0.5, 0.2)), 0.1, 2)), (2.0, 0, perturb(power_map(64, 0), 0.1, 2))],
+        [(1.5, 1, perturb(moebius_map(64, (0.5, 0.2)), 0.1, 2)), (2.0, 1, perturb(moebius_map(64, (0.9, 0)), 0.3, 3))],
         ids=["1.5", "2.0"],
     )
     def test_one_kernel_pass_per_trial(self, monkeypatch, p, d, start):
@@ -198,22 +204,6 @@ class TestFusedDescent:
 
 
 class TestMinimize:
-    def test_degree_zero_constant_ground_state(self):
-        result = minimize(MinimizeConfig(p=1.5, degree_target=0, n=64, restarts=1))
-        assert result.converged
-        assert result.final_energy <= 1e-8
-        assert result.final_degree == 0
-
-    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0])
-    def test_degree_zero_descent_converges(self, p):
-        # near a constant map lambda^2 / E grows as E -> 0, so the relative
-        # stop alone ended the p = 1.5 run in line_search after 44 iterations
-        start = perturb(power_map(64, 0), 0.1, 1)
-        result = descend_from(start, MinimizeConfig(p=p, degree_target=0, n=64))
-        assert result.termination == "grad_tol" and result.iterations <= 40
-        assert result.final_energy <= 1e-5 * degree_lower_bound(p, 1)
-        assert result.final_degree == 0
-
     def test_p2_ground_truth(self):
         result = minimize(MinimizeConfig(p=2.0, degree_target=1, n=256))
         assert result.converged
@@ -281,6 +271,24 @@ class TestScan:
         assert identity_energy_closed_form(2.0) == pytest.approx(FOUR_PI_SQ, rel=1e-9)
 
 
+def accepted_iff_resolved(n, p, d):
+    """Whether MinimizeConfig accepts the (n, p, d) grid, after asserting
+    that it does exactly when z^d's Hessian symbol is positive on some mode
+    above |d| and on every one: the lift raises the modes m <= |d| to
+    lambda_{|d|+1}, so the lifted symbol is then positive."""
+    above = minimize_module._hessian_symbol(n, p, d)[abs(d) + 1 :]
+    if above.size == 0 or above.min() <= 0.0:
+        with pytest.raises(DomainError, match="too coarse"):
+            MinimizeConfig(p=p, degree_target=d, n=n)
+        return False
+    MinimizeConfig(p=p, degree_target=d, n=n)
+    symbol = minimize_module._sobolev_symbol(n, p, d)
+    assert symbol.shape == (n // 2 + 1,)
+    assert np.all(np.isfinite(symbol)) and np.all(symbol > 0.0), (n, d)
+    assert not symbol.flags.writeable
+    return True
+
+
 class TestPreconditionedDescent:
     """Steps along P^-1 g, with P the Hessian symbol at z^d, converge in a
     few unit steps at every n and stop at the energy's own error estimate."""
@@ -333,13 +341,20 @@ class TestPreconditionedDescent:
 
     @pytest.mark.parametrize("p", [1.01, 1.05, P_PRIME, 1.5, 2.0])
     def test_symbol_is_positive_on_every_accepted_grid(self, p):
-        grids = [(n, d) for n in range(8, 34) for d in range(-(n // 2), n // 2 + 1) if n > 2 * abs(d)]
-        for n, d in grids + [(128, 2)]:
-            MinimizeConfig(p=p, degree_target=d, n=n)  # the grid is accepted
-            symbol = minimize_module._sobolev_symbol(n, p, d)
-            assert symbol.shape == (n // 2 + 1,)
-            assert np.all(np.isfinite(symbol)) and np.all(symbol > 0.0), (n, d)
-            assert not symbol.flags.writeable
+        # a grid is accepted exactly where the lifted symbol is positive, and
+        # at every p some grid is not
+        grids = [(n, d) for n in range(8, 34) for d in range(-(n // 2), n // 2 + 1) if d != 0 and n > 2 * abs(d)]
+        rejected = [(n, d) for n, d in grids + [(128, 2)] if not accepted_iff_resolved(n, p, d)]
+        assert (8, 3) in rejected and (10, 4) in rejected
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(8, 400), p=st.floats(1.01, 2.0), share=st.floats(0.0, 1.0), sign=st.sampled_from([-1, 1]))
+    def test_rejected_grids_are_coarse(self, n, p, share, sign):
+        # over n <= 400 and p >= 1.01 the largest rejected n/|d| measured is
+        # 4.95 (p = 1.01); it falls to 4.26 at p = 2
+        d = sign * (1 + round(share * ((n - 1) // 2 - 1)))
+        if not accepted_iff_resolved(n, p, d):
+            assert n / abs(d) < 5.0
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
     def test_symbol_lifts_the_modes_up_to_the_degree(self, p):
@@ -350,14 +365,3 @@ class TestPreconditionedDescent:
             symbol = minimize_module._sobolev_symbol(n, p, d)
             assert np.array_equal(symbol[abs(d) + 1 :], hessian[abs(d) + 1 :])
             assert np.all(symbol[: abs(d) + 1] == hessian[abs(d) + 1])
-
-    def test_model_symbol_in_degree_zero(self):
-        symbol = minimize_module._sobolev_symbol(8, 1.5, 0)
-        h = 2.0 * math.pi / 8
-        assert symbol == pytest.approx([h * (1.0 + m) ** 1.5 for m in range(5)], rel=1e-15)
-        grad = perturb(power_map(8, 1), 0.3, 4).phases - power_map(8, 1).phases
-        direction = minimize_module._sobolev_gradient(grad, symbol)
-        # P^-1 is symmetric positive definite: the decrement is positive
-        assert float(grad @ direction) > 0.0
-        modes = np.fft.rfft(direction) * symbol
-        assert np.allclose(modes, np.fft.rfft(grad), rtol=0.0, atol=1e-14)
