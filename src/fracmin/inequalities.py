@@ -15,7 +15,7 @@ import numpy as np
 from .energy import EnergyParams, degree_lower_bound, energy
 from .errors import DomainError, _exponent
 from .maps import GridMap, degree
-from .quadrature import integrate_singular
+from .quadrature import _integrate_rows, _interval
 
 __all__ = [
     "InequalityCheck",
@@ -49,13 +49,13 @@ def segment_weight_integral(a, b, p: float) -> float:
     pairs; for d = 0 each piece integrates s^(p-2) in closed form,
     which quadrature cannot replace for p -> 1, as s^(p-2) then holds
     measurable mass below the smallest tanh-sinh node.  For d > 0 each
-    piece is integrated in s = d sinh u (`_foot_piece`), smooth however
+    piece is integrated in s = d sinh u (`_foot_row`), smooth however
     close the line or an endpoint passes to the origin.  Endpoints that
     are not finite, or whose norm exceeds half the float range, raise
     DomainError.
     """
     a, b = _segment(a, b)
-    length, along = _along_segment(a, b, p)
+    [(length, along)] = _arc_integrals([_arc_pieces(a, b, p)])
     if length == 0.0:
         if not a.any():
             raise DomainError("degenerate input: a = b = 0")
@@ -76,30 +76,32 @@ def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _along_segment(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float]:
-    """(|b - a|, the integral of |x|^(p-2) over arc length along the segment).
+def _arc_pieces(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, list]:
+    """The integral of |x|^(p-2) over arc length along the segment, in
+    pieces: |b - a|, the sum of the pieces in closed form (d = 0), and
+    the `_foot_row` of each piece to integrate (d > 0).
 
-    The second is segment_weight_integral times |b - a|, formed without
-    the division, which overflows for segments near the origin as p -> 1.
+    The integral is segment_weight_integral times |b - a|, formed
+    without the division, which overflows for segments near the origin
+    as p -> 1.  `_arc_integrals` adds up the pieces.
     """
     # lengths come from math.hypot: squares underflow below about 1e-154
     delta = b - a
     length = math.hypot(*delta)
     if length == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, []
     unit = delta / length
     s_a, s_b = float(a @ unit), float(b @ unit)
     d = _line_distance(a.tolist(), b.tolist(), length)
     pieces = [(0.0, -s_a), (0.0, s_b)] if s_a < 0.0 < s_b else [(min(abs(s_a), abs(s_b)), length)]
+    if d > 0.0:
+        return length, 0.0, [_foot_row(d, lo, span, p) for lo, span in pieces]
     total = 0.0
     for lo, span in pieces:
-        if d > 0.0:
-            total += _foot_piece(d, lo, span, p)
-        else:
-            # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
-            drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
-            total += (lo + span) ** (p - 1.0) * drop / (p - 1.0)
-    return length, total
+        # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
+        drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
+        total += (lo + span) ** (p - 1.0) * drop / (p - 1.0)
+    return length, total, []
 
 
 def _line_distance(a: list, b: list, length: float) -> float:
@@ -136,24 +138,84 @@ def _rise_log(d: float, lo: float, span: float) -> float:
     return math.log1p(growth) if math.isfinite(growth) else math.log(hi + far) - math.log(lo + near)
 
 
-def _foot_piece(d: float, lo: float, span: float, p: float) -> float:
-    """The integral of (d^2 + s^2)^((p-2)/2) over s in (lo, lo + span), d > 0, lo >= 0.
+def _foot_row(d: float, lo: float, span: float, p: float) -> tuple[float, float, float, float]:
+    """The integral of (d^2 + s^2)^((p-2)/2) over s in (lo, lo + span), d > 0,
+    lo >= 0, as the row (p, U, width, scale) of a `_foot_integrals` batch.
 
     With s = d sinh u it is the integral of (d cosh u)^(p-1) over
-    (asinh(lo / d), U), U = asinh(hi / d), taken here in v = U - u:
-    d cosh u = (r / 2) e^(-v) (1 + e^(2 (v - U))) with r = d e^U =
-    hi + hypot(hi, d).  No factor overflows, though U can pass the 710
-    at which cosh does, and d, which may be subnormal, multiplies
-    nothing.  U and the width of the range come from `_rise_log`.
+    (asinh(lo / d), U), U = asinh(hi / d), taken here in v = U - u over
+    (0, width): d cosh u = (r / 2) e^(-v) (1 + e^(2 (v - U))) with
+    r = d e^U = hi + hypot(hi, d), and scale = (r / 2)^(p-1).  No factor
+    overflows, though U can pass the 710 at which cosh does, and d,
+    which may be subnormal, multiplies nothing.  U and the width come
+    from `_rise_log`; a width that underflows to 0 raises DomainError.
     """
     hi = lo + span
     upper = _rise_log(d, 0.0, hi)
-
-    def integrand(v):
-        return np.exp((1.0 - p) * v) * (1.0 + np.exp(2.0 * (v - upper))) ** (p - 1.0)
-
     scale = (0.5 * (hi + math.hypot(hi, d))) ** (p - 1.0)
-    return scale * integrate_singular(integrand, 0.0, _rise_log(d, lo, span))
+    _, width = _interval(0.0, _rise_log(d, lo, span))
+    return p, upper, width, scale
+
+
+def _foot_integrals(rows) -> list[float]:
+    """scale times the integral of the `_foot_row` rows, in one quadrature batch."""
+    if not rows:
+        return []
+    p, upper, width, scale = (np.array(column) for column in zip(*rows))
+    p, upper = p[:, None], upper[:, None]
+
+    def integrand(v, rows):
+        p_row, top = p[rows], upper[rows]
+        return np.exp((1.0 - p_row) * v) * (1.0 + np.exp(2.0 * (v - top))) ** (p_row - 1.0)
+
+    integrals = _integrate_rows(integrand, np.zeros(width.size), width)
+    return [factor * value for factor, value in zip(scale.tolist(), integrals)]
+
+
+def _arc_integrals(prepared) -> list[tuple[float, float]]:
+    """(|b - a|, the arc-length integral) of each `_arc_pieces` result,
+    with every piece of d > 0 in one quadrature batch."""
+    feet = iter(_foot_integrals([row for _, _, rows in prepared for row in rows]))
+    sums = []
+    for length, total, rows in prepared:
+        for _ in rows:
+            total += next(feet)
+        sums.append((length, total))
+    return sums
+
+
+def _jp_checks(draws) -> list[InequalityCheck]:
+    """jp_monotonicity_check of each (a, b, p) in draws, with the d > 0
+    pieces of every segment in one quadrature batch.
+
+    The draws are validated and prepared in order before any integral
+    is taken, so a bad draw raises what jp_monotonicity_check raises on
+    it, unless an earlier draw's sides overflow: that is found only
+    after the integrals.
+    """
+    prepared, sides = [], []
+    for a, b, p in draws:
+        p = _exponent(p, "the jp check", closed=False)
+        a, b = _segment(a, b)
+        norm_a = math.hypot(*a)
+        norm_b = math.hypot(*b)
+        if norm_a == 0.0 and norm_b == 0.0:
+            raise DomainError("degenerate input: a = b = 0")
+        # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
+        ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
+        jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
+        sides.append((p, float((jb - ja) @ (b - a))))
+        prepared.append(_arc_pieces(a, b, p))
+    checks = []
+    for (p, lhs), (length, along) in zip(sides, _arc_integrals(prepared)):
+        # |b - a| times the arc-length integral: |b - a|^2 times the mean
+        # weight would square an underflowing length and divide by it
+        rhs = (p - 1.0) * length * along
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            # |b - a|^p beyond the float range, which _segment's gate allows
+            raise DomainError(f"jp check sides overflow: lhs={lhs!r}, rhs={rhs!r}")
+        checks.append(_check(lhs, rhs))
+    return checks
 
 
 def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
@@ -164,24 +226,7 @@ def jp_monotonicity_check(a, b, p: float) -> InequalityCheck:
 
     lhs and rhs coincide on antipodal equal-norm pairs.
     """
-    p = _exponent(p, "the jp check", closed=False)
-    a, b = _segment(a, b)
-    norm_a = math.hypot(*a)
-    norm_b = math.hypot(*b)
-    if norm_a == 0.0 and norm_b == 0.0:
-        raise DomainError("degenerate input: a = b = 0")
-    # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
-    ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
-    jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
-    lhs = float((jb - ja) @ (b - a))
-    # |b - a| times the arc-length integral: |b - a|^2 times the mean
-    # weight would square an underflowing length and divide by it
-    length, along = _along_segment(a, b, p)
-    rhs = (p - 1.0) * length * along
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        # |b - a|^p beyond the float range, which _segment's gate allows
-        raise DomainError(f"jp check sides overflow: lhs={lhs!r}, rhs={rhs!r}")
-    return _check(lhs, rhs)
+    return _jp_checks([(a, b, p)])[0]
 
 
 def young_variant_check(A: float, B: float, p: float) -> InequalityCheck:

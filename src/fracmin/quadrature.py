@@ -6,11 +6,18 @@ absorbs any integrable algebraic singularity x^alpha, alpha > -1, without
 scheme-specific weights.  Every integral refines to at most level 12
 (step 2^-12 in t) and stops once two successive levels agree to 1e-10.
 
-The t-only node factors of levels 0-3, which the stopping rule always
-needs, form one joined table, and each deeper level has its own; each
-is built once per process, on first use.  A call scales the joined
-table to its interval and evaluates it and the centre in one integrand
-call; each level then sums its own slice of the pair terms.
+The engine integrates a batch of intervals, one row each; a single
+integral is a batch of one.  The t-only node factors of levels 0-3,
+which the stopping rule always needs, form one joined table, and each
+deeper level has its own; each is built once per process, on first use.
+The joined table is scaled to every row, and one integrand call
+evaluates it and the centres; each deeper level is one integrand call
+on the rows still active.  Every row sums its own slice of each level,
+applies the stopping rule on its own and leaves the batch once it is
+met, so it gets the same nodes and the same bits as alone.  A row
+shorter than 2^-100, on which a node's distance from its endpoint may
+underflow and be dropped, is integrated alone: the nodes it keeps may
+differ from the other rows'.
 
 Precision note: nodes are generated as exact distances from the nearer
 endpoint, so an integrand singular at an endpoint is sampled at full
@@ -45,12 +52,18 @@ _T_MAX = 6.0
 # before it; coarser estimates are too far from converged to test.
 _MIN_LEVEL = 3
 
+# Rows at least this long share a batch: every node has t < _T_MAX, so
+# its q exceeds 6e-276 and its distance from the endpoint, at least
+# 2^-100 q, is a normal number.  Shorter rows may drop nodes whose
+# distance underflows, and are integrated alone.
+_SHORTEST_SHARED = 2.0**-100
 
-def _eval_batch(f, x):
-    values = np.asarray(f(x), dtype=np.float64)
+
+def _eval_batch(f, x, rows):
+    values = np.asarray(f(x, rows), dtype=np.float64)
     if values.shape != x.shape:
         raise DomainError("integrand must return one value per node")
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) < values.size:
         raise DomainError("integrand evaluated to a non-finite value at an interior node")
     return values
 
@@ -58,8 +71,8 @@ def _eval_batch(f, x):
 @functools.cache
 def _node_table(first, last):
     """The t-only factors of the nodes levels first..last add, joined in
-    level order: q, 1 + q, cosh t, (1 + q)^2, and the index at which
-    each level starts.
+    level order: q, 1 + q, cosh t, (1 + q)^2, each as one row, and the
+    number of nodes of each level.
 
     Level 0 holds t = 1..5 (the centre t = 0 is separate); level k >= 1
     holds the odd multiples of 2^-k below _T_MAX.  q = exp(-pi sinh t)
@@ -70,74 +83,140 @@ def _node_table(first, last):
     for level in range(first, last + 1):
         h = 0.5**level
         levels.append(np.arange(1.0, _T_MAX) if level == 0 else np.arange(1.0, math.ceil(_T_MAX / h), 2.0) * h)
-    t = np.concatenate(levels)
+    t = np.concatenate(levels)[None, :]  # one row, for the rows of a batch
     u = 0.5 * math.pi * np.sinh(t)
     q = np.exp(-2.0 * u)
-    table = (q, 1.0 + q, np.cosh(t), (1.0 + q) ** 2, np.cumsum([0] + [x.size for x in levels[:-1]]))
-    for column in table:
+    columns = (q, 1.0 + q, np.cosh(t), (1.0 + q) ** 2)
+    for column in columns:
         column.setflags(write=False)
-    return table
+    return columns + (tuple(x.size for x in levels),)
 
 
-def _scaled(table, a, b):
-    """A table's nodes scaled to (a, b), lower ones then upper ones, the
-    weight of each pair, and the mask of the pairs kept: those whose
-    distance from the endpoint does not underflow to 0."""
-    q, one_plus_q, cosh_t, one_plus_q_sq, _ = table
-    length = b - a
+def _scaled(table, a, b, length, head=()):
+    """A table's nodes scaled to the rows (a, b) of lengths `length`,
+    columns or floats, after the columns `head`: the lower nodes, then
+    the upper ones.  Also the weight of each pair and the number of
+    pairs kept per level: those whose distance from the endpoint does
+    not underflow to 0 in any row (rows that would drop one go alone,
+    see `_SHORTEST_SHARED`)."""
+    q, one_plus_q, cosh_t, one_plus_q_sq, sizes = table
     dist = length * q / one_plus_q  # distance from the nearer endpoint
     # dx/dt = (length/2) (pi/2) cosh(t) sech^2(u), sech^2(u) = 4q/(1+q)^2
     weight = 0.5 * length * (0.5 * math.pi) * cosh_t * 4.0 * q / one_plus_q_sq
-    keep = dist > 0.0
-    dist, weight = dist[keep], weight[keep]
-    return np.concatenate((a + dist, b - dist)), weight, keep
+    counts = sizes
+    if np.count_nonzero(dist) < dist.size:
+        keep = (dist > 0.0).all(axis=0)
+        dist, weight = dist[:, keep], weight[:, keep]
+        counts = np.add.reduceat(keep, np.cumsum((0,) + sizes[:-1])).tolist()
+    return np.concatenate((*head, a + dist, b - dist), axis=1), weight, counts
 
 
 def _pair_terms(values, weight):
     """weight (f(lower) + f(upper)) for values laid out lower then upper."""
-    return weight * (values[: weight.size] + values[weight.size :])
+    return weight * (values[:, -2 * weight.shape[1] : -weight.shape[1]] + values[:, -weight.shape[1] :])
 
 
-def _tanh_sinh_estimates(f, a, b, max_level):
-    """Successive trapezoid-in-t estimates, one per refinement level.
+def _row_estimates(f, a, b, rows, max_level, abs_tol):
+    """Successive trapezoid-in-t estimates of the integrals of f over the
+    intervals (a[i, 0], b[i, 0]) of the rows `rows`, one level at a time:
+    the rows in the level, their estimates, and which of them stop there.
+    For a batch of one, a and b may be floats, which numpy broadcasts as
+    one row without the cost of a column.
 
     The step h = 2^-level halves each level, reusing every node already
     evaluated: each level only adds the odd multiples of the new h.
-    _tanh_sinh never stops before level _MIN_LEVEL, so the centre and
-    the levels up to it are scaled from one joined table and evaluated
-    in one integrand call.  Each level sums its own slice of the pair
-    terms, in the order a level-by-level loop sums them.
+    The stopping rule never stops a row before level _MIN_LEVEL, so the
+    centres and the levels up to it are scaled from one joined table and
+    evaluated in one integrand call.  Each row sums its own slice of
+    each level's pair terms, in the order a level-by-level loop over
+    that row alone sums them, and stops once two successive estimates
+    from level _MIN_LEVEL on agree to abs_tol; the rest go on.
     """
-    length = b - a
     first = min(max_level, _MIN_LEVEL)
-    table = _node_table(0, first)
-    x, weight, keep = _scaled(table, a, b)
-    values = _eval_batch(f, np.concatenate(([a + 0.5 * length], x)))
-    terms = _pair_terms(values[1:], weight)
-    counts = np.add.reduceat(keep, table[-1]).tolist()  # pairs kept per level
-    total = values[0] * (0.25 * math.pi * length)
+    length = b - a
+    # ndmin makes the centres a column also where a and b are floats
+    x, weight, counts = _scaled(_node_table(0, first), a, b, length, (np.array(a + 0.5 * length, ndmin=2),))
+    values = _eval_batch(f, x, rows)
+    terms = _pair_terms(values, weight)  # no row stops before level `first`
+    total = (values[:, :1] * (0.25 * math.pi * length)).ravel().tolist()
     start = 0
     for level in range(max_level + 1):
         if level <= first:
-            level_terms = terms[start : start + counts[level]]
+            level_terms = terms[:, start : start + counts[level]]
             start += counts[level]
         else:
-            x, weight, _ = _scaled(_node_table(level, level), a, b)
-            level_terms = _pair_terms(_eval_batch(f, x), weight)
-        level_sum = float(np.add.reduce(level_terms))
-        total = total + level_sum if level == 0 else 0.5 * total + level_sum * 0.5**level
-        yield total
+            x, weight, _ = _scaled(_node_table(level, level), a, b, length)
+            level_terms = _pair_terms(_eval_batch(f, x, rows), weight)
+        sums = np.add.reduce(level_terms, axis=1).tolist()
+        previous = total
+        if level == 0:
+            total = [t + s for t, s in zip(previous, sums)]
+        else:
+            step = 0.5**level
+            total = [0.5 * t + s * step for t, s in zip(previous, sums)]
+        done = [abs(t - p) <= abs_tol for t, p in zip(total, previous)] if level >= _MIN_LEVEL else ()
+        yield rows, total, done
+        if any(done):
+            if all(done):
+                return
+            kept = np.logical_not(done)
+            rows, a, b, length = rows[kept], a[kept], b[kept], length[kept]
+            total = [t for t, stop in zip(total, done) if not stop]
+
+
+def _tanh_sinh_rows(f, a, b, rows, max_level, abs_tol):
+    """The integrals of f over the intervals (a[i, 0], b[i, 0]) of the
+    rows `rows`, all long enough to share their nodes, as a dict by row.
+
+    f(x, rows) returns f at the nodes x of the rows `rows`, one row of x
+    per row index, and must be re-entrant; endpoint values are never
+    requested.  Raises ConvergenceError when a row has not met the
+    stopping rule at max_level, and propagates any exception raised by f.
+    """
+    results = {}
+    for active, total, done in _row_estimates(f, a, b, rows, max_level, abs_tol):
+        if any(done):
+            for row, value, stop in zip(active.tolist(), total, done):
+                if stop:
+                    results[row] = value
+    if len(results) < rows.size:
+        raise ConvergenceError(
+            f"tanh-sinh quadrature did not reach abs_tol={abs_tol:g} within level {max_level}"
+        )
+    return results
+
+
+def _one_row(f):
+    """f(x) on 1-D node arrays as the integrand of a batch of one."""
+    return lambda x, rows: np.asarray(f(x[0]))[None]
 
 
 def _tanh_sinh(f, a, b, max_level, abs_tol):
-    previous = math.inf
-    for level, total in enumerate(_tanh_sinh_estimates(f, a, b, max_level)):
-        if level >= _MIN_LEVEL and abs(total - previous) <= abs_tol:
-            return total
-        previous = total
-    raise ConvergenceError(
-        f"tanh-sinh quadrature did not reach abs_tol={abs_tol:g} within level {max_level}"
-    )
+    """The integral of f(x), x a 1-D array of nodes, over (a, b): a batch of one."""
+    return _tanh_sinh_rows(_one_row(f), a, b, np.zeros(1, dtype=np.intp), max_level, abs_tol)[0]
+
+
+def _integrate_rows(f, a, b) -> list[float]:
+    """integrate_singular over the intervals (a[i], b[i]) of two float
+    arrays, with the integrand f(x, rows) of `_tanh_sinh_rows`, which
+    gets every row of one batch at once.  Each result is bit for bit
+    integrate_singular's.  Rows shorter than _SHORTEST_SHARED are
+    integrated alone.  The caller checks the intervals."""
+    results = {}
+    short = b - a < _SHORTEST_SHARED
+    for rows in [(~short).nonzero()[0], *short.nonzero()[0][:, None]]:
+        if rows.size:
+            results.update(_tanh_sinh_rows(f, a[rows, None], b[rows, None], rows, _MAX_LEVEL, _ABS_TOL))
+    return [results[row] for row in range(a.size)]
+
+
+def _interval(a, b) -> tuple[float, float]:
+    """(a, b) as floats, which must be finite with a < b."""
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+        raise DomainError(f"integration interval must satisfy a < b, got ({a!r}, {b!r})")
+    return a, b
 
 
 def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -148,10 +227,7 @@ def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     Raises ConvergenceError when the tolerance is not met at the deepest
     level, and propagates any exception raised by f.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise DomainError(f"integration interval must satisfy a < b, got ({a!r}, {b!r})")
+    a, b = _interval(a, b)
     return _tanh_sinh(f, a, b, _MAX_LEVEL, _ABS_TOL)
 
 

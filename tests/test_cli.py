@@ -327,6 +327,33 @@ class TestDeterminism:
         assert first == second
         assert "step-rule" not in json.loads(first)["parameters"]
 
+    @pytest.mark.parametrize(
+        "count, seed, jp_min, young_min",
+        [
+            (1000, 0, -2.842170943040401e-14, 4.3597434776195065),
+            (1000, 1, -5.684341886080802e-14, 4.88861695401812),
+            (65, 3, -1.4210854715202004e-14, 7.1607407914914685),
+        ],
+    )
+    def test_inequality_suite_margins_pinned(self, capsys, count, seed, jp_min, young_min):
+        # the margins that the checks give one at a time; blocks must not move them
+        code, report = run_json(capsys, ["inequality-suite", "--count", str(count), "--seed", str(seed)])
+        assert code == 0
+        assert report["results"]["jp_min_margin"] == jp_min
+        assert report["results"]["young_min_margin"] == young_min
+
+    def test_inequality_suite_does_not_depend_on_the_block(self, capsys, monkeypatch):
+        cli_module = importlib.import_module("fracmin.cli")
+        blocks = sorted({1, 7, cli_module._JP_BLOCK})
+        counts = sorted({count for block in blocks for count in (block - 1, block, block + 1) if count >= 1} | {1000})
+        for count in counts:
+            reports = set()
+            for block in blocks:
+                monkeypatch.setattr(cli_module, "_JP_BLOCK", block)
+                assert run(["inequality-suite", "--count", str(count), "--seed", "11"]) == 0
+                reports.add(capsys.readouterr().out)
+            assert len(reports) == 1, count
+
     def test_negative_seed(self, capsys):
         # every seed is reduced mod 2^63, as perturb reduces it
         code, negative = run_json(capsys, ["inequality-suite", "--count", "25", "--seed", "-1"])

@@ -19,6 +19,7 @@ from fracmin import (
     segment_weight_integral,
     young_variant_check,
 )
+from fracmin import inequalities
 
 PS = (1.1, 1.3, 1.5, 1.7, 1.9)
 
@@ -308,6 +309,37 @@ class TestJpMonotonicity:
         # both sides were inf and the margin nan
         with pytest.raises(DomainError, match="overflow"):
             jp_monotonicity_check(a, b, 1.5)
+
+
+class TestJpBatch:
+    DRAWS = [
+        (np.array([3.0, -1.0]), np.array([-2.0, 4.0]), 1.3),
+        (np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.7),
+        (np.array([0.5, 2.0, -1.0]), np.array([-3.0, 1.0, 2.0]), 1.05),
+        (np.array([7.0]), np.array([-9.0]), 1.99),
+    ]
+
+    def test_matches_one_check_at_a_time(self):
+        checks = inequalities._jp_checks(self.DRAWS)
+        assert checks == [jp_monotonicity_check(a, b, p) for a, b, p in self.DRAWS]
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (np.array([math.nan, 0.0]), np.array([1.0, 1.0]), 1.5),
+            (np.zeros(2), np.zeros(2), 1.5),
+            (np.array([1.0]), np.array([2.0]), 2.0),
+            ([0.6e308, 0.0], [0.0, 0.6e308], 1.5),
+        ],
+    )
+    def test_bad_draw_raises_its_own_error(self, position, bad):
+        with pytest.raises(DomainError) as alone:
+            jp_monotonicity_check(*bad)
+        draws = self.DRAWS[:position] + [bad] + self.DRAWS[position:]
+        with pytest.raises(DomainError) as batch:
+            inequalities._jp_checks(draws)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestYoungVariant:

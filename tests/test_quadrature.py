@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracmin import (
     ConvergenceError,
@@ -14,7 +16,15 @@ from fracmin import (
     integrate_singular,
 )
 from fracmin import inequalities
-from fracmin.quadrature import _node_table, _tanh_sinh, _tanh_sinh_estimates
+from fracmin.quadrature import _SHORTEST_SHARED, _integrate_rows, _node_table, _one_row, _row_estimates, _tanh_sinh
+
+
+def _tanh_sinh_estimates(f, a, b, max_level):
+    """The engine's estimates of one integral, one per level up to
+    max_level: a batch of one row under a tolerance that no estimate meets."""
+    one = np.zeros(1, int)
+    for _, total, _ in _row_estimates(_one_row(f), a, b, one, max_level, -math.inf):
+        yield total[0]
 
 
 def _midpoint_refined(f, a, b):
@@ -212,12 +222,19 @@ def _segment_piece(w_sq, w_dot, seg_sq, p):
     )
 
 
+def _row(f, row):
+    """Row `row` of a batch integrand f(x, rows), as a 1-D integrand."""
+    return lambda x: f(x[None], np.array([row]))[0]
+
+
 def _foot_piece_case(d, lo, span, p):
-    """The integrand and interval that inequalities._foot_piece integrates."""
+    """The integrand and interval that the inequality checks' quadrature
+    batch integrates for one piece, as a 1-D integrand on its own."""
     calls = []
-    with mock.patch.object(inequalities, "integrate_singular", lambda f, a, b: calls.append((f, a, b)) or 0.0):
-        inequalities._foot_piece(d, lo, span, p)
-    return calls[0]
+    with mock.patch.object(inequalities, "_integrate_rows", lambda f, a, b: calls.append((f, a, b)) or [0.0] * a.size):
+        inequalities._foot_integrals([inequalities._foot_row(d, lo, span, p)])
+    f, a, b = calls[0]
+    return _row(f, 0), float(a[0]), float(b[0])
 
 
 REFERENCE_CASES = [
@@ -307,3 +324,101 @@ class TestAgainstReferenceLoop:
         # at max level 1 the node is never requested: the run ends unconverged
         with pytest.raises(ConvergenceError):
             _tanh_sinh(f, 0.0, 1.0, 1, 1e-10)
+
+
+
+def _recording_rows(f):
+    """f(x, rows), plus the list of the rows of every call."""
+    calls = []
+
+    def wrapped(x, rows):
+        calls.append(rows.tolist())
+        return f(x, rows)
+
+    return wrapped, calls
+
+
+_VECTOR = st.integers(1, 3).flatmap(lambda m: st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m).map(np.array))
+
+
+@st.composite
+def _jp_draws(draw):
+    """A jp draw (a, b, p): a far segment, a short one or an antipodal
+    pair, scaled by a power of two from 2^-1000 to 2^1000."""
+    scale = 2.0 ** draw(st.integers(-1000, 1000))
+    a = draw(_VECTOR) * scale
+    if not a.any():  # also where the scale underflows it: a = b = 0 is rejected
+        a[0] = scale
+    kind = draw(st.sampled_from(["far", "short", "antipodal"]))
+    if kind == "far":
+        b = draw(st.lists(st.floats(-10.0, 10.0), min_size=a.size, max_size=a.size).map(np.array)) * scale
+    elif kind == "short":
+        step = draw(st.lists(st.floats(-10.0, 10.0), min_size=a.size, max_size=a.size).map(np.array))
+        b = a + step * scale * 10.0 ** -draw(st.integers(1, 300))
+    else:
+        b = -a
+    return a, b, draw(st.floats(1.01, 1.99))
+
+
+class TestBatchedRows:
+    def test_one_integrand_call_per_level(self):
+        # rows that stop at levels 3, 7 and 12: every level evaluates the
+        # rows still active in one call, and each row keeps its own bits
+        frequency = np.array([[0.0], [400.0], [12800.0]])
+        f, calls = _recording_rows(lambda x, rows: np.cos(frequency[rows] * x))
+        a, b = np.zeros(3), np.ones(3)
+        results = _integrate_rows(f, a, b)
+        assert calls == [[0, 1, 2]] + [[1, 2]] * 4 + [[2]] * 5
+        for row, value in enumerate(results):
+            assert value == _reference_integrate(_row(f, row), 0.0, 1.0)
+
+    def test_short_rows_run_alone(self):
+        # the last level-3 node of (0, 1e-90) underflows and is dropped,
+        # so that row runs as a batch of one, beside the batch of the others
+        f, calls = _recording_rows(lambda x, rows: np.cos(x) * x**-0.5)
+        a, b = np.zeros(3), np.array([1.0, 1e-90, 2.0])
+        assert b[1] < _SHORTEST_SHARED
+        results = _integrate_rows(f, a, b)
+        assert [rows for rows in calls if 1 in rows] == [[1]] * (len(calls) - calls.index([1]))
+        assert calls[0] == [0, 2]
+        for row, value in enumerate(results):
+            assert value == _reference_integrate(_row(f, row), 0.0, float(b[row]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    # a segment 1e-90 long 1 from the origin: its row runs alone
+    @example(
+        draws=[
+            (np.array([1.0, 0.0]), np.array([1.0, 1e-90]), 1.5),
+            (np.array([3.0, -1.0]), np.array([-2.0, 4.0]), 1.3),
+        ]
+    )
+    # antipodal pairs integrate in closed form, between rows of the batch
+    @example(
+        draws=[
+            (np.array([0.5, 2.0]), np.array([-3.0, 1.0]), 1.01),
+            (np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.7),
+            (np.array([7.0]), np.array([-9.0]), 1.99),
+            (np.array([1.0, 2.0, 3.0]), np.array([-1.0, 5.0, 0.5]), 1.2),
+        ]
+    )
+    @given(draws=st.lists(_jp_draws(), min_size=1, max_size=8))
+    def test_jp_rows_against_reference(self, draws):
+        # every row of the jp checks' quadrature batch, against the
+        # reference loop on that row's integrand and interval alone
+        batches = []
+
+        def recording(f, a, b):
+            results = _integrate_rows(f, a, b)
+            batches.append((f, a, b, results))
+            return results
+
+        with mock.patch.object(inequalities, "_integrate_rows", recording), np.errstate(over="ignore"):
+            try:
+                inequalities._jp_checks(draws)
+            except DomainError as error:
+                # huge draws, whose sides overflow after the integrals, and
+                # pieces too short for any width, as jp_monotonicity_check
+                assert "overflow" in str(error) or "interval" in str(error)
+        for f, a, b, results in batches:
+            for row, value in enumerate(results):
+                assert value == _reference_integrate(_row(f, row), float(a[row]), float(b[row]))
