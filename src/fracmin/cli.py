@@ -310,7 +310,9 @@ def _cmd_moebius(args):
         # the correction is sum_i D_i^2 (weight -2 zeta(0) = 1) less T2,
         # which is -sum_i (D_i - D_{i-1})^2 / 12 there (zeta(-2) = 0)
         # where T2 applies; so the raw sum is the energy less both, with
-        # no second kernel call
+        # no second kernel call.  The correction is restated here, not
+        # read from _add_diagonal_correction, so that a wrong correction
+        # in the energy fails this check too
         gaps = u.gaps
         raw = value - float(np.sum(gaps**2))
         if _unfolded_sign(gaps) != 0.0:

@@ -49,11 +49,12 @@ def segment_weight_integral(a, b, p: float) -> float:
     pairs; for d = 0 each piece integrates s^(p-2) in closed form,
     which quadrature cannot replace for p -> 1, as s^(p-2) then holds
     measurable mass below the smallest tanh-sinh node.  For d > 0 each
-    piece is integrated in s = d sinh u (`_foot_row`), smooth however
+    piece is integrated in s = d sinh u (`_arc_pieces`), smooth however
     close the line or an endpoint passes to the origin.  Endpoints that
     are not finite, or whose norm exceeds half the float range, raise
-    DomainError.
+    DomainError, as does p outside 1 < p < 2.
     """
+    p = _exponent(p, "the segment integral", closed=False)
     a, b = _segment(a, b)
     [(length, along)] = _arc_integrals([_arc_pieces(a, b, p)])
     if length == 0.0:
@@ -79,11 +80,21 @@ def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
 def _arc_pieces(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, list]:
     """The integral of |x|^(p-2) over arc length along the segment, in
     pieces: |b - a|, the sum of the pieces in closed form (d = 0), and
-    the `_foot_row` of each piece to integrate (d > 0).
+    the quadrature row (p, U, width, scale) of each piece (d > 0).
 
     The integral is segment_weight_integral times |b - a|, formed
     without the division, which overflows for segments near the origin
     as p -> 1.  `_arc_integrals` adds up the pieces.
+
+    A piece of d > 0 is the integral of (d^2 + s^2)^((p-2)/2) over s in
+    (lo, hi), lo >= 0.  With s = d sinh u it is the integral of
+    (d cosh u)^(p-1) over (asinh(lo / d), U), U = asinh(hi / d), taken
+    here in v = U - u over (0, width): d cosh u = (r / 2) e^(-v)
+    (1 + e^(2 (v - U))) with r = d e^U = hi + hypot(hi, d), and scale =
+    (r / 2)^(p-1).  No factor overflows, though U can pass the 710 at
+    which cosh does, and d, which may be subnormal, multiplies nothing.
+    U and the width come from `_rise_log`; a width that underflows to 0
+    raises DomainError.
     """
     # lengths come from math.hypot: squares underflow below about 1e-154
     delta = b - a
@@ -94,14 +105,17 @@ def _arc_pieces(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, l
     s_a, s_b = float(a @ unit), float(b @ unit)
     d = _line_distance(a.tolist(), b.tolist(), length)
     pieces = [(0.0, -s_a), (0.0, s_b)] if s_a < 0.0 < s_b else [(min(abs(s_a), abs(s_b)), length)]
-    if d > 0.0:
-        return length, 0.0, [_foot_row(d, lo, span, p) for lo, span in pieces]
-    total = 0.0
+    total, rows = 0.0, []
     for lo, span in pieces:
-        # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
-        drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
-        total += (lo + span) ** (p - 1.0) * drop / (p - 1.0)
-    return length, total, []
+        hi = lo + span
+        if d > 0.0:
+            _, width = _interval(0.0, _rise_log(d, lo, span))
+            rows.append((p, _rise_log(d, 0.0, hi), width, (0.5 * (hi + math.hypot(hi, d))) ** (p - 1.0)))
+        else:
+            # hi^(p-1) - lo^(p-1) without subtracting nearly equal powers
+            drop = -math.expm1((1.0 - p) * _rise_log(0.0, lo, span)) if lo > 0.0 else 1.0
+            total += hi ** (p - 1.0) * drop / (p - 1.0)
+    return length, total, rows
 
 
 def _line_distance(a: list, b: list, length: float) -> float:
@@ -138,44 +152,18 @@ def _rise_log(d: float, lo: float, span: float) -> float:
     return math.log1p(growth) if math.isfinite(growth) else math.log(hi + far) - math.log(lo + near)
 
 
-def _foot_row(d: float, lo: float, span: float, p: float) -> tuple[float, float, float, float]:
-    """The integral of (d^2 + s^2)^((p-2)/2) over s in (lo, lo + span), d > 0,
-    lo >= 0, as the row (p, U, width, scale) of a `_foot_integrals` batch.
-
-    With s = d sinh u it is the integral of (d cosh u)^(p-1) over
-    (asinh(lo / d), U), U = asinh(hi / d), taken here in v = U - u over
-    (0, width): d cosh u = (r / 2) e^(-v) (1 + e^(2 (v - U))) with
-    r = d e^U = hi + hypot(hi, d), and scale = (r / 2)^(p-1).  No factor
-    overflows, though U can pass the 710 at which cosh does, and d,
-    which may be subnormal, multiplies nothing.  U and the width come
-    from `_rise_log`; a width that underflows to 0 raises DomainError.
-    """
-    hi = lo + span
-    upper = _rise_log(d, 0.0, hi)
-    scale = (0.5 * (hi + math.hypot(hi, d))) ** (p - 1.0)
-    _, width = _interval(0.0, _rise_log(d, lo, span))
-    return p, upper, width, scale
-
-
-def _foot_integrals(rows) -> list[float]:
-    """scale times the integral of the `_foot_row` rows, in one quadrature batch."""
-    if not rows:
-        return []
-    p, upper, width, scale = (np.array(column) for column in zip(*rows))
-    p, upper = p[:, None], upper[:, None]
+def _arc_integrals(prepared) -> list[tuple[float, float]]:
+    """(|b - a|, the arc-length integral) of each `_arc_pieces` result,
+    with every row of d > 0 in one quadrature batch: scale times the
+    integral of e^((1-p) v) (1 + e^(2 (v - U)))^(p-1) over (0, width)."""
+    p, upper, width, scale = np.array([row for _, _, rows in prepared for row in rows]).reshape(-1, 4).T
 
     def integrand(v, rows):
-        p_row, top = p[rows], upper[rows]
+        p_row, top = p[rows, None], upper[rows, None]
         return np.exp((1.0 - p_row) * v) * (1.0 + np.exp(2.0 * (v - top))) ** (p_row - 1.0)
 
     integrals = _integrate_rows(integrand, np.zeros(width.size), width)
-    return [factor * value for factor, value in zip(scale.tolist(), integrals)]
-
-
-def _arc_integrals(prepared) -> list[tuple[float, float]]:
-    """(|b - a|, the arc-length integral) of each `_arc_pieces` result,
-    with every piece of d > 0 in one quadrature batch."""
-    feet = iter(_foot_integrals([row for _, _, rows in prepared for row in rows]))
+    feet = (factor * value for factor, value in zip(scale.tolist(), integrals))
     sums = []
     for length, total, rows in prepared:
         for _ in rows:
@@ -194,18 +182,19 @@ def _jp_checks(draws) -> list[InequalityCheck]:
     after the integrals.
     """
     prepared, sides = [], []
-    for a, b, p in draws:
-        p = _exponent(p, "the jp check", closed=False)
-        a, b = _segment(a, b)
-        norm_a = math.hypot(*a)
-        norm_b = math.hypot(*b)
-        if norm_a == 0.0 and norm_b == 0.0:
-            raise DomainError("degenerate input: a = b = 0")
-        # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
-        ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
-        jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
-        sides.append((p, float((jb - ja) @ (b - a))))
-        prepared.append(_arc_pieces(a, b, p))
+    with np.errstate(over="ignore"):  # a side that overflows raises DomainError below
+        for a, b, p in draws:
+            p = _exponent(p, "the jp check", closed=False)
+            a, b = _segment(a, b)
+            norm_a = math.hypot(*a)
+            norm_b = math.hypot(*b)
+            if norm_a == 0.0 and norm_b == 0.0:
+                raise DomainError("degenerate input: a = b = 0")
+            # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
+            ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
+            jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
+            sides.append((p, float((jb - ja) @ (b - a))))
+            prepared.append(_arc_pieces(a, b, p))
     checks = []
     for (p, lhs), (length, along) in zip(sides, _arc_integrals(prepared)):
         # |b - a| times the arc-length integral: |b - a|^2 times the mean
@@ -238,8 +227,14 @@ def young_variant_check(A: float, B: float, p: float) -> InequalityCheck:
         raise DomainError("A must be >= 0")
     if B <= 0.0:
         raise DomainError("B must be > 0")
-    lhs = A * A * B ** (p - 2.0) + B**p
-    rhs = A**p
+    try:  # a float power raises OverflowError, where A * A gives inf
+        lhs = A * A * B ** (p - 2.0) + B**p
+        rhs = A**p
+    except OverflowError:
+        lhs = rhs = math.inf
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        # a nan or inf A or B, or a side beyond the float range
+        raise DomainError(f"young check sides overflow or are not finite: A={A!r}, B={B!r}, p={p!r}")
     return _check(lhs, rhs)
 
 

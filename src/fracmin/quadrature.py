@@ -6,18 +6,18 @@ absorbs any integrable algebraic singularity x^alpha, alpha > -1, without
 scheme-specific weights.  Every integral refines to at most level 12
 (step 2^-12 in t) and stops once two successive levels agree to 1e-10.
 
-The engine integrates a batch of intervals, one row each; a single
-integral is a batch of one.  The t-only node factors of levels 0-3,
-which the stopping rule always needs, form one joined table, and each
-deeper level has its own; each is built once per process, on first use.
-The joined table is scaled to every row, and one integrand call
-evaluates it and the centres; each deeper level is one integrand call
-on the rows still active.  Every row sums its own slice of each level,
-applies the stopping rule on its own and leaves the batch once it is
-met, so it gets the same nodes and the same bits as alone.  A row
-shorter than 2^-100, on which a node's distance from its endpoint may
-underflow and be dropped, is integrated alone: the nodes it keeps may
-differ from the other rows'.
+The engine integrates a batch of intervals, one row each, through one
+entry, `_integrate_rows`; a single integral is a batch of one.  The
+t-only node factors of levels 0-3, which the stopping rule always
+needs, form one joined table, and each deeper level has its own; each
+is built once per process, on first use.  The joined table is scaled
+to every row, and one integrand call evaluates it and the centres;
+each deeper level is one integrand call on the rows still active.
+Every row sums its own slice of each level, applies the stopping rule
+on its own and leaves the batch once it is met, so it gets the same
+nodes and the same bits as alone.  A row shorter than 2^-100, on which
+a node's distance from its endpoint may underflow and be dropped, is
+integrated alone: the nodes it keeps may differ from the other rows'.
 
 Precision note: nodes are generated as exact distances from the nearer
 endpoint, so an integrand singular at an endpoint is sampled at full
@@ -94,11 +94,11 @@ def _node_table(first, last):
 
 def _scaled(table, a, b, length, head=()):
     """A table's nodes scaled to the rows (a, b) of lengths `length`,
-    columns or floats, after the columns `head`: the lower nodes, then
-    the upper ones.  Also the weight of each pair and the number of
-    pairs kept per level: those whose distance from the endpoint does
-    not underflow to 0 in any row (rows that would drop one go alone,
-    see `_SHORTEST_SHARED`)."""
+    columns, after the columns `head`: the lower nodes, then the upper
+    ones.  Also the weight of each pair and the number of pairs kept per
+    level: those whose distance from the endpoint does not underflow to
+    0 in any row (rows that would drop one go alone, see
+    `_SHORTEST_SHARED`)."""
     q, one_plus_q, cosh_t, one_plus_q_sq, sizes = table
     dist = length * q / one_plus_q  # distance from the nearer endpoint
     # dx/dt = (length/2) (pi/2) cosh(t) sech^2(u), sech^2(u) = 4q/(1+q)^2
@@ -120,8 +120,6 @@ def _row_estimates(f, a, b, rows, max_level, abs_tol):
     """Successive trapezoid-in-t estimates of the integrals of f over the
     intervals (a[i, 0], b[i, 0]) of the rows `rows`, one level at a time:
     the rows in the level, their estimates, and which of them stop there.
-    For a batch of one, a and b may be floats, which numpy broadcasts as
-    one row without the cost of a column.
 
     The step h = 2^-level halves each level, reusing every node already
     evaluated: each level only adds the odd multiples of the new h.
@@ -134,8 +132,7 @@ def _row_estimates(f, a, b, rows, max_level, abs_tol):
     """
     first = min(max_level, _MIN_LEVEL)
     length = b - a
-    # ndmin makes the centres a column also where a and b are floats
-    x, weight, counts = _scaled(_node_table(0, first), a, b, length, (np.array(a + 0.5 * length, ndmin=2),))
+    x, weight, counts = _scaled(_node_table(0, first), a, b, length, (a + 0.5 * length,))
     values = _eval_batch(f, x, rows)
     terms = _pair_terms(values, weight)  # no row stops before level `first`
     total = (values[:, :1] * (0.25 * math.pi * length)).ravel().tolist()
@@ -164,49 +161,27 @@ def _row_estimates(f, a, b, rows, max_level, abs_tol):
             total = [t for t, stop in zip(total, done) if not stop]
 
 
-def _tanh_sinh_rows(f, a, b, rows, max_level, abs_tol):
-    """The integrals of f over the intervals (a[i, 0], b[i, 0]) of the
-    rows `rows`, all long enough to share their nodes, as a dict by row.
+def _integrate_rows(f, a, b) -> list[float]:
+    """The integrals of f over the intervals (a[i], b[i]) of two float
+    arrays, by the module's tanh-sinh rule: the engine's only entry.
 
     f(x, rows) returns f at the nodes x of the rows `rows`, one row of x
     per row index, and must be re-entrant; endpoint values are never
-    requested.  Raises ConvergenceError when a row has not met the
-    stopping rule at max_level, and propagates any exception raised by f.
+    requested.  Rows at least _SHORTEST_SHARED long share one batch, and
+    f gets all of them at once; shorter rows are integrated alone.  Each
+    result is bit for bit that of its row alone.  Raises
+    ConvergenceError when a row has not met the stopping rule at level
+    _MAX_LEVEL, and propagates any exception raised by f.  The caller
+    checks the intervals.
     """
-    results = {}
-    for active, total, done in _row_estimates(f, a, b, rows, max_level, abs_tol):
-        if any(done):
-            for row, value, stop in zip(active.tolist(), total, done):
-                if stop:
-                    results[row] = value
-    if len(results) < rows.size:
-        raise ConvergenceError(
-            f"tanh-sinh quadrature did not reach abs_tol={abs_tol:g} within level {max_level}"
-        )
-    return results
-
-
-def _one_row(f):
-    """f(x) on 1-D node arrays as the integrand of a batch of one."""
-    return lambda x, rows: np.asarray(f(x[0]))[None]
-
-
-def _tanh_sinh(f, a, b, max_level, abs_tol):
-    """The integral of f(x), x a 1-D array of nodes, over (a, b): a batch of one."""
-    return _tanh_sinh_rows(_one_row(f), a, b, np.zeros(1, dtype=np.intp), max_level, abs_tol)[0]
-
-
-def _integrate_rows(f, a, b) -> list[float]:
-    """integrate_singular over the intervals (a[i], b[i]) of two float
-    arrays, with the integrand f(x, rows) of `_tanh_sinh_rows`, which
-    gets every row of one batch at once.  Each result is bit for bit
-    integrate_singular's.  Rows shorter than _SHORTEST_SHARED are
-    integrated alone.  The caller checks the intervals."""
     results = {}
     short = b - a < _SHORTEST_SHARED
     for rows in [(~short).nonzero()[0], *short.nonzero()[0][:, None]]:
         if rows.size:
-            results.update(_tanh_sinh_rows(f, a[rows, None], b[rows, None], rows, _MAX_LEVEL, _ABS_TOL))
+            for active, total, done in _row_estimates(f, a[rows, None], b[rows, None], rows, _MAX_LEVEL, _ABS_TOL):
+                results.update((row, value) for row, value, stop in zip(active.tolist(), total, done) if stop)
+    if len(results) < a.size:
+        raise ConvergenceError(f"tanh-sinh quadrature did not reach abs_tol={_ABS_TOL:g} within level {_MAX_LEVEL}")
     return [results[row] for row in range(a.size)]
 
 
@@ -228,7 +203,7 @@ def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     level, and propagates any exception raised by f.
     """
     a, b = _interval(a, b)
-    return _tanh_sinh(f, a, b, _MAX_LEVEL, _ABS_TOL)
+    return _integrate_rows(lambda x, rows: np.asarray(f(x[0]))[None], np.array([a]), np.array([b]))[0]
 
 
 def integral_sin_power(p: float) -> float:

@@ -102,6 +102,12 @@ class TestSegmentWeightIntegral:
         with pytest.raises(DomainError):
             segment_weight_integral(a, b, 1.5)
 
+    @pytest.mark.parametrize("p", [1.0, math.nan, 3.0, 0.5, 2.0])
+    def test_p_domain(self, p):
+        # p = 1 divided by zero on a 1-D segment; nan and p outside (1, 2) passed
+        with pytest.raises(DomainError, match="1 < p < 2"):
+            segment_weight_integral(np.array([1.0]), np.array([2.0]), p)
+
     @pytest.mark.parametrize("a, b", NEAR_MAXIMAL_SEGMENTS)
     def test_near_maximal_rejected(self, a, b):
         for check in (segment_weight_integral, jp_monotonicity_check):
@@ -366,6 +372,18 @@ class TestYoungVariant:
             young_variant_check(1.0, 0.0, 1.5)
         with pytest.raises(DomainError):
             young_variant_check(-1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize("A, B", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, A, B):
+        # the margins were nan, a check that cannot fail
+        with pytest.raises(DomainError, match="finite"):
+            young_variant_check(A, B, 1.5)
+
+    @pytest.mark.parametrize("A, B, p", [(1e300, 1e-300, 1.5), (1e200, 1.0, 1.1), (1.0, 1e-320, 1.01), (1.0, 1e308, 1.9)])
+    def test_overflowing_sides_rejected(self, A, B, p):
+        # a float power raised a bare OverflowError; A * A went to inf silently
+        with pytest.raises(DomainError, match="overflow"):
+            young_variant_check(A, B, p)
 
 
 class TestBbmDegree:

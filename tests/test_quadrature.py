@@ -15,16 +15,24 @@ from fracmin import (
     integral_sin_power,
     integrate_singular,
 )
-from fracmin import inequalities
-from fracmin.quadrature import _SHORTEST_SHARED, _integrate_rows, _node_table, _one_row, _row_estimates, _tanh_sinh
+from fracmin import inequalities, quadrature
+from fracmin.quadrature import _SHORTEST_SHARED, _integrate_rows, _node_table, _row_estimates
 
 
 def _tanh_sinh_estimates(f, a, b, max_level):
     """The engine's estimates of one integral, one per level up to
     max_level: a batch of one row under a tolerance that no estimate meets."""
-    one = np.zeros(1, int)
-    for _, total, _ in _row_estimates(_one_row(f), a, b, one, max_level, -math.inf):
+
+    def one_row(x, rows):
+        return np.asarray(f(x[0]))[None]
+
+    for _, total, _ in _row_estimates(one_row, np.array([[a]]), np.array([[b]]), np.zeros(1, int), max_level, -math.inf):
         yield total[0]
+
+
+def _engine_limits(max_level, abs_tol):
+    """The engine's refinement depth and stopping tolerance, patched."""
+    return mock.patch.multiple(quadrature, _MAX_LEVEL=max_level, _ABS_TOL=abs_tol)
 
 
 def _midpoint_refined(f, a, b):
@@ -92,8 +100,8 @@ class TestIntegrateSingular:
             _midpoint_refined(lambda t: t**-0.5, 0.0, 1.0)
 
     def test_nonconvergence_at_low_level(self):
-        with pytest.raises(ConvergenceError):
-            _tanh_sinh(lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0, 2, 1e-14)
+        with _engine_limits(2, 1e-14), pytest.raises(ConvergenceError):
+            integrate_singular(lambda t: np.cos(7.0 * t) * t**-0.3, 0.0, 1.0)
 
     def test_callback_errors_propagate(self):
         class Boom(RuntimeError):
@@ -229,10 +237,14 @@ def _row(f, row):
 
 def _foot_piece_case(d, lo, span, p):
     """The integrand and interval that the inequality checks' quadrature
-    batch integrates for one piece, as a 1-D integrand on its own."""
+    batch integrates for the piece (lo, lo + span) of a line d from the
+    origin, as a 1-D integrand on its own.  The segment from (lo, d) to
+    (lo + span, d) has that one piece where lo, span and d come back
+    exactly, as they do for the case below."""
     calls = []
+    pieces = inequalities._arc_pieces(np.array([lo, d]), np.array([lo + span, d]), p)
     with mock.patch.object(inequalities, "_integrate_rows", lambda f, a, b: calls.append((f, a, b)) or [0.0] * a.size):
-        inequalities._foot_integrals([inequalities._foot_row(d, lo, span, p)])
+        inequalities._arc_integrals([pieces])
     f, a, b = calls[0]
     return _row(f, 0), float(a[0]), float(b[0])
 
@@ -322,8 +334,8 @@ class TestAgainstReferenceLoop:
         with pytest.raises(DomainError):
             integrate_singular(f, 0.0, 1.0)
         # at max level 1 the node is never requested: the run ends unconverged
-        with pytest.raises(ConvergenceError):
-            _tanh_sinh(f, 0.0, 1.0, 1, 1e-10)
+        with _engine_limits(1, 1e-10), pytest.raises(ConvergenceError):
+            integrate_singular(f, 0.0, 1.0)
 
 
 
