@@ -10,94 +10,29 @@ times the winding bound, elementary inequality verification, and energy
 minimization over prescribed winding classes.
 """
 
-from .critical import CriticalReport, critical_p, derivative_sign_condition, monotonicity_scan, reciprocal_pair_sum
-from .energy import (
-    EnergyParams,
-    degree_lower_bound,
-    energy,
-    energy_and_gradient,
-    energy_gradient,
-    identity_energy_closed_form,
-    identity_energy_derivative,
-    identity_energy_quadrature,
-    moebius_energy_closed_form,
-    pairwise_sum,
-)
-from .errors import AdmissibilityError, ConsistencyError, ConvergenceError, DomainError
-from .inequalities import (
-    InequalityCheck,
-    bbm_degree_check,
-    jp_monotonicity_check,
-    segment_weight_integral,
-    young_variant_check,
-)
-from .maps import (
-    GridMap,
-    degree,
-    identity_map,
-    is_admissible,
-    moebius_map,
-    perturb,
-    power_map,
-    read_map_csv,
-    rotated,
-    wrap_angle,
-    write_map_csv,
-)
-from .minimize import MinimizeConfig, MinimizeResult, descend_from, minimize
-from .quadrature import integral_sin_power, integrate_singular
-from .special import EULER_GAMMA, SeriesTail, beta, digamma, digamma_series, log2_series, log_gamma, zeta
+# the aliases reach the submodules: the functions energy and minimize,
+# imported below, shadow the package attributes of the same names
+from . import critical as _critical
+from . import energy as _energy
+from . import errors as _errors
+from . import inequalities as _inequalities
+from . import maps as _maps
+from . import minimize as _minimize
+from . import quadrature as _quadrature
+from . import special as _special
+from .critical import *
+from .energy import *
+from .errors import *
+from .inequalities import *
+from .maps import *
+from .minimize import *
+from .quadrature import *
+from .special import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "ConsistencyError",
-    "ConvergenceError",
-    "CriticalReport",
-    "DomainError",
-    "EULER_GAMMA",
-    "EnergyParams",
-    "GridMap",
-    "InequalityCheck",
-    "MinimizeConfig",
-    "MinimizeResult",
-    "SeriesTail",
-    "bbm_degree_check",
-    "beta",
-    "critical_p",
-    "degree",
-    "degree_lower_bound",
-    "derivative_sign_condition",
-    "descend_from",
-    "digamma",
-    "digamma_series",
-    "energy",
-    "energy_and_gradient",
-    "energy_gradient",
-    "identity_energy_closed_form",
-    "identity_energy_derivative",
-    "identity_energy_quadrature",
-    "identity_map",
-    "integral_sin_power",
-    "integrate_singular",
-    "is_admissible",
-    "jp_monotonicity_check",
-    "log2_series",
-    "log_gamma",
-    "minimize",
-    "moebius_energy_closed_form",
-    "moebius_map",
-    "monotonicity_scan",
-    "pairwise_sum",
-    "perturb",
-    "power_map",
-    "read_map_csv",
-    "reciprocal_pair_sum",
-    "rotated",
-    "segment_weight_integral",
-    "wrap_angle",
-    "write_map_csv",
-    "young_variant_check",
-    "zeta",
-]
+__all__ = sorted(
+    name
+    for module in (_critical, _energy, _errors, _inequalities, _maps, _minimize, _quadrature, _special)
+    for name in module.__all__
+)

@@ -473,31 +473,36 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, handler, **kwargs):
+        s = sub.add_parser(name, parents=[common], **kwargs)
+        s.set_defaults(handler=handler)
+        return s
 
-    s = add_parser("id-energy", help="closed-form identity-map energy with quadrature cross-check")
+    s = add_parser("id-energy", _cmd_id_energy, help="closed-form identity-map energy with quadrature cross-check")
     s.add_argument("--p", type=float, required=True)
 
-    s = add_parser("id-energy-derivative", help="p-derivative of the identity-map energy")
+    s = add_parser("id-energy-derivative", _cmd_id_energy_derivative, help="p-derivative of the identity-map energy")
     s.add_argument("--p", type=float, required=True)
 
-    s = add_parser("critical-p", help="solve the critical-exponent equation")
+    s = add_parser("critical-p", _cmd_critical_p, help="solve the critical-exponent equation")
     s.add_argument("--tol", type=float, default=1e-12, help="stop once |residual| <= tol, in [1e-13, 1e-4]")
 
-    s = add_parser("monotonicity-scan", help="sign scan of the energy derivative over (1.01, 1.99)")
+    s = add_parser(
+        "monotonicity-scan", _cmd_monotonicity_scan, help="sign scan of the energy derivative over (1.01, 1.99)"
+    )
     s.add_argument("--grid-size", type=int, default=100)
     s.add_argument("--table-out", default=None, help="optional CSV of (p, derivative) rows")
 
-    s = add_parser("energy", help="energy of a map read from CSV")
+    s = add_parser("energy", _cmd_energy, help="energy of a map read from CSV")
     s.add_argument("--map", required=True)
     s.add_argument("--p", type=float, required=True)
 
-    s = add_parser("degree", help="winding number of a map read from CSV")
+    s = add_parser("degree", _cmd_degree, help="winding number of a map read from CSV")
     s.add_argument("--map", required=True)
 
     s = add_parser(
         "gradient-check",
+        _cmd_gradient_check,
         help="Taylor remainder test of the analytic gradient along four directions on a random map",
     )
     s.add_argument("--n", type=int, default=64)
@@ -505,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--amplitude", type=float, default=0.3)
 
-    s = add_parser("moebius", help="disk-automorphism boundary trace: degree and energy")
+    s = add_parser("moebius", _cmd_moebius, help="disk-automorphism boundary trace: degree and energy")
     s.add_argument("--a-re", type=float, required=True)
     s.add_argument("--a-im", type=float, default=0.0)
     s.add_argument("--n", type=int, default=512)
@@ -518,23 +523,23 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int, default=3)
         sp.add_argument("--seed", type=int, default=0)
 
-    s = add_parser("minimize", help="minimize the energy over a winding class")
+    s = add_parser("minimize", _cmd_minimize, help="minimize the energy over a winding class")
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--degree", type=int, required=True)
     add_minimize_options(s)
     s.add_argument("--map-out", default=None, help="write the final map as CSV")
     s.add_argument("--trace-out", default=None, help="write the energy trace as CSV")
 
-    s = add_parser("scan", help="the minimize report and its checks at each of several exponents")
+    s = add_parser("scan", _cmd_scan, help="the minimize report and its checks at each of several exponents")
     s.add_argument("--p-values", type=_exponent_list_arg, required=True, help="comma-separated exponents")
     s.add_argument("--degree", type=int, default=1)
     add_minimize_options(s)
 
-    s = add_parser("inequality-suite", help="randomized inequality margins")
+    s = add_parser("inequality-suite", _cmd_inequality_suite, help="randomized inequality margins")
     s.add_argument("--count", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
 
-    s = add_parser("bbm-check", help="energy vs winding lower bound for one map")
+    s = add_parser("bbm-check", _cmd_bbm_check, help="energy vs winding lower bound for one map")
     s.add_argument("--map", default=None)
     s.add_argument("--power", type=int, default=None)
     s.add_argument("--moebius", type=float, default=None)
@@ -543,22 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "id-energy": _cmd_id_energy,
-    "id-energy-derivative": _cmd_id_energy_derivative,
-    "critical-p": _cmd_critical_p,
-    "monotonicity-scan": _cmd_monotonicity_scan,
-    "energy": _cmd_energy,
-    "degree": _cmd_degree,
-    "gradient-check": _cmd_gradient_check,
-    "moebius": _cmd_moebius,
-    "minimize": _cmd_minimize,
-    "scan": _cmd_scan,
-    "inequality-suite": _cmd_inequality_suite,
-    "bbm-check": _cmd_bbm_check,
-}
-
-_INTERNAL_KEYS = ("command", "out")
+_INTERNAL_KEYS = ("command", "handler", "out")
 
 
 def _parameters(args) -> dict:
@@ -604,7 +594,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        report, converged = _report(args, *_HANDLERS[args.command](args))
+        report, converged = _report(args, *args.handler(args))
         _emit(report, args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

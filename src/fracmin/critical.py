@@ -5,10 +5,10 @@ The defining equation, after dividing out the common factors, is
 
     B((p-1)/2, 1/2) = 5*pi    equivalently    integral_0^pi (sin g)^(p-2) dg = 5*pi.
 
-The left side is strictly decreasing in p (the identity energy is), so
-false position with a bisection fallback on (1.0001, 2) pins the root; the
-quadrature path then revalidates the residual independently of the Beta
-closed form.
+The left side is strictly decreasing and log-convex in p, so Newton's
+method on its logarithm, started at the left end of (1.0001, 2), pins the
+root; the quadrature path then revalidates the residual independently of
+the Beta closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ FIVE_PI = 5.0 * math.pi
 
 _BRACKET_LO = 1.0001
 _BRACKET_HI = 2.0
+_MAX_STEPS = 100
 
 # Direct terms summed before the Euler-Maclaurin tail takes over.  The
 # first omitted tail term, -f'''(N)/720 with f'''(N) ~ -6 N^-5, is about
@@ -58,60 +59,40 @@ def _gap(p: float) -> float:
 def critical_p(tol: float = 1e-12) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
-    The root is bracketed on (1.0001, 2), refined by false position with
-    the Illinois update and a bisection fallback until |residual| <= tol,
-    and cross-checked against the singular-quadrature evaluation of the
-    same integral.  tol must lie
-    in [1e-13, 1e-4]; the residual floor of the Beta path is about
-    1.2e-14, so a smaller target is unreachable.  Near the root the
-    residual changes by about 100 per unit of p, so p' is within about
-    tol/100 of the root.
+    Once the sign change on (1.0001, 2) is asserted, Newton's method on
+    log B runs from p = 1.0001 with the slope (psi((p-1)/2) - psi(p/2))/2.
+    log B(x, 1/2) is convex and decreasing in x, as psi' is decreasing, so
+    in exact arithmetic no step overshoots.  It stops at the first p with
+    |residual| <= tol whose step was at most tol/100, so p' is within
+    about tol/100 of the root, and the residual is cross-checked by the
+    singular quadrature of the same integral.  tol lies in [1e-13, 1e-4]:
+    the residual floor of the Beta path is about 1.2e-14.  The bracket is
+    the last p with residual > 0 and the last with residual <= 0, or 2.
     """
     tol = float(tol)
     if not (1e-13 <= tol <= 1e-4):
         raise DomainError(f"tol must lie in [1e-13, 1e-4], got {tol!r}")
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    f_lo, f_hi = _gap(lo), _gap(hi)
-    if not (f_lo > 0.0 > f_hi):
+    f = _gap(_BRACKET_LO)
+    if not (f > 0.0 > _gap(_BRACKET_HI)):
         raise ConvergenceError("critical equation lost its sign change on (1.0001, 2)")
-    p = lo
-    f_p = f_lo
-    kept = None  # the bracket end the last step kept
-    iterations = 0
-    for _ in range(200):
-        iterations += 1
-        # secant through the current bracket endpoints, clipped to a
-        # bisection step whenever it leaves (or crowds) the bracket
-        denominator = f_hi - f_lo
-        candidate = lo - f_lo * (hi - lo) / denominator if denominator != 0.0 else 0.5 * (lo + hi)
-        width = hi - lo
-        if not (lo + 0.01 * width < candidate < hi - 0.01 * width):
-            candidate = 0.5 * (lo + hi)
-        p = candidate
-        f_p = _gap(p)
-        if abs(f_p) <= tol:
-            break
-        # Illinois update: an end kept twice in a row has its residual
-        # halved, so the next secant moves toward it instead of stalling
-        if f_p > 0.0:
-            lo, f_lo = p, f_p
-            if kept == "hi":
-                f_hi *= 0.5
-            kept = "hi"
+    p = lo = _BRACKET_LO
+    hi = _BRACKET_HI
+    for iterations in range(1, _MAX_STEPS + 1):
+        step = math.log1p(f / FIVE_PI) / (0.5 * (digamma(0.5 * p) - digamma(0.5 * (p - 1.0))))
+        p += step
+        f = _gap(p)
+        if f > 0.0:
+            lo = p
         else:
-            hi, f_hi = p, f_p
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
-        if hi - lo <= 4.0 * np.finfo(float).eps:
+            hi = p
+        if abs(f) <= tol and abs(step) <= tol / 100.0:
             break
-    if abs(f_p) > tol:
-        raise ConvergenceError(f"root residual {f_p:.3e} above target {tol:.3e}")
-    residual_quadrature = integral_sin_power(p) - FIVE_PI
+    else:
+        raise ConvergenceError(f"no root within {_MAX_STEPS} Newton steps: residual {f:.3e}, step {step:.3e}")
     return CriticalReport(
         p_prime=p,
-        residual_beta=f_p,
-        residual_quadrature=residual_quadrature,
+        residual_beta=f,
+        residual_quadrature=integral_sin_power(p) - FIVE_PI,
         bracket=(lo, hi),
         iterations=iterations,
     )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["AdmissibilityError", "ConsistencyError", "ConvergenceError", "DomainError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

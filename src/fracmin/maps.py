@@ -166,10 +166,11 @@ def perturb(u: GridMap, amplitude: float, seed: int) -> GridMap:
 
     Each cosine/sine coefficient is drawn uniformly from
     [-amplitude, amplitude]; the draw is deterministic for a fixed seed.
+    amplitude must be >= 0, and 2 * amplitude finite (below about 9e307).
     """
-    amplitude = float(amplitude)
-    if amplitude < 0.0:
-        raise DomainError("amplitude must be >= 0")
+    amplitude = float(amplitude) + 0.0  # -0.0 becomes 0.0, which the draw accepts
+    if not (amplitude >= 0.0 and math.isfinite(2.0 * amplitude)):
+        raise DomainError(f"amplitude must be >= 0 with 2 * amplitude finite, got {amplitude!r}")
     rng = np.random.default_rng(int(seed) % 2**63)  # any integer seed is accepted
     coeffs = rng.uniform(-amplitude, amplitude, size=(5, 2))
     theta = u.theta

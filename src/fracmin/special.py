@@ -1,10 +1,11 @@
-"""Self-contained log-gamma, Beta, digamma and zeta evaluation in binary64.
+"""Log-gamma, Beta, digamma and zeta evaluation in binary64.
 
-The production paths are shift-up recurrences into the asymptotic
-(Stirling-type) regime.  The slowly converging series representations
-``digamma_series`` and ``log2_series`` are kept alongside as independent
-validators: they come with rigorous truncation bounds, so a partial sum
-plus its tail bound brackets the true value.
+log_gamma is the C library's math.lgamma, and beta is built on it.
+digamma is a shift-up recurrence into its asymptotic (Stirling-type)
+regime, and zeta an Euler-Maclaurin sum.  The slowly converging series
+representations ``digamma_series`` and ``log2_series`` are kept alongside
+as independent validators: they come with rigorous truncation bounds, so
+a partial sum plus its tail bound brackets the true value.
 """
 
 from __future__ import annotations
@@ -28,21 +29,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606065
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# B_{2n} / (2n (2n-1)) for the Stirling series of log Gamma, n = 1..8.
-# With the argument shifted up to >= 8 the first omitted term is < 1e-15.
-_LGAMMA_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
 
 # B_{2n} / (2n) for the asymptotic series of digamma, n = 1..7.
 _DIGAMMA_STIRLING = (
@@ -76,29 +62,16 @@ _ZETA_CUTOFF = 10
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Arguments below 8 are shifted up by the recurrence
-    Gamma(x) = Gamma(x + k) / (x (x+1) ... (x+k-1)); the shifted value is
-    evaluated by the Stirling series with Bernoulli-number corrections.
-    """
+    """Natural log of the Gamma function for x > 0: the C library's
+    math.lgamma, and inf where even the logarithm overflows (x above
+    about 2.6e305)."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    shift_product = 1.0
-    y = x
-    while y < _SHIFT_THRESHOLD:
-        shift_product *= y
-        y += 1.0
-    # Stirling series at y >= 8; correction in powers of 1/y^2.
-    r = 1.0 / (y * y)
-    corr = 0.0
-    for c in reversed(_LGAMMA_STIRLING):
-        corr = corr * r + c
-    value = (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + corr / y
-    if shift_product != 1.0:
-        value -= math.log(shift_product)
-    return value
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def beta(a: float, b: float) -> float:

@@ -614,6 +614,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("domain error: cannot write") and repr(target) in captured.err
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "1e308"])
+    def test_gradient_check_amplitude_without_a_finite_width(self, capsys, amplitude):
+        # bad input, not a failed check
+        assert run(["gradient-check", "--amplitude", amplitude]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: amplitude must be >= 0")
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_inequality_suite_count_below_one(self, capsys, count):
         # no draw leaves the margins at inf, which no JSON report can hold:

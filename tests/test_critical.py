@@ -72,6 +72,12 @@ class TestCriticalP:
         assert report.iterations <= 30
         assert report.p_prime == REFERENCE  # the double nearest the root
 
+    def test_lands_on_the_nearest_double(self):
+        # Newton's steps from 1.0001 reach the double nearest the root
+        for tol in np.geomspace(1e-13, 1e-6, 50):
+            report = critical_p(float(tol))
+            assert report.p_prime == REFERENCE and report.iterations <= 12, tol
+
     def test_default_tol(self):
         assert critical_p() == critical_p(1e-12)
 

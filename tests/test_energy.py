@@ -956,6 +956,17 @@ class TestClosedForms:
                 identity_energy_closed_form(p), rel=1e-9
             )
 
+    def test_against_mpmath(self):
+        # 2^p pi B((p-1)/2, 1/2) at 40 digits; the Beta path rounds to a
+        # few ulps, 1.8e-15 at worst on this grid
+        worst = 0.0
+        with mpmath.workdps(40):
+            for p in np.linspace(1.0001, 2.0, 800):
+                x = mpmath.mpf(float(p))
+                exact = 2**x * mpmath.pi * mpmath.beta((x - 1) / 2, mpmath.mpf(1) / 2)
+                worst = max(worst, abs(float((identity_energy_closed_form(float(p)) - exact) / exact)))
+        assert worst <= 2.5e-15
+
     def test_strictly_decreasing(self):
         ps = np.linspace(1.01, 2.0, 100)
         values = [identity_energy_closed_form(float(p)) for p in ps]

@@ -215,6 +215,16 @@ class TestPerturb:
         with pytest.raises(DomainError):
             perturb(identity_map(32), -0.1, 0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e308])
+    def test_amplitude_without_a_finite_width_rejected(self, amplitude):
+        # the coefficients are drawn from a range of width 2 * amplitude
+        with pytest.raises(DomainError):
+            perturb(identity_map(32), amplitude, 0)
+
+    def test_negative_zero_amplitude_is_zero(self):
+        u = identity_map(32)
+        assert np.array_equal(perturb(u, -0.0, 3).phases, u.phases)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
