@@ -115,7 +115,7 @@ def _cmd_id_energy(args):
         checks.append(
             _tolerance_check("matches_ground_truth_rel", closed / FOUR_PI_SQ - 1.0, 1e-9)
         )
-    return results, checks, None
+    return results, checks
 
 
 def _cmd_id_energy_derivative(args):
@@ -134,7 +134,7 @@ def _cmd_id_energy_derivative(args):
         _bound_check("derivative_negative", 0.0, derivative),
         _tolerance_check("two_path_agreement", gap, 1e-9),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _cmd_critical_p(args):
@@ -143,8 +143,6 @@ def _cmd_critical_p(args):
         "p_prime": report.p_prime,
         "residual_beta": report.residual_beta,
         "residual_quadrature": report.residual_quadrature,
-        "bracket_lo": report.bracket[0],
-        "bracket_hi": report.bracket[1],
         "iterations": report.iterations,
         "paper_p_prime": PAPER_CRITICAL_P,
         "paper_gap": PAPER_CRITICAL_P - report.p_prime,
@@ -159,7 +157,7 @@ def _cmd_critical_p(args):
         ),
         _tolerance_check("matches_reference_value", report.p_prime - REFERENCE_CRITICAL_P, reference_tol),
     ]
-    return results, checks, None
+    return results, checks
 
 
 def _cmd_monotonicity_scan(args):
@@ -174,14 +172,14 @@ def _cmd_monotonicity_scan(args):
     if args.table_out:
         rows = "".join(f"{p:.17g},{d:.17g}\n" for p, d in pairs)
         _write_text(args.table_out, "p,derivative\n" + rows)
-    return results, checks, None
+    return results, checks
 
 
 def _cmd_energy(args):
     u = read_map_csv(args.map)
     value = energy(u, EnergyParams(args.p))
     results = {"n": u.n, "p": args.p, "energy": value, "degree": degree(u)}
-    return results, [], None
+    return results, []
 
 
 def _cmd_degree(args):
@@ -190,7 +188,7 @@ def _cmd_degree(args):
     residual = u.winding - d
     results = {"n": u.n, "degree": d, "winding_residual": residual}
     checks = [_tolerance_check("winding_residual", residual, 1e-9)]
-    return results, checks, None
+    return results, checks
 
 
 # Taylor remainder test of the gradient (Farrell, Ham, Funke and Rognes,
@@ -284,7 +282,7 @@ def _cmd_gradient_check(args):
         _tolerance_check("no_rounding_limited_direction", rounding_limited, 0.0),
         _bound_check("taylor_remainder_order", min_order, _TAYLOR_MIN_ORDER),
     ]
-    return results, checks, args.seed
+    return results, checks
 
 
 def _cmd_moebius(args):
@@ -323,7 +321,7 @@ def _cmd_moebius(args):
         checks.append(_tolerance_check("matches_discrete_closed_form", raw / closed - 1.0, 1e-12))
     if args.map_out:
         write_map_csv(u, args.map_out)
-    return results, checks, None
+    return results, checks
 
 
 def _minimize_at(args, p: float):
@@ -362,7 +360,7 @@ def _cmd_minimize(args):
     if args.trace_out:
         rows = "".join(f"{i},{value:.17g}\n" for i, value in enumerate(result.energy_trace))
         _write_text(args.trace_out, "iter,energy\n" + rows)
-    return results, checks, args.seed, result.converged
+    return results, checks, result.converged
 
 
 def _exponent_list(text: str) -> list[float]:
@@ -393,7 +391,7 @@ def _cmd_scan(args):
         # :g where it reads back as p, so that distinct exponents keep distinct names
         label = f"{p:g}" if float(f"{p:g}") == p else repr(p)
         checks += [{**check, "name": f"{check['name']}_p={label}"} for check in run_checks]
-    return {"rows": rows}, checks, args.seed, all(row["converged"] for row in rows)
+    return {"rows": rows}, checks, all(row["converged"] for row in rows)
 
 
 def _cmd_inequality_suite(args):
@@ -429,7 +427,7 @@ def _cmd_inequality_suite(args):
         _bound_check("young_margin_floor", young_min, -1e-12),
         _tolerance_check("antipodal_equality", antipodal_max, 1e-9),
     ]
-    return results, checks, args.seed
+    return results, checks
 
 
 def _cmd_bbm_check(args):
@@ -451,7 +449,7 @@ def _cmd_bbm_check(args):
         "margin": check.margin,
     }
     checks = [_bound_check("holds_with_2pct_slack", check.lhs, _WINDING_SLACK * check.rhs)]
-    return results, checks, None
+    return results, checks
 
 
 # ------------------------------------------------------------------ driver
@@ -551,29 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _INTERNAL_KEYS = ("command", "handler", "out")
 
 
-def _parameters(args) -> dict:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in _INTERNAL_KEYS:
-            continue
-        params[key.replace("_", "-")] = value
-    return params
-
-
-def _report(args, results: dict, checks: list, seed, converged: bool = True) -> tuple[dict, bool]:
-    """The report of a handler's outcome, and whether its runs converged."""
-    report = {
-        "command": args.command,
-        "parameters": _parameters(args),
-        "results": results,
-        "checks": checks,
-        "version": __version__,
-    }
-    if seed is not None:
-        report["seed"] = int(seed)
-    return report, converged
-
-
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if args.out:
@@ -594,7 +569,19 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        report, converged = _report(args, *args.handler(args))
+        # minimize and scan also return whether their runs converged
+        results, checks, *converged = args.handler(args)
+        report = {
+            "command": args.command,
+            "parameters": {
+                key.replace("_", "-"): value for key, value in sorted(vars(args).items()) if key not in _INTERNAL_KEYS
+            },
+            "results": results,
+            "checks": checks,
+            "version": __version__,
+        }
+        if "seed" in vars(args):
+            report["seed"] = int(args.seed)
         _emit(report, args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -602,9 +589,9 @@ def run(argv=None) -> int:
     except (ConvergenceError, ConsistencyError) as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return _EXIT_NONCONVERGED
-    if not converged:
+    if not all(converged):
         return _EXIT_NONCONVERGED
-    if not all(check["passed"] for check in report["checks"]):
+    if not all(check["passed"] for check in checks):
         return _EXIT_CHECK_FAILED
     return _EXIT_OK
 

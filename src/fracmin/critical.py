@@ -48,7 +48,6 @@ class CriticalReport:
     p_prime: float
     residual_beta: float
     residual_quadrature: float
-    bracket: tuple[float, float]
     iterations: int
 
 
@@ -66,8 +65,7 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
     |residual| <= tol whose step was at most tol/100, so p' is within
     about tol/100 of the root, and the residual is cross-checked by the
     singular quadrature of the same integral.  tol lies in [1e-13, 1e-4]:
-    the residual floor of the Beta path is about 1.2e-14.  The bracket is
-    the last p with residual > 0 and the last with residual <= 0, or 2.
+    the residual floor of the Beta path is about 1.2e-14.
     """
     tol = float(tol)
     if not (1e-13 <= tol <= 1e-4):
@@ -75,16 +73,11 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
     f = _gap(_BRACKET_LO)
     if not (f > 0.0 > _gap(_BRACKET_HI)):
         raise ConvergenceError("critical equation lost its sign change on (1.0001, 2)")
-    p = lo = _BRACKET_LO
-    hi = _BRACKET_HI
+    p = _BRACKET_LO
     for iterations in range(1, _MAX_STEPS + 1):
         step = math.log1p(f / FIVE_PI) / (0.5 * (digamma(0.5 * p) - digamma(0.5 * (p - 1.0))))
         p += step
         f = _gap(p)
-        if f > 0.0:
-            lo = p
-        else:
-            hi = p
         if abs(f) <= tol and abs(step) <= tol / 100.0:
             break
     else:
@@ -93,7 +86,6 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
         p_prime=p,
         residual_beta=f,
         residual_quadrature=integral_sin_power(p) - FIVE_PI,
-        bracket=(lo, hi),
         iterations=iterations,
     )
 

@@ -68,7 +68,8 @@ yields both: energy_and_gradient returns them bit-identical to energy
 and energy_gradient, which compute only what they return.  Descent
 (minimize.descend_from) evaluates its start and every line-search trial
 with energy_and_gradient, so an accepted trial's gradient is already in
-hand; the CLI and the checks call energy and energy_gradient.  Offsets
+hand, and gradient-check makes one energy_and_gradient pass; the other
+CLI subcommands and the checks call energy.  Offsets
 k and n-k pair the same nodes, so only k = 1..n//2 is evaluated, in
 tiles of B offsets read through strided views; the temporaries take
 O(n * B) memory and no index table is built.
@@ -209,11 +210,6 @@ def pairwise_sum(values) -> float:
     return float(_pairwise_fold(arr))
 
 
-def _require_admissible(u: GridMap) -> None:
-    if not is_admissible(u):
-        raise AdmissibilityError("energy requires a degree-admissible map")
-
-
 @functools.lru_cache(maxsize=64)
 def _node_chords_sq(n: int) -> np.ndarray:
     """c_k^2 for the node chords c_k = 2 sin(pi k / n), k = 1..n//2.
@@ -252,7 +248,8 @@ def _product_terms(cs2: np.ndarray, k0: int, pair: np.ndarray, sine: np.ndarray 
 
 def _kernel(u: GridMap, params: EnergyParams, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
     """(energy, gradient); each is computed only when its flag is set, else None."""
-    _require_admissible(u)
+    if not is_admissible(u):
+        raise AdmissibilityError("energy requires a degree-admissible map")
     if params.p == 2.0:
         total, grad = _spectral(u, value, gradient)
     else:

@@ -160,7 +160,9 @@ def _arc_integrals(prepared) -> list[tuple[float, float]]:
 
     def integrand(v, rows):
         p_row, top = p[rows, None], upper[rows, None]
-        return np.exp((1.0 - p_row) * v) * (1.0 + np.exp(2.0 * (v - top))) ** (p_row - 1.0)
+        # one exp and no array exponent: numpy's power takes a sqrt fast path for
+        # one broadcast 0.5 but not for a column of them, so bits hung on the batch
+        return np.exp((p_row - 1.0) * (np.log1p(np.exp(2.0 * (v - top))) - v))
 
     integrals = _integrate_rows(integrand, np.zeros(width.size), width)
     feet = (factor * value for factor, value in zip(scale.tolist(), integrals))

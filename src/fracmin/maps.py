@@ -101,6 +101,13 @@ class GridMap:
         """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
         return bool(np.abs(self.gaps).max() < math.pi)
 
+    @cached_property
+    def degree(self) -> int | None:
+        """The winding rounded to an integer; None when the map is not
+        admissible or its winding lies 1e-9 or more from an integer."""
+        d = round(self.winding)
+        return d if self.admissible and abs(self.winding - d) < 1e-9 else None
+
 
 def is_admissible(u: GridMap) -> bool:
     """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
@@ -108,20 +115,17 @@ def is_admissible(u: GridMap) -> bool:
 
 
 def degree(u: GridMap) -> int:
-    """Discrete winding number: the winding rounded to the nearest integer.
+    """Discrete winding number u.degree, the winding rounded to the nearest integer.
 
-    Raises AdmissibilityError when some gap reaches pi in magnitude (the
-    winding is then ill-defined at this resolution) or when the rounding
-    residual u.winding - degree(u) exceeds 1e-9.
+    Raises AdmissibilityError where u.degree is None: when some gap
+    reaches pi in magnitude (the winding is then ill-defined at this
+    resolution) or when the rounding residual exceeds 1e-9.
     """
-    if not is_admissible(u):
-        raise AdmissibilityError(
-            "map has a neighbor phase gap of magnitude >= pi; winding number undefined"
-        )
-    d = round(u.winding)
-    if abs(u.winding - d) >= 1e-9:
-        raise AdmissibilityError(f"winding residual {u.winding - d:.3e} exceeds 1e-9")
-    return int(d)
+    if u.degree is not None:
+        return u.degree
+    if not u.admissible:
+        raise AdmissibilityError("map has a neighbor phase gap of magnitude >= pi; winding number undefined")
+    raise AdmissibilityError(f"winding residual {math.remainder(u.winding, 1.0):.3e} exceeds 1e-9")
 
 
 def identity_map(n: int) -> GridMap:
@@ -156,7 +160,7 @@ def moebius_map(n: int, a) -> GridMap:
     z = np.exp(1j * TWO_PI * np.arange(n) / n)
     w = (z - a) / (1.0 - np.conj(a) * z)
     u = GridMap(np.unwrap(np.angle(w)))
-    if not u.admissible or round(u.winding) != 1:
+    if u.degree != 1:
         raise DomainError(f"{n} nodes miss the Moebius trace's jump at |a|={abs(a)!r}: the sample has no degree one")
     return u
 
@@ -166,11 +170,11 @@ def perturb(u: GridMap, amplitude: float, seed: int) -> GridMap:
 
     Each cosine/sine coefficient is drawn uniformly from
     [-amplitude, amplitude]; the draw is deterministic for a fixed seed.
-    amplitude must be >= 0, and 2 * amplitude finite (below about 9e307).
+    amplitude must be >= 0, and 10 * amplitude, a bound of the sum, finite.
     """
     amplitude = float(amplitude) + 0.0  # -0.0 becomes 0.0, which the draw accepts
-    if not (amplitude >= 0.0 and math.isfinite(2.0 * amplitude)):
-        raise DomainError(f"amplitude must be >= 0 with 2 * amplitude finite, got {amplitude!r}")
+    if not (amplitude >= 0.0 and math.isfinite(10.0 * amplitude)):
+        raise DomainError(f"amplitude must be >= 0 with 10 * amplitude finite, got {amplitude!r}")
     rng = np.random.default_rng(int(seed) % 2**63)  # any integer seed is accepted
     coeffs = rng.uniform(-amplitude, amplitude, size=(5, 2))
     theta = u.theta

@@ -32,7 +32,7 @@ import numpy as np
 
 from .energy import EnergyParams, _error_estimate, _hessian_symbol, energy_and_gradient
 from .errors import DomainError, _exponent
-from .maps import MIN_NODES, GridMap, degree, is_admissible, perturb, power_map
+from .maps import MIN_NODES, GridMap, perturb, power_map
 
 __all__ = ["MinimizeConfig", "MinimizeResult", "descend_from", "minimize"]
 
@@ -102,13 +102,6 @@ class MinimizeResult:
         return self.termination == "grad_tol"
 
 
-def _candidate_degree(candidate: GridMap) -> int | None:
-    """Winding number of a candidate map, or None when inadmissible."""
-    if not is_admissible(candidate):
-        return None
-    return degree(candidate)
-
-
 @functools.lru_cache(maxsize=64)
 def _sobolev_symbol(n: int, p: float, d: int) -> np.ndarray:
     """The preconditioner P on the rfft modes m = 0..n//2, for descent in degree d != 0.
@@ -143,14 +136,15 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     Hessian grows like |m|^(3-p), so plain gradient steps would be
     limited by the highest grid mode.
 
-    Each step backtracks from 1: it must preserve the target degree and
-    decrease the energy by the Armijo margin 1e-4 t lambda^2, where
-    lambda^2 = g . P^-1 g is the Newton decrement; violating steps are
-    halved up to 40 times, after which the run aborts as non-converged.
-    The returned energy trace is therefore non-increasing.  The run
-    converges once lambda^2 <= 0.1 eps E, with eps the energy's estimated
-    relative discretization error at the current map: a step could then
-    gain no more than the grid resolves.  No tolerance is fixed in advance.
+    Each step backtracks from 1: the trial map's degree must be the target
+    (a trial of another degree costs no kernel pass) and the energy must
+    fall by the Armijo margin 1e-4 t lambda^2, where lambda^2 = g . P^-1 g
+    is the Newton decrement; so the returned energy trace is non-increasing.
+    The run stops at the first of three exits, tested once per state:
+    "grad_tol" (converged) once lambda^2 <= 0.1 eps E, with eps the energy's
+    estimated relative discretization error at the current map, as a step
+    could then gain no more than the grid resolves; "max_iters"; and
+    "line_search" once 40 halvings found no step.  No tolerance is fixed.
 
     From perturb(power_map(n, d), 0.1, seed), seeds 1-3, every run
     converged in 1-5 iterations and 2-6 kernel passes, with no halving,
@@ -158,7 +152,7 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     """
     params = EnergyParams(config.p)
     target = config.degree_target
-    if _candidate_degree(start) != target:
+    if start.degree != target:
         raise DomainError("starting map does not carry the target degree")
     symbol = _sobolev_symbol(start.n, config.p, target)
     point = start
@@ -167,43 +161,36 @@ def descend_from(start: GridMap, config: MinimizeConfig) -> MinimizeResult:
     current, grad = energy_and_gradient(point, params)
     evaluations = 1
     trace = [current]
-    direction = _sobolev_gradient(grad, symbol)
-    decrement = float(grad @ direction)
-    error_estimate = _error_estimate(point, config.p)
     iterations = 0
-    while not (stopped := decrement <= _STOP_FRACTION * error_estimate * current):
+    while True:
+        direction = _sobolev_gradient(grad, symbol)
+        decrement = float(grad @ direction)
+        error_estimate = _error_estimate(point, config.p)
+        if decrement <= _STOP_FRACTION * error_estimate * current:
+            termination = "grad_tol"
+            break
         if iterations >= config.max_iters:
+            termination = "max_iters"
             break
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = GridMap(point.phases - step * direction)
-            if _candidate_degree(candidate) == target:
+            if candidate.degree == target:
                 trial, trial_grad = energy_and_gradient(candidate, params)
                 evaluations += 1
                 if trial <= current - _ARMIJO_DECREASE * step * decrement:
                     break
             step *= _ARMIJO_SHRINK
         else:
+            termination = "line_search"
             break
         iterations += 1
-        point = candidate
-        current = trial
+        point, current, grad = candidate, trial, trial_grad
         trace.append(current)
-        grad = trial_grad
-        direction = _sobolev_gradient(grad, symbol)
-        decrement = float(grad @ direction)
-        error_estimate = _error_estimate(point, config.p)
-    # a failed line search leaves the state, and so stopped, as last tested
-    if stopped:
-        termination = "grad_tol"
-    elif iterations >= config.max_iters:
-        termination = "max_iters"
-    else:
-        termination = "line_search"
     return MinimizeResult(
         final_map=point,
         final_energy=current,
-        final_degree=degree(point),
+        final_degree=point.degree,
         iterations=iterations,
         grad_norm=float(np.linalg.norm(grad)),
         energy_trace=np.array(trace),
@@ -244,7 +231,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     for r in range(1, config.restarts + 1):
         starts.append(perturb(base, _RESTART_AMPLITUDE, config.seed + r))
     # a perturbed start that broke admissibility is skipped
-    runs = [descend_from(start, config) for start in starts if _candidate_degree(start) == config.degree_target]
+    runs = [descend_from(start, config) for start in starts if start.degree == config.degree_target]
     # min keeps the earliest of equal energies
     best = min([run for run in runs if run.converged] or runs, key=lambda run: run.final_energy)
     return replace(best, total_evaluations=sum(run.evaluations for run in runs))

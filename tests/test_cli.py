@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracmin import (
+    EnergyParams,
     GridMap,
     descend_from,
     energy,
     energy_and_gradient,
     energy_gradient,
     identity_map,
+    moebius_map,
     perturb,
     power_map,
     read_map_csv,
@@ -30,6 +32,7 @@ from fracmin.critical import critical_p
 
 # the package binds the name fracmin.energy to the function
 energy_module = importlib.import_module("fracmin.energy")
+critical_module = importlib.import_module("fracmin.critical")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -308,6 +311,13 @@ class TestReports:
         assert code == 0
         jsonschema.validate(report, schema)
         assert report["results"]["energy"] >= 0.98 * report["results"]["lower_bound"]
+
+    def test_bbm_check_moebius_map(self, capsys, schema):
+        code, report = run_json(capsys, ["bbm-check", "--moebius", "0.5", "--n", "128", "--p", "1.5"])
+        assert code == 0
+        jsonschema.validate(report, schema)
+        assert report["results"]["degree"] == 1 and report["results"]["n"] == 128
+        assert report["results"]["energy"] == energy(moebius_map(128, (0.5, 0.0)), EnergyParams(1.5))
 
 
 class TestDeterminism:
@@ -614,13 +624,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("domain error: cannot write") and repr(target) in captured.err
 
-    @pytest.mark.parametrize("amplitude", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "1e308", "8e307"])
     def test_gradient_check_amplitude_without_a_finite_width(self, capsys, amplitude):
-        # bad input, not a failed check
+        # bad input, not a failed check; at 8e307 the mode sum would
+        # overflow, and the domain error comes before any warning
         assert run(["gradient-check", "--amplitude", amplitude]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("domain error: amplitude must be >= 0")
+        assert captured.err.startswith("domain error: amplitude must be >= 0") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_inequality_suite_count_below_one(self, capsys, count):
@@ -662,6 +673,23 @@ class TestExitCodes:
         code, report = run_json(capsys, ["moebius", "--a-re", "0.99", "--n", "64", "--p", "1.5"])
         assert code == 1
         assert [check["name"] for check in report["checks"] if not check["passed"]] == ["matches_identity_energy"]
+
+    @pytest.mark.parametrize("sources", [[], ["--power", "1", "--moebius", "0.5"]], ids=["none", "two"])
+    def test_bbm_check_needs_exactly_one_source(self, capsys, sources):
+        assert run(["bbm-check", *sources]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: provide exactly one of --map, --power, --moebius\n"
+
+    def test_consistency_error_exit(self, capsys, monkeypatch):
+        # the series path off by 1e-6: the two derivative paths disagree,
+        # which is exit 4 with the reason on stderr and no report
+        pair_sum = critical_module.reciprocal_pair_sum
+        monkeypatch.setattr(critical_module, "reciprocal_pair_sum", lambda p: pair_sum(p) + 1e-6)
+        assert run(["monotonicity-scan", "--grid-size", "10"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("did not converge: digamma and series paths disagree")
 
     def test_nonconvergence_exit(self, capsys, monkeypatch):
         # every run of the real minimize converges, so a single capped step

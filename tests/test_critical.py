@@ -35,12 +35,6 @@ class TestCriticalP:
         assert abs(report.residual_beta) <= 1e-10
         assert abs(report.residual_beta - report.residual_quadrature) <= 1e-8
 
-    def test_bracket_contains_root(self):
-        report = critical_p(1e-10)
-        lo, hi = report.bracket
-        assert lo <= report.p_prime <= hi
-        assert report.iterations >= 1
-
     def test_consistency_with_identity_energy(self):
         # five times the degree bound at p' equals the identity energy there
         p = critical_p(1e-10).p_prime

@@ -215,10 +215,12 @@ class TestPerturb:
         with pytest.raises(DomainError):
             perturb(identity_map(32), -0.1, 0)
 
-    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e308, 8e307])
     def test_amplitude_without_a_finite_width_rejected(self, amplitude):
-        # the coefficients are drawn from a range of width 2 * amplitude
-        with pytest.raises(DomainError):
+        # the ten terms of the mode sum reach 10 * amplitude; at 8e307 the
+        # range 2 * amplitude is finite but the sum is not, and the
+        # rejection comes before it, with no RuntimeWarning (an error here)
+        with pytest.raises(DomainError, match="10 \\* amplitude"):
             perturb(identity_map(32), amplitude, 0)
 
     def test_negative_zero_amplitude_is_zero(self):
@@ -260,6 +262,24 @@ class TestCsv:
         rows = ["theta,phase"] + [f"{t:.17g},{p:.17g}" for t, p in zip(theta, phases)]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(AdmissibilityError):
+            read_map_csv(path)
+
+    def test_malformed_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = ["theta,phase"] + [f"{t:.17g},{t:.17g}" for t in identity_map(8).theta]
+        rows[3] = "0.5"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DomainError, match="malformed map row"):
+            read_map_csv(path)
+
+    def test_theta_not_increasing(self, tmp_path):
+        # the uniform grid with two angles swapped
+        theta = identity_map(8).theta
+        theta[[2, 3]] = theta[[3, 2]]
+        path = tmp_path / "bad.csv"
+        rows = ["theta,phase"] + [f"{t:.17g},{t:.17g}" for t in theta]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DomainError, match="strictly increasing"):
             read_map_csv(path)
 
     def test_too_few_rows(self, tmp_path):

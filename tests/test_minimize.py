@@ -1,5 +1,6 @@
 """Descent runs: degree certification, monotone traces, bound sandwiches."""
 
+import functools
 import importlib
 import math
 
@@ -13,6 +14,7 @@ from fracmin import (
     EnergyParams,
     GridMap,
     MinimizeConfig,
+    degree,
     degree_lower_bound,
     descend_from,
     energy,
@@ -119,7 +121,7 @@ def two_pass_descent(start, config):
         step = 1.0
         for _ in range(m._MAX_HALVINGS + 1):
             candidate = GridMap(point.phases - step * direction)
-            if m._candidate_degree(candidate) == config.degree_target:
+            if candidate.degree == config.degree_target:
                 trial = energy(candidate, params)
                 if trial <= current - m._ARMIJO_DECREASE * step * decrement:
                     break
@@ -135,6 +137,23 @@ def two_pass_descent(start, config):
         decrement = float(grad @ direction)
     grad_norm = float(np.linalg.norm(grad))
     return current, grad_norm, decrement / current, iterations, stop(), np.array(trace)
+
+
+def count_degrees(monkeypatch):
+    """Make GridMap.degree record each map's degree when it is first read,
+    into the list returned; a cached re-read records nothing."""
+    degrees = []
+    degree = GridMap.degree.func
+
+    def counting_degree(u):
+        value = degree(u)
+        degrees.append(value)
+        return value
+
+    counting = functools.cached_property(counting_degree)
+    counting.__set_name__(GridMap, "degree")
+    monkeypatch.setattr(GridMap, "degree", counting)
+    return degrees
 
 
 class TestFusedDescent:
@@ -164,28 +183,45 @@ class TestFusedDescent:
     )
     def test_one_kernel_pass_per_trial(self, monkeypatch, p, d, start):
         passes = []
-        trials = []
+        degrees = count_degrees(monkeypatch)
         kernel = energy_module._kernel
-        candidate_degree = minimize_module._candidate_degree
 
         def counting_kernel(*args):
             passes.append(args[2:])
             return kernel(*args)
 
-        def counting_degree(candidate):
-            degree = candidate_degree(candidate)
-            trials.append(degree == d)
-            return degree
-
         monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
-        monkeypatch.setattr(minimize_module, "_candidate_degree", counting_degree)
         result = descend_from(start, MinimizeConfig(p=p, degree_target=d, **FAST))
-        # the first degree test is the start's; each later one that keeps
+        trials = [degree == d for degree in degrees]
+        # the first degree read is the start's; each later one that keeps
         # the degree is a trial step the kernel evaluates
         steps = sum(trials[1:])
         assert steps > result.iterations
         assert len(passes) == steps + 1 == result.evaluations
         assert set(passes) == {(True, True)}
+
+    def test_trial_of_another_degree_halves_without_a_kernel_pass(self, monkeypatch):
+        # a direction 64 times too long makes the unit steps cross gaps of
+        # pi: the first trials wind 2 and -2 times, and are halved unevaluated
+        passes = []
+        degrees = count_degrees(monkeypatch)
+        kernel = energy_module._kernel
+        sobolev_gradient = minimize_module._sobolev_gradient
+
+        def counting_kernel(*args):
+            passes.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
+        monkeypatch.setattr(
+            minimize_module, "_sobolev_gradient", lambda grad, symbol: 64.0 * sobolev_gradient(grad, symbol)
+        )
+        result = descend_from(perturb(power_map(64, 1), 0.1, 1), MinimizeConfig(p=1.5, degree_target=1, **FAST))
+        assert degrees[1] != 1 and degrees[2] != 1
+        assert len(passes) == degrees.count(1) == result.evaluations
+        assert len(degrees) - 1 > result.evaluations - 1 > result.iterations > 0
+        assert result.final_degree == degree(result.final_map) == 1
+        assert np.all(np.diff(result.energy_trace) <= 0.0)
 
     def test_every_termination_occurs(self, request):
         converged = descend_from(power_map(32, 1), MinimizeConfig(p=1.5, degree_target=1, n=32))

@@ -117,6 +117,11 @@ class TestIntegrateSingular:
         with pytest.raises(DomainError):
             integrate_singular(lambda t: np.full_like(t, np.inf), 0.0, 1.0)
 
+    def test_wrong_shape_rejected(self):
+        # a scalar where one value per node is due
+        with pytest.raises(DomainError, match="one value per node"):
+            integrate_singular(lambda t: 1.0, 0.0, 1.0)
+
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             integrate_singular(np.sin, 1.0, 1.0)
@@ -413,6 +418,9 @@ class TestBatchedRows:
             (np.array([1.0, 2.0, 3.0]), np.array([-1.0, 5.0, 0.5]), 1.2),
         ]
     )
+    # two rows at p = 1.5: numpy's power rounds some nodes differently for
+    # a column of exponents 0.5 than for the one exponent of a row alone
+    @example(draws=[(np.array([5.75, 1.6875]), np.array([1.0, 10.0]), 1.5)])
     @given(draws=st.lists(_jp_draws(), min_size=1, max_size=8))
     def test_jp_rows_against_reference(self, draws):
         # every row of the jp checks' quadrature batch, against the
