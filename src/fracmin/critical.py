@@ -1,5 +1,6 @@
 """The critical exponent where the identity-map energy meets 5x the
-degree lower bound, located through two independent evaluation paths.
+degree lower bound, and the identity energy's p-derivative, each through
+two independent evaluation paths.
 
 The defining equation, after dividing out the common factors, is
 
@@ -8,7 +9,7 @@ The defining equation, after dividing out the common factors, is
 The left side is strictly decreasing and log-convex in p, so Newton's
 method on its logarithm, started at the left end of (1.0001, 2), pins the
 root; the quadrature path then revalidates the residual independently of
-the Beta closed form.
+the Beta closed form.  The derivative's bracket has a digamma and a series path.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import identity_energy_derivative
-from .errors import ConsistencyError, ConvergenceError, DomainError, _exponent
+from .energy import _digamma_bracket, identity_energy_derivative
+from .errors import ConvergenceError, DomainError, _exponent
 from .quadrature import integral_sin_power
-from .special import beta, digamma
+from .special import beta
 
 __all__ = [
     "CriticalReport",
@@ -59,13 +60,13 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
     Once the sign change on (1.0001, 2) is asserted, Newton's method on
-    log B runs from p = 1.0001 with the slope (psi((p-1)/2) - psi(p/2))/2.
-    log B(x, 1/2) is convex and decreasing in x, as psi' is decreasing, so
-    in exact arithmetic no step overshoots.  It stops at the first p with
-    |residual| <= tol whose step was at most tol/100, so p' is within
-    about tol/100 of the root, and the residual is cross-checked by the
-    singular quadrature of the same integral.  tol lies in [1e-13, 1e-4]:
-    the residual floor of the Beta path is about 1.2e-14.
+    log B runs from p = 1.0001 with the slope _digamma_bracket(p)/2 - log 2
+    = (psi((p-1)/2) - psi(p/2))/2.  log B(x, 1/2) is convex and decreasing
+    in x, as psi' is decreasing, so in exact arithmetic no step overshoots.
+    It stops at the first p with |residual| <= tol whose step was at most
+    tol/100, so p' is within about tol/100 of the root, and the residual is
+    cross-checked by the singular quadrature of the same integral.  tol lies
+    in [1e-13, 1e-4]: the residual floor of the Beta path is about 1.2e-14.
     """
     tol = float(tol)
     if not (1e-13 <= tol <= 1e-4):
@@ -75,7 +76,7 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
         raise ConvergenceError("critical equation lost its sign change on (1.0001, 2)")
     p = _BRACKET_LO
     for iterations in range(1, _MAX_STEPS + 1):
-        step = math.log1p(f / FIVE_PI) / (0.5 * (digamma(0.5 * p) - digamma(0.5 * (p - 1.0))))
+        step = math.log1p(f / FIVE_PI) / (math.log(2.0) - 0.5 * _digamma_bracket(p))
         p += step
         f = _gap(p)
         if abs(f) <= tol and abs(step) <= tol / 100.0:
@@ -122,27 +123,17 @@ def derivative_sign_condition(p: float) -> float:
     return math.log(2.0) - reciprocal_pair_sum(p)
 
 
-def monotonicity_scan(grid_size: int) -> list[tuple[float, float]]:
-    """identity_energy_derivative on a uniform grid over (1.01, 1.99).
+def _derivative_paths(p: float) -> tuple[float, float, float]:
+    """(identity_energy_derivative(p), the _digamma_bracket it read, and
+    2 derivative_sign_condition(p)): the bracket again, without digamma, as
+    psi((p-1)/2) - psi(p/2) = -2 sum_n 1/((2n+p-1)(2n+p))."""
+    return identity_energy_derivative(p), _digamma_bracket(p), 2.0 * derivative_sign_condition(p)
 
-    Every value must be negative; at each grid point the digamma-bracket
-    evaluation and the series evaluation of the same quantity must agree
-    within 1e-9, otherwise a ConsistencyError is raised.
-    """
+
+def monotonicity_scan(grid_size: int) -> list[tuple[float, float, float, float]]:
+    """(p, derivative, digamma bracket, series bracket) rows of
+    _derivative_paths on a uniform grid over (1.01, 1.99)."""
     grid_size = int(grid_size)
     if grid_size < 10:
         raise DomainError(f"grid_size must be >= 10, got {grid_size}")
-    ps = np.linspace(1.01, 1.99, grid_size)
-    out = []
-    for p in ps:
-        p = float(p)
-        derivative = identity_energy_derivative(p)
-        digamma_path = digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
-        series_path = -2.0 * reciprocal_pair_sum(p)
-        mismatch = abs(digamma_path - series_path)
-        if mismatch > 1e-9:
-            raise ConsistencyError(
-                f"digamma and series paths disagree by {mismatch:.3e} at p={p!r}"
-            )
-        out.append((p, derivative))
-    return out
+    return [(p, *_derivative_paths(p)) for p in np.linspace(1.01, 1.99, grid_size).tolist()]

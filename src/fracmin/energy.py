@@ -702,20 +702,27 @@ def identity_energy_quadrature(p: float) -> float:
     return 2.0**p * math.pi * integral_sin_power(p)
 
 
+# one entry: critical._derivative_paths reads the bracket right after the
+# derivative at the same p, and Newton's method for p' moves p every step
+@functools.lru_cache(maxsize=1)
+def _digamma_bracket(p: float) -> float:
+    """2 log 2 + psi((p-1)/2) - psi(p/2), twice the p-derivative of
+    log E_p(Id); the package calls digamma nowhere else."""
+    return 2.0 * math.log(2.0) + digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
+
+
 def identity_energy_derivative(p: float) -> float:
     """d/dp of the closed-form identity energy, for 1 < p < 2.
 
     Differentiating through the Beta factor with the digamma rule gives
 
-        2^(p-1) * pi * B((p-1)/2, 1/2)
-               * (2 log 2 + psi((p-1)/2) - psi(p/2)),
+        2^(p-1) * pi * B((p-1)/2, 1/2) * _digamma_bracket(p),
 
     which is negative on the whole interval: the identity energy strictly
     decreases in p.
     """
     p = _exponent(p, "the derivative", closed=False)
-    bracket = 2.0 * math.log(2.0) + digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
-    return 2.0 ** (p - 1.0) * math.pi * beta(0.5 * (p - 1.0), 0.5) * bracket
+    return 2.0 ** (p - 1.0) * math.pi * beta(0.5 * (p - 1.0), 0.5) * _digamma_bracket(p)
 
 
 def degree_lower_bound(p: float, d: int) -> float:

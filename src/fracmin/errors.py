@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["AdmissibilityError", "ConsistencyError", "ConvergenceError", "DomainError"]
+__all__ = ["AdmissibilityError", "ConvergenceError", "DomainError"]
 
 
 class DomainError(ValueError):
@@ -15,11 +15,6 @@ class AdmissibilityError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach the requested tolerance."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent evaluation paths of the same quantity disagree
-    beyond their combined error budget."""
 
 
 def _exponent(p, what: str, *, closed: bool = True) -> float:

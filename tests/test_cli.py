@@ -32,7 +32,6 @@ from fracmin.critical import critical_p
 
 # the package binds the name fracmin.energy to the function
 energy_module = importlib.import_module("fracmin.energy")
-critical_module = importlib.import_module("fracmin.critical")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -65,6 +64,9 @@ class TestReports:
         results = report["results"]
         assert abs(results["p_prime"] - REFERENCE_CRITICAL_P) <= 1e-12
         assert abs(results["residual_beta"]) <= 1e-10
+        # critical_p returns only once the residual meets --tol, so the
+        # residual is reported and not checked
+        assert [check["name"] for check in report["checks"]] == ["path_agreement", "matches_reference_value"]
         # the paper's five decimals sit 2.9e-5 above the root
         assert results["paper_p_prime"] == 1.13924
         assert results["paper_gap"] == pytest.approx(2.9159673369e-5, abs=1e-12)
@@ -80,7 +82,8 @@ class TestReports:
 
     @pytest.mark.parametrize("tol", ["1e-13", "1e-10", "1e-8", "1e-6", "1e-4"])
     def test_critical_p_meets_its_tol(self, capsys, schema, tol):
-        # a root found to a looser tol passes bounds derived from that tol
+        # Newton's last step lands within 1e-12 of the root at every tol, so
+        # the reference bound does not widen with it
         code, report = run_json(capsys, ["critical-p", "--tol", tol])
         assert code == 0
         jsonschema.validate(report, schema)
@@ -90,7 +93,7 @@ class TestReports:
     @pytest.mark.parametrize("tol", [1e-8, 1e-4])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_critical_p_reference_check_detects_shifted_root(self, capsys, monkeypatch, tol, sign):
-        # p' off by tol/20 is 2.5 times the tol/50 that the check allows
+        # p' off by tol/20 is at least 500 times the 1e-12 that the check allows
         def shifted(tol):
             report = critical_p(tol)
             return dataclasses.replace(report, p_prime=report.p_prime + sign * tol / 20.0)
@@ -105,6 +108,20 @@ class TestReports:
         assert code == 0
         jsonschema.validate(report, schema)
         assert report["results"]["derivative"] < 0.0
+        assert [check["name"] for check in report["checks"]] == ["derivative_negative", "two_path_agreement"]
+
+    def test_id_energy_derivative_near_one(self, capsys):
+        # the brackets grow like -2/(p-1) = -2e7 here and round at that
+        # scale: their gap is ~1e-8, which an absolute 1e-9 failed
+        code, report = run_json(capsys, ["id-energy-derivative", "--p", "1.0000001"])
+        assert code == 0
+        results = report["results"]
+        assert results["digamma_bracket"] == pytest.approx(-2e7, rel=1e-6)
+        check = report["checks"][1]
+        assert check["passed"]
+        assert check["margin"] == 1e-9 * abs(results["digamma_bracket"]) - abs(
+            results["digamma_bracket"] - results["series_bracket"]
+        )
 
     def test_monotonicity_scan(self, capsys, schema, tmp_path):
         table = tmp_path / "scan.csv"
@@ -114,6 +131,7 @@ class TestReports:
         assert code == 0
         jsonschema.validate(report, schema)
         assert report["results"]["max_derivative"] < 0.0
+        assert [check["name"] for check in report["checks"]] == ["all_derivatives_negative", "two_path_agreement"]
         lines = table.read_text().strip().splitlines()
         assert lines[0] == "p,derivative" and len(lines) == 21
 
@@ -129,6 +147,8 @@ class TestReports:
         code, report = run_json(capsys, ["degree", "--map", str(path)])
         assert code == 0
         assert report["results"]["degree"] == 1
+        # degree(u) raises for a residual >= 1e-9, so no check could fail
+        assert report["checks"] == []
         assert abs(report["results"]["winding_residual"]) < 1e-9
         # the residual is the gap sum over 2 pi minus the degree, bit for bit
         u = read_map_csv(path)
@@ -560,6 +580,59 @@ class TestGradientCheck:
         assert [check["passed"] for check in report["checks"]] == [False, False]
 
 
+def _scaled(factor):
+    return lambda f: lambda *args: f(*args) * factor
+
+
+def _shifted(offset):
+    return lambda f: lambda *args: f(*args) + offset
+
+
+# (argv, module, function, mutation, the check it must fail): each
+# mutation is the smallest of its kind that the check is there to catch
+_CHECK_MUTATIONS = [
+    (["id-energy", "--p", "1.5"], "cli", "identity_energy_quadrature", _scaled(1.0 + 1e-8), "closed_vs_quadrature_rel"),
+    (["id-energy", "--p", "2"], "cli", "identity_energy_closed_form", _scaled(1.0 + 1e-8), "matches_ground_truth_rel"),
+    (["id-energy-derivative", "--p", "1.5"], "critical", "identity_energy_derivative", _scaled(-1.0), "derivative_negative"),
+    (["id-energy-derivative", "--p", "1.5"], "critical", "reciprocal_pair_sum", _shifted(1e-6), "two_path_agreement"),
+    # moves the root by about 1e-11
+    (["critical-p"], "critical", "beta", _shifted(1e-9), "matches_reference_value"),
+    (["critical-p"], "critical", "integral_sin_power", _shifted(1e-7), "path_agreement"),
+    (["monotonicity-scan", "--grid-size", "10"], "critical", "identity_energy_derivative", _scaled(-1.0), "all_derivatives_negative"),
+    # the two derivative paths disagree: a failed check with its report, not an error
+    (["monotonicity-scan", "--grid-size", "10"], "critical", "reciprocal_pair_sum", _shifted(1e-6), "two_path_agreement"),
+]
+
+
+class TestCheckMutations:
+    """Every check that id-energy, id-energy-derivative, critical-p and
+    monotonicity-scan print fails, with exit 1 and a full report, under a
+    mutation of the function it guards."""
+
+    @pytest.mark.parametrize(
+        "argv, module, name, mutation, check",
+        _CHECK_MUTATIONS,
+        ids=[f"{argv[0]}-{check}" for argv, *_, check in _CHECK_MUTATIONS],
+    )
+    def test_named_check_fails(self, capsys, monkeypatch, schema, argv, module, name, mutation, check):
+        target = importlib.import_module(f"fracmin.{module}")
+        monkeypatch.setattr(target, name, mutation(getattr(target, name)))
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        report = json.loads(captured.out)
+        jsonschema.validate(report, schema)
+        assert check in [c["name"] for c in report["checks"] if not c["passed"]]
+
+    def test_every_check_has_a_row(self, capsys):
+        printed = set()
+        for argv in {tuple(argv) for argv, *_ in _CHECK_MUTATIONS}:
+            code, report = run_json(capsys, list(argv))
+            assert code == 0
+            printed |= {(argv[0], c["name"]) for c in report["checks"]}
+        assert printed == {(argv[0], check) for argv, *_, check in _CHECK_MUTATIONS}
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["no-such-command"]) == 2
@@ -680,16 +753,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: provide exactly one of --map, --power, --moebius\n"
-
-    def test_consistency_error_exit(self, capsys, monkeypatch):
-        # the series path off by 1e-6: the two derivative paths disagree,
-        # which is exit 4 with the reason on stderr and no report
-        pair_sum = critical_module.reciprocal_pair_sum
-        monkeypatch.setattr(critical_module, "reciprocal_pair_sum", lambda p: pair_sum(p) + 1e-6)
-        assert run(["monotonicity-scan", "--grid-size", "10"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("did not converge: digamma and series paths disagree")
 
     def test_nonconvergence_exit(self, capsys, monkeypatch):
         # every run of the real minimize converges, so a single capped step

@@ -14,6 +14,7 @@ from fracmin import (
     derivative_sign_condition,
     digamma,
     identity_energy_closed_form,
+    identity_energy_derivative,
     monotonicity_scan,
     reciprocal_pair_sum,
 )
@@ -121,18 +122,18 @@ class TestDerivativeSignCondition:
 
 class TestMonotonicityScan:
     def test_all_negative_small_grid(self):
-        pairs = monotonicity_scan(10)
-        assert len(pairs) == 10
-        assert all(d < 0.0 for _, d in pairs)
+        rows = monotonicity_scan(10)
+        assert len(rows) == 10
+        assert all(d < 0.0 for _, d, _, _ in rows)
 
     def test_grid_covers_interval(self):
-        pairs = monotonicity_scan(25)
-        ps = [p for p, _ in pairs]
+        rows = monotonicity_scan(25)
+        ps = [p for p, _, _, _ in rows]
         assert ps[0] == pytest.approx(1.01) and ps[-1] == pytest.approx(1.99)
         assert all(a < b for a, b in zip(ps, ps[1:]))
 
     def test_derivative_magnitude_shrinks_toward_two(self):
-        pairs = dict(monotonicity_scan(99))
+        pairs = {p: d for p, d, _, _ in monotonicity_scan(99)}
         near_two = max(p for p in pairs if p > 1.98)
         mid = min(pairs, key=lambda p: abs(p - 1.5))
         assert abs(pairs[near_two]) < abs(pairs[mid])
@@ -140,6 +141,15 @@ class TestMonotonicityScan:
     def test_grid_size_domain(self):
         with pytest.raises(DomainError):
             monotonicity_scan(9)
+
+    def test_rows_are_the_derivative_and_its_two_brackets(self):
+        # the derivative is the public one bit for bit; the brackets are its
+        # digamma factor and the series, which agree to rounding
+        for p, derivative, digamma_bracket, series_bracket in monotonicity_scan(10):
+            assert derivative == identity_energy_derivative(p)
+            assert digamma_bracket == 2.0 * math.log(2.0) + digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
+            assert series_bracket == 2.0 * derivative_sign_condition(p)
+            assert abs(digamma_bracket - series_bracket) <= 1e-9 * max(1.0, abs(digamma_bracket))
 
 
 class TestBracketFailureGuard:

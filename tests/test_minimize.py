@@ -4,6 +4,7 @@ import functools
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,6 +375,24 @@ class TestPreconditionedDescent:
                     assert deviation <= 1e-6 * abs(symbol[m]), (scale, m)
                 else:
                     assert deviation <= 1e-7, (scale, m)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+    def test_hessian_symbol_meets_its_continuum_limit(self, p):
+        # an independent reference: E_p(u) = sum_j (-c_j) E_2(u^j), with
+        # -c_j = Gamma(p+1) sin(pi p/2)/pi Gamma(j - p/2)/Gamma(j + 1 + p/2)
+        # the Fourier coefficients of |1 - e^(i delta)|^p, so at the identity
+        # n lambda_m -> 8 pi^2 sum_{j<m} (m - j) j^2 (-c_j).  At n = 256 the
+        # symbol meets that to 2.7e-6; with the zeta weight halved it misses
+        # by 0.021 or more, and with T2 dropped by 7.4e-5 or more
+        n = 256
+        symbol = minimize_module._hessian_symbol(n, p, 1)
+        with mpmath.workdps(30):
+            q = mpmath.mpf(p)
+            scale = mpmath.gamma(q + 1) * mpmath.sin(mpmath.pi * q / 2) / mpmath.pi
+            minus_c = [scale * mpmath.gamma(j - q / 2) / mpmath.gamma(j + 1 + q / 2) for j in range(1, 6)]
+            for m in range(2, 7):
+                limit = 8 * mpmath.pi**2 * sum((m - j) * j**2 * minus_c[j - 1] for j in range(1, m))
+                assert abs(n * symbol[m] / float(limit) - 1.0) <= 1e-5, m
 
     @pytest.mark.parametrize("p", [1.01, 1.05, P_PRIME, 1.5, 2.0])
     def test_symbol_is_positive_on_every_accepted_grid(self, p):

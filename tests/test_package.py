@@ -10,7 +10,7 @@ import sys
 import fracmin
 
 SUBMODULES = ("critical", "energy", "inequalities", "maps", "minimize", "quadrature", "special")
-ERRORS = ("AdmissibilityError", "ConsistencyError", "ConvergenceError", "DomainError")
+ERRORS = ("AdmissibilityError", "ConvergenceError", "DomainError")
 
 
 def exported():
