@@ -59,10 +59,13 @@ _WINDING_SLACK = 0.98
 
 # inequality-suite runs its jp draws through the checks this many at a
 # time, each block one quadrature batch.  On the certify benchmark
-# workload (peak RSS 41.4 MiB one draw at a time) blocks of 64 add
-# 0.5 MiB; blocks of 32 add 0.1 MiB but take 4 ms more per 1000 draws,
-# and one block of all 1000 draws adds 6.6 MiB.
+# workload (peak RSS 41.7 MiB one draw at a time) blocks of 64 add
+# 0.3 MiB; blocks of 32 add none but take 2 ms more per 1000 draws, and
+# one block of all 1000 draws adds 6.7 MiB.
 _JP_BLOCK = 64
+# its Young draws this many at a time, each block one generator call: a
+# block of 1024 rows holds 24 KiB of doubles, so no count allocates more
+_YOUNG_BLOCK = 1024
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -126,7 +129,7 @@ def _two_path_check(digamma_bracket: float, series_bracket: float) -> dict:
 
 
 def _cmd_id_energy_derivative(args):
-    derivative, digamma_bracket, series_bracket = _derivative_paths(args.p)
+    [(derivative, digamma_bracket, series_bracket)] = _derivative_paths([args.p])
     results = {
         "derivative": derivative,
         "digamma_bracket": digamma_bracket,
@@ -396,6 +399,17 @@ def _cmd_scan(args):
     return {"rows": rows}, checks, all(row["converged"] for row in rows)
 
 
+def _young_draws(rng, count: int):
+    """(A, B, p) for count Young checks, drawn uniform on [0, 100) x
+    [1e-6, 100) x [1.05, 1.95) in blocks of _YOUNG_BLOCK rows.  A block
+    fills its rows in C order, each double from what a scalar
+    rng.uniform(low, high) would take, so the draws and the generator's
+    state after them are those of 3 count scalar draws."""
+    for start in range(0, count, _YOUNG_BLOCK):
+        rows = min(_YOUNG_BLOCK, count - start)
+        yield from rng.uniform((0.0, 1e-6, 1.05), (100.0, 100.0, 1.95), (rows, 3)).tolist()
+
+
 def _cmd_inequality_suite(args):
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
@@ -405,14 +419,13 @@ def _cmd_inequality_suite(args):
         draws = []
         for _ in range(min(_JP_BLOCK, args.count - start)):
             m = int(rng.integers(1, 4))
-            draws.append((rng.uniform(-10.0, 10.0, m), rng.uniform(-10.0, 10.0, m), float(rng.uniform(1.05, 1.95))))
+            # a, then b: the doubles of two draws of m
+            ends = rng.uniform(-10.0, 10.0, 2 * m)
+            draws.append((ends[:m], ends[m:], float(rng.uniform(1.05, 1.95))))
         for check in _jp_checks(draws):
             jp_min = min(jp_min, check.margin)
     young_min = math.inf
-    for _ in range(args.count):
-        big_a = float(rng.uniform(0.0, 100.0))
-        big_b = float(rng.uniform(1e-6, 100.0))
-        p = float(rng.uniform(1.05, 1.95))
+    for big_a, big_b, p in _young_draws(rng, args.count):
         young_min = min(young_min, young_variant_check(big_a, big_b, p).margin)
     antipodal_max = 0.0
     for p in (1.1, 1.3, 1.5, 1.7, 1.9):

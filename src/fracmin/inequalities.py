@@ -55,29 +55,40 @@ def segment_weight_integral(a, b, p: float) -> float:
     DomainError, as does p outside 1 < p < 2.
     """
     p = _exponent(p, "the segment integral", closed=False)
-    a, b = _segment(a, b)
+    a, b, norm_a, _ = _segment(a, b)
     [(length, along)] = _arc_integrals([_arc_pieces(a, b, p)])
     if length == 0.0:
-        if not a.any():
+        if norm_a == 0.0:
             raise DomainError("degenerate input: a = b = 0")
-        return math.hypot(*a) ** (p - 2.0)
+        return norm_a ** (p - 2.0)
     return along / length
 
 
-def _segment(a, b) -> tuple[np.ndarray, np.ndarray]:
+def _segment(a, b) -> tuple[list, list, float, float]:
+    """a and b as lists of Python floats, and their norms.  The segment
+    arithmetic takes them one component at a time: IEEE +, -, *, / and
+    math.hypot give the bits of numpy's elementwise operations."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DomainError("a and b must be 1D vectors of equal positive length")
+    a, b = a.tolist(), b.tolist()
+    norm_a, norm_b = math.hypot(*a), math.hypot(*b)
     # the integral forms sums up to |a| + |b| <= 2 max(|a|, |b|), which is
     # not finite if an endpoint is not; each norm is tested on its own, as
     # max() passes over a NaN in its second argument
-    if not all(math.isfinite(2.0 * math.hypot(*v)) for v in (a, b)):
+    if not (math.isfinite(2.0 * norm_a) and math.isfinite(2.0 * norm_b)):
         raise DomainError("a and b must be finite, with norms below half the float range")
-    return a, b
+    return a, b, norm_a, norm_b
 
 
-def _arc_pieces(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, list]:
+def _inner(u: list, v: list) -> float:
+    """u . v as numpy's dot forms it: the BLAS ddot, which rounds
+    differently from a Python sum of the products."""
+    return float(np.dot(u, v))
+
+
+def _arc_pieces(a: list, b: list, p: float) -> tuple[float, float, list]:
     """The integral of |x|^(p-2) over arc length along the segment, in
     pieces: |b - a|, the sum of the pieces in closed form (d = 0), and
     the quadrature row (p, U, width, scale) of each piece (d > 0).
@@ -97,13 +108,13 @@ def _arc_pieces(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, float, l
     raises DomainError.
     """
     # lengths come from math.hypot: squares underflow below about 1e-154
-    delta = b - a
+    delta = [y - x for x, y in zip(a, b)]
     length = math.hypot(*delta)
     if length == 0.0:
         return 0.0, 0.0, []
-    unit = delta / length
-    s_a, s_b = float(a @ unit), float(b @ unit)
-    d = _line_distance(a.tolist(), b.tolist(), length)
+    unit = [x / length for x in delta]
+    s_a, s_b = _inner(a, unit), _inner(b, unit)
+    d = _line_distance(a, b, length)
     pieces = [(0.0, -s_a), (0.0, s_b)] if s_a < 0.0 < s_b else [(min(abs(s_a), abs(s_b)), length)]
     total, rows = 0.0, []
     for lo, span in pieces:
@@ -187,15 +198,13 @@ def _jp_checks(draws) -> list[InequalityCheck]:
     with np.errstate(over="ignore"):  # a side that overflows raises DomainError below
         for a, b, p in draws:
             p = _exponent(p, "the jp check", closed=False)
-            a, b = _segment(a, b)
-            norm_a = math.hypot(*a)
-            norm_b = math.hypot(*b)
+            a, b, norm_a, norm_b = _segment(a, b)
             if norm_a == 0.0 and norm_b == 0.0:
                 raise DomainError("degenerate input: a = b = 0")
             # |v|^(p-1) times the unit vector: |v|^(p-2) overflows for subnormal |v|
-            ja = a / norm_a * norm_a ** (p - 1.0) if norm_a > 0.0 else np.zeros_like(a)
-            jb = b / norm_b * norm_b ** (p - 1.0) if norm_b > 0.0 else np.zeros_like(b)
-            sides.append((p, float((jb - ja) @ (b - a))))
+            ja = [x / norm_a * norm_a ** (p - 1.0) for x in a] if norm_a > 0.0 else [0.0] * len(a)
+            jb = [x / norm_b * norm_b ** (p - 1.0) for x in b] if norm_b > 0.0 else [0.0] * len(b)
+            sides.append((p, _inner([y - x for x, y in zip(ja, jb)], [y - x for x, y in zip(a, b)])))
             prepared.append(_arc_pieces(a, b, p))
     checks = []
     for (p, lhs), (length, along) in zip(sides, _arc_integrals(prepared)):

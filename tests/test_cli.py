@@ -1,6 +1,7 @@
 """CLI reports: schema validity, determinism, exit codes, side files."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -340,6 +341,18 @@ class TestReports:
         assert report["results"]["energy"] == energy(moebius_map(128, (0.5, 0.0)), EnergyParams(1.5))
 
 
+# the sha256 of reports that took their draws one scalar at a time and
+# their series one exponent at a time
+_PINNED_REPORTS = [
+    (["inequality-suite", "--count", "1000", "--seed", "7"], "4423a48a310d9fe2f3c823dc0265f7baaf4b16eba705be3f5f5e881b66556b62"),
+    (["inequality-suite", "--count", "1000", "--seed", "22901"], "e2e5933cf8fcb0cb05ed354e8d2a3b17e43f912cd2364a350eedd79289a45b50"),
+    (["inequality-suite", "--count", "1000", "--seed", "12345"], "4652bcef7fab10d60bb0915b78d8dcd13a89ed6f580cced5d99b815da34da172"),
+    (["inequality-suite", "--count", "1", "--seed", "0"], "2034bf2a853b554ef100d6acbf08578d8a5d421efab13213b4eaf9d6652b5666"),
+    (["inequality-suite", "--count", "65", "--seed", "5"], "e45b83a3d0e76ddda9254ebb0b73a3509348896a683e1cb399d43f8339dcd3ad"),
+    (["monotonicity-scan", "--grid-size", "1000"], "23b540d1a7028d3d09208bbd3664043e52b1c9201f02491e8607870a9b533f55"),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         run(["inequality-suite", "--count", "25", "--seed", "7"])
@@ -372,6 +385,12 @@ class TestDeterminism:
         assert report["results"]["jp_min_margin"] == jp_min
         assert report["results"]["young_min_margin"] == young_min
 
+    @pytest.mark.parametrize("argv, digest", _PINNED_REPORTS, ids=["-".join(argv[0::2]) for argv, _ in _PINNED_REPORTS])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        # the block draws and the block series must not move a byte
+        assert run(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_inequality_suite_does_not_depend_on_the_block(self, capsys, monkeypatch):
         cli_module = importlib.import_module("fracmin.cli")
         blocks = sorted({1, 7, cli_module._JP_BLOCK})
@@ -383,6 +402,53 @@ class TestDeterminism:
                 assert run(["inequality-suite", "--count", str(count), "--seed", "11"]) == 0
                 reports.add(capsys.readouterr().out)
             assert len(reports) == 1, count
+
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    def test_young_block_draws_are_the_scalar_draws(self, monkeypatch, count):
+        cli_module = importlib.import_module("fracmin.cli")
+        for block in sorted({1, 7, cli_module._YOUNG_BLOCK}):
+            monkeypatch.setattr(cli_module, "_YOUNG_BLOCK", block)
+            blocked, scalar = np.random.default_rng(2027), np.random.default_rng(2027)
+            rows = list(cli_module._young_draws(blocked, count))
+            reference = []
+            for _ in range(count):
+                big_a = scalar.uniform(0.0, 100.0)
+                big_b = scalar.uniform(1e-6, 100.0)
+                reference.append([big_a, big_b, scalar.uniform(1.05, 1.95)])
+            assert rows == reference, block
+            # the generator is left where the scalar draws leave it
+            assert blocked.random() == scalar.random(), block
+
+    def test_inequality_suite_generator_calls(self, capsys, monkeypatch):
+        # 3 calls per jp draw (m, both ends, p) and one per block of Young draws
+        calls = []
+        make = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self._rng = make(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        assert run(["inequality-suite", "--count", "1000"]) == 0
+        assert len(calls) == 3 * 1000 + 1
+
+    def test_monotonicity_scan_series_calls(self, capsys, monkeypatch):
+        # one series call per block of 8 exponents
+        critical_module = importlib.import_module("fracmin.critical")
+        calls = []
+        series = critical_module.reciprocal_pair_sum
+        monkeypatch.setattr(critical_module, "reciprocal_pair_sum", lambda p: calls.append(p) or series(p))
+        assert run(["monotonicity-scan", "--grid-size", "1000"]) == 0
+        assert len(calls) == 125
 
     def test_negative_seed(self, capsys):
         # every seed is reduced mod 2^63, as perturb reduces it
@@ -588,6 +654,23 @@ def _shifted(offset):
     return lambda f: lambda *args: f(*args) + offset
 
 
+def _rhs_scaled(factor):
+    """The rhs of each InequalityCheck the function returns, alone or in a list, times factor."""
+
+    def scale(check):
+        rhs = check.rhs * factor
+        return dataclasses.replace(check, rhs=rhs, margin=check.lhs - rhs)
+
+    def mutate(f):
+        def mutated(*args):
+            result = f(*args)
+            return [scale(check) for check in result] if isinstance(result, list) else scale(result)
+
+        return mutated
+
+    return mutate
+
+
 # (argv, module, function, mutation, the check it must fail): each
 # mutation is the smallest of its kind that the check is there to catch
 _CHECK_MUTATIONS = [
@@ -601,13 +684,19 @@ _CHECK_MUTATIONS = [
     (["monotonicity-scan", "--grid-size", "10"], "critical", "identity_energy_derivative", _scaled(-1.0), "all_derivatives_negative"),
     # the two derivative paths disagree: a failed check with its report, not an error
     (["monotonicity-scan", "--grid-size", "10"], "critical", "reciprocal_pair_sum", _shifted(1e-6), "two_path_agreement"),
+    # 1-D draws are equality cases, with rhs up to about 200 in 50 draws
+    (["inequality-suite", "--count", "50"], "cli", "_jp_checks", _rhs_scaled(1.0 + 1e-11), "jp_margin_floor"),
+    # the Young variant holds with lhs >= 1.12 rhs on the whole draw domain,
+    # and >= 1.50 rhs on these 50 draws: no smaller scale fails it
+    (["inequality-suite", "--count", "50"], "cli", "young_variant_check", _rhs_scaled(1.6), "young_margin_floor"),
+    (["inequality-suite", "--count", "50"], "cli", "jp_monotonicity_check", _rhs_scaled(1.0 + 1e-9), "antipodal_equality"),
 ]
 
 
 class TestCheckMutations:
-    """Every check that id-energy, id-energy-derivative, critical-p and
-    monotonicity-scan print fails, with exit 1 and a full report, under a
-    mutation of the function it guards."""
+    """Every check that id-energy, id-energy-derivative, critical-p,
+    monotonicity-scan and inequality-suite print fails, with exit 1 and a
+    full report, under a mutation of the function it guards."""
 
     @pytest.mark.parametrize(
         "argv, module, name, mutation, check",

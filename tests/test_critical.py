@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracmin import critical
 from fracmin import (
     ConvergenceError,
     DomainError,
@@ -18,6 +19,7 @@ from fracmin import (
     monotonicity_scan,
     reciprocal_pair_sum,
 )
+from fracmin.energy import _digamma_bracket
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 FIVE_PI = 5.0 * math.pi
@@ -150,6 +152,32 @@ class TestMonotonicityScan:
             assert digamma_bracket == 2.0 * math.log(2.0) + digamma(0.5 * (p - 1.0)) - digamma(0.5 * p)
             assert series_bracket == 2.0 * derivative_sign_condition(p)
             assert abs(digamma_bracket - series_bracket) <= 1e-9 * max(1.0, abs(digamma_bracket))
+
+    @pytest.mark.parametrize("grid_size", [10, 99, 1000])
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch, grid_size):
+        # each row is its exponent's single-exponent paths, bit for bit,
+        # whatever the block of exponents the series was summed in
+        single = [
+            (p, identity_energy_derivative(p), _digamma_bracket(p), 2.0 * derivative_sign_condition(p))
+            for p in np.linspace(1.01, 1.99, grid_size).tolist()
+        ]
+        for block in sorted({1, 7, critical._SCAN_BLOCK, 64}):
+            monkeypatch.setattr(critical, "_SCAN_BLOCK", block)
+            assert monotonicity_scan(grid_size) == single, block
+
+
+class TestReciprocalPairSumBlock:
+    def test_block_is_each_exponent_alone(self):
+        exponents = np.linspace(1.0001, 2.0, 37)
+        sums = reciprocal_pair_sum(exponents)
+        assert isinstance(sums, np.ndarray) and sums.shape == (37,)
+        assert sums.tolist() == [reciprocal_pair_sum(p) for p in exponents.tolist()]
+        assert isinstance(reciprocal_pair_sum(1.5), float)
+
+    @pytest.mark.parametrize("bad", [1.0, 2.5, math.nan])
+    def test_block_rejects_a_bad_exponent(self, bad):
+        with pytest.raises(DomainError, match="the series"):
+            reciprocal_pair_sum(np.array([1.5, bad, 1.7]))
 
 
 class TestBracketFailureGuard:
