@@ -84,9 +84,12 @@ error of their chord grows like eps/|u_i - u_j|; the energy term's
 absolute error stays below about p*eps*|u_i - u_j|^(p-1)/c_ij^2, the
 gradient term's about eps*|u_i - u_j|^(p-2)/c_ij^2.
 
-Each offset's terms are folded over i, and the per-offset sums
-combined, in a fixed pairwise-tree order: the energy's bits do not
-depend on the tile width, and results are reproducible bit for bit.
+Each offset's terms are summed over i by numpy's pairwise reduction
+along the tile's contiguous node axis, and the per-offset sums by the
+same reduction of one vector, so rounding grows like log n.  numpy
+reduces each row of a tile on its own: the energy's bits do not depend
+on the tile width, on which thread runs a tile, or on whether the
+gradient is computed too, and results are reproducible bit for bit.
 
 A call of more than one tile splits its tiles into two fixed halves.
 The caller runs the first half in order into gradient rows of its own.
@@ -141,7 +144,6 @@ from .special import beta, digamma, zeta
 
 __all__ = [
     "EnergyParams",
-    "pairwise_sum",
     "energy",
     "energy_gradient",
     "energy_and_gradient",
@@ -189,25 +191,6 @@ class EnergyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _exponent(self.p, "the energy"))
-
-
-def _pairwise_fold(arr: np.ndarray) -> np.ndarray:
-    """The sum along axis 0 of a non-empty array, in a fixed binary-tree order."""
-    while arr.shape[0] > 1:
-        m = arr.shape[0] // 2
-        folded = arr[: 2 * m : 2] + arr[1 : 2 * m : 2]
-        if arr.shape[0] % 2:
-            folded = np.concatenate((folded, arr[-1:]))
-        arr = folded
-    return arr[0]
-
-
-def pairwise_sum(values) -> float:
-    """Sum in a fixed binary-tree order, independent of any threading."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    return float(_pairwise_fold(arr))
 
 
 @functools.lru_cache(maxsize=64)
@@ -487,7 +470,7 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         # the gradient term w sin(phi_i - phi_j)
         if value:
             x *= w
-            per_offset[offsets] = _pairwise_fold(x.T) / node_sq[offsets]
+            per_offset[offsets] = np.add.reduce(x, axis=1) / node_sq[offsets]
         if not gradient:
             return
         sine *= w
@@ -557,9 +540,9 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         # offsets above n//2 repeat those below, while the middle offset of
         # even n already lists each of its unordered pairs in both orders
         if n % 2 == 0:
-            total = float(h * h * (2.0 * pairwise_sum(per_offset[:-1]) + per_offset[-1]))
+            total = float(h * h * (2.0 * np.add.reduce(per_offset[:-1]) + per_offset[-1]))
         else:
-            total = h * h * 2.0 * pairwise_sum(per_offset)
+            total = float(h * h * 2.0 * np.add.reduce(per_offset))
     return total, (2.0 * h * h * p * grad if gradient else None)
 
 

@@ -671,6 +671,19 @@ def _rhs_scaled(factor):
     return mutate
 
 
+def _gradient_scaled(factor):
+    """energy_and_gradient with its gradient times factor."""
+
+    def mutate(f):
+        def mutated(*args):
+            value, grad = f(*args)
+            return value, grad * factor
+
+        return mutated
+
+    return mutate
+
+
 # (argv, module, function, mutation, the check it must fail): each
 # mutation is the smallest of its kind that the check is there to catch
 _CHECK_MUTATIONS = [
@@ -690,13 +703,28 @@ _CHECK_MUTATIONS = [
     # and >= 1.50 rhs on these 50 draws: no smaller scale fails it
     (["inequality-suite", "--count", "50"], "cli", "young_variant_check", _rhs_scaled(1.6), "young_margin_floor"),
     (["inequality-suite", "--count", "50"], "cli", "jp_monotonicity_check", _rhs_scaled(1.0 + 1e-9), "antipodal_equality"),
+    # the order falls to about 1 along every direction; 1 + 1e-6 still passes
+    (["gradient-check"], "cli", "energy_and_gradient", _gradient_scaled(1.0 + 1e-5), "taylor_remainder_order"),
+    # one more direction, a rotation of the whole map: the energy does not
+    # change along it, so its remainders are rounding alone
+    (
+        ["gradient-check"],
+        "cli",
+        "_taylor_directions",
+        lambda f: lambda u, *rest: f(u, *rest) + [np.ones(u.n)],
+        "no_rounding_limited_direction",
+    ),
+    # the bound is sharp at p = 2, where E(z) = 4 pi^2: any scale below the
+    # 0.98 slack fails
+    (["bbm-check", "--power", "1", "--p", "2"], "inequalities", "energy", _scaled(0.979), "holds_with_2pct_slack"),
 ]
 
 
 class TestCheckMutations:
     """Every check that id-energy, id-energy-derivative, critical-p,
-    monotonicity-scan and inequality-suite print fails, with exit 1 and a
-    full report, under a mutation of the function it guards."""
+    monotonicity-scan, inequality-suite, gradient-check and bbm-check print
+    fails, with exit 1 and a full report, under a mutation of the function
+    it guards."""
 
     @pytest.mark.parametrize(
         "argv, module, name, mutation, check",

@@ -35,7 +35,6 @@ from fracmin import (
     is_admissible,
     moebius_energy_closed_form,
     moebius_map,
-    pairwise_sum,
     perturb,
     power_map,
     rotated,
@@ -138,32 +137,6 @@ class TestEnergyParams:
             EnergyParams(bad)
 
 
-class TestPairwiseSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(0)
-        for size in (1, 2, 3, 7, 64, 1000):
-            values = rng.uniform(-1.0, 1.0, size)
-            assert pairwise_sum(values) == pytest.approx(math.fsum(values), rel=1e-14, abs=1e-15)
-
-    def test_empty(self):
-        assert pairwise_sum([]) == 0.0
-
-    def test_fixed_tree_order(self):
-        # adjacent pairs add level by level and an odd last element moves up
-        # unchanged; the kernel's per-offset sums fold columns the same way
-        def tree(xs):
-            while len(xs) > 1:
-                xs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) - len(xs) % 2 :]
-            return xs[0]
-
-        rng = np.random.default_rng(1)
-        for size in (1, 2, 3, 5, 7, 12, 33, 100, 1001):
-            values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
-            assert pairwise_sum(values) == tree(list(values))
-            columns = np.stack([values, values[::-1]], axis=1)
-            assert list(energy_module._pairwise_fold(columns)) == [tree(list(values)), tree(list(values[::-1]))]
-
-
 class TestEnergy:
     @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 33, 127, 128])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
@@ -209,12 +182,19 @@ class TestEnergy:
         assert type(energy(perturb(identity_map(n), 0.3, 9), EnergyParams(p))) is float
 
     def test_rotation_invariance_exact_case(self):
-        # phases and shift all exactly representable: additions are exact,
-        # so the energies agree bit for bit
+        # phases and shift all exactly representable, so the shifted phases
+        # and every gap are exact.  At p = 2 the spectral kernel reads only
+        # phase differences and the correction only gaps: bit for bit.  At
+        # p < 2 the tiled kernel forms chords from cos and sin of the shifted
+        # phases, which round differently, so only rounding agreement holds:
+        # over the shifts k/64, k = 1..256, the gap is at most 0.72 eps
         base = GridMap(np.arange(16) * 0.25)
-        shifted = rotated(base, 0.5)
-        for p in (1.3, 2.0):
-            assert energy(base, EnergyParams(p)) == energy(shifted, EnergyParams(p))
+        for shift in (0.25, 0.5):
+            shifted = rotated(base, shift)
+            assert energy(base, EnergyParams(2.0)) == energy(shifted, EnergyParams(2.0))
+            for p in (1.3, 1.5, 1.7):
+                value = energy(base, EnergyParams(p))
+                assert abs(energy(shifted, EnergyParams(p)) - value) <= 4.0 * np.finfo(float).eps * value
 
     def test_rotation_invariance_generic(self):
         u = random_admissible_map(128, 1, 0.3, 5)
@@ -504,19 +484,26 @@ class TestGradient:
 class TestKernel:
     """The tiled product-form kernel behind energy and energy_gradient."""
 
-    @pytest.mark.parametrize("n", [33, 128, 1000])
+    @pytest.mark.parametrize("n", [33, 128, 1000, 1024, 4097])
     @pytest.mark.parametrize("columns", [1, 3])
     def test_tile_width(self, monkeypatch, n, columns):
-        # per-offset sums fold in a fixed order whatever the tiling, so the
-        # energy keeps its bits; the gradient only reorders its row sums
+        # numpy reduces each offset's contiguous row on its own, so the
+        # energy keeps its bits whatever the tiling, the helper or the
+        # outputs asked for; the gradient only reorders its row sums
         maps = [random_admissible_map(n, 1, 0.3, 8), random_admissible_map(n, 2, 0.3, 9), moebius_map(n, (0.4, 0.1))]
         cases = [(u, EnergyParams(p)) for u in maps for p in (1.2, 1.7)]
         default = [(energy(u, params), energy_gradient(u, params)) for u, params in cases]
         monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
         for (u, params), (value, grad) in zip(cases, default):
-            assert energy(u, params) == value
-            scale = gradient_term_magnitudes(u, params.p)
-            assert np.all(np.abs(energy_gradient(u, params) - grad) <= 1e-13 * scale)
+            for cpus in (1, 2):
+                monkeypatch.setattr(energy_module, "_usable_cpus", lambda cpus=cpus: cpus)
+                assert energy(u, params) == value
+                fused_value, fused_grad = energy_and_gradient(u, params)
+                assert fused_value == value
+            # the reference magnitudes take n^2 memory
+            if n <= 1000:
+                scale = gradient_term_magnitudes(u, params.p)
+                assert np.all(np.abs(fused_grad - grad) <= 1e-13 * scale)
 
     def test_nearest_neighbour_terms_against_mpmath(self):
         # each chord and sine formed from cos/sin values is off by at most
