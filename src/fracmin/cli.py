@@ -26,7 +26,6 @@ from .energy import (
     EnergyParams,
     _error_estimate,
     _unfolded_sign,
-    degree_lower_bound,
     energy,
     energy_and_gradient,
     identity_energy_closed_form,
@@ -53,8 +52,10 @@ REFERENCE_CRITICAL_P = 1.139210840326630521723
 REFERENCE_CRITICAL_TOL = 1e-12
 # the value the paper quotes, reported next to the root as data
 PAPER_CRITICAL_P = 1.13924
-# a winding bound holds when the energy reaches this fraction of it: the
-# 2% covers the discretization error of coarse grids
+# bbm-check passes when the energy reaches this fraction of the winding
+# bound, which is sharp only at p = 2 (below, it lies under |d| E_p(Id)).
+# At p = 2 the 2% covers grid error: a Moebius trace on a coarse grid, or
+# a concentrated one, falls up to 0.4% below it (n = 8 at a = 0.5).
 _WINDING_SLACK = 0.98
 
 # inequality-suite runs its jp draws through the checks this many at a
@@ -330,12 +331,12 @@ def _cmd_moebius(args):
 
 
 def _minimize_at(args, p: float):
-    """(result, results, checks) of one minimize run at exponent p: the
-    minimum keeps the target degree, clears the winding bound less its
-    slack, and lies no higher than the class's own start map z^d."""
+    """(result, results, checks) of one minimize run at exponent p.  Its
+    one check, as in moebius: the minimum is |d| E_p(Id), the energy of z^d
+    and a lower bound on its class, to within the run's own estimated
+    relative error, on either side."""
     result = minimize(MinimizeConfig(p, args.degree, args.n, args.max_iters, args.restarts, args.seed))
-    start_energy = energy(power_map(args.n, args.degree), EnergyParams(p))
-    bound = degree_lower_bound(p, args.degree)
+    identity = identity_energy_closed_form(p)
     results = {
         "final_energy": result.final_energy,
         "final_degree": result.final_degree,
@@ -347,14 +348,10 @@ def _minimize_at(args, p: float):
         "termination": result.termination,
         "evaluations": result.evaluations,
         "total_evaluations": result.total_evaluations,
-        "start_energy": start_energy,
-        "lower_bound": bound,
+        "identity_energy": identity,
     }
-    checks = [
-        _tolerance_check("degree_preserved", result.final_degree - args.degree, 0.0),
-        _bound_check("above_lower_bound", result.final_energy, _WINDING_SLACK * bound),
-        _bound_check("feasible_competitor", start_energy + 1e-9, result.final_energy),
-    ]
+    gap = result.final_energy / (abs(args.degree) * identity) - 1.0
+    checks = [_tolerance_check("matches_identity_energy", gap, result.error_estimate_rel)]
     return result, results, checks
 
 
@@ -386,13 +383,11 @@ def _cmd_scan(args):
     p_values = _exponent_list(args.p_values)
     if not p_values:
         raise DomainError("scan needs at least one exponent in --p-values")
-    # one minimize report per exponent; the closed-form identity energy
-    # rides along as data
     rows = []
     checks = []
     for p in p_values:
         _, results, run_checks = _minimize_at(args, p)
-        rows.append({"p": p, **results, "identity_energy": identity_energy_closed_form(p)})
+        rows.append({"p": p, **results})
         # :g where it reads back as p, so that distinct exponents keep distinct names
         label = f"{p:g}" if float(f"{p:g}") == p else repr(p)
         checks += [{**check, "name": f"{check['name']}_p={label}"} for check in run_checks]

@@ -197,6 +197,8 @@ def test_criterion_09_minimizer_sandwich():
         result = minimize(MinimizeConfig(p=p, degree_target=1, n=256))
         ok = ok and result.converged
         ok = ok and degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity_energy_closed_form(p) + 1e-9
+        # two-sided: E_p(Id) within the run's own error estimate
+        ok = ok and abs(result.final_energy / identity_energy_closed_form(p) - 1.0) <= result.error_estimate_rel
     report(9, "minimizer bound sandwich", ok, ", ".join(f"p={p:.3f}" for p in p_values))
 
 

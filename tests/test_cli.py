@@ -277,8 +277,8 @@ class TestReports:
         assert report["results"]["final_degree"] == 1
         assert report["results"]["termination"] == "grad_tol"
         assert report["results"]["evaluations"] >= report["results"]["iterations"] + 1
-        # every pass but one, the start map's energy, is a descent run's
-        assert report["results"]["total_evaluations"] == len(passes) - 1
+        # every pass is a descent run's
+        assert report["results"]["total_evaluations"] == len(passes)
         assert report["results"]["total_evaluations"] > report["results"]["evaluations"]
         # the stop held: the decrement is a tenth of the error estimate or less
         results = report["results"]
@@ -293,8 +293,8 @@ class TestReports:
     @pytest.mark.parametrize("degree", [-2, -1, 1, 2, 3])
     def test_scan(self, capsys, schema, degree):
         # every row is the minimize report at its exponent, checks included:
-        # the competitor is the class's own start map z^d, so a converged
-        # minimum passes in every degree, not in degree one alone
+        # z^d attains |d| E_p(Id), so a converged minimum passes in every
+        # degree, not in degree one alone
         options = ["--degree", str(degree), "--n", "64", "--restarts", "1"]
         # 1.1392108 and 1.139211 both print as 1.13921 in :g
         code, report = run_json(capsys, ["scan", "--p-values", "1.2,1.5,2,1.1392108,1.139211", *options])
@@ -303,15 +303,14 @@ class TestReports:
         rows = report["results"]["rows"]
         assert [row["p"] for row in rows] == [1.2, 1.5, 2.0, 1.1392108, 1.139211]
         assert all(check["passed"] for check in report["checks"])
-        names = ["degree_preserved", "above_lower_bound", "feasible_competitor"]
         labels = ["1.2", "1.5", "2", "1.1392108", "1.139211"]
         assert [check["name"] for check in report["checks"]] == [
-            f"{name}_p={label}" for label in labels for name in names
+            f"matches_identity_energy_p={label}" for label in labels
         ]
         for row, label in zip(rows, labels):
             code, single = run_json(capsys, ["minimize", "--p", repr(row["p"]), *options])
             assert code == 0
-            assert row == {"p": row["p"], **single["results"], "identity_energy": row["identity_energy"]}
+            assert row == {"p": row["p"], **single["results"]}
             assert [check["margin"] for check in single["checks"]] == [
                 check["margin"] for check in report["checks"] if check["name"].endswith(f"_p={label}")
             ]
@@ -671,13 +670,13 @@ def _rhs_scaled(factor):
     return mutate
 
 
-def _gradient_scaled(factor):
-    """energy_and_gradient with its gradient times factor."""
+def _pass_scaled(value=1.0, grad=1.0):
+    """energy_and_gradient with its value and its gradient times these factors."""
 
     def mutate(f):
         def mutated(*args):
-            value, grad = f(*args)
-            return value, grad * factor
+            energy_value, gradient = f(*args)
+            return energy_value * value, gradient * grad
 
         return mutated
 
@@ -704,7 +703,7 @@ _CHECK_MUTATIONS = [
     (["inequality-suite", "--count", "50"], "cli", "young_variant_check", _rhs_scaled(1.6), "young_margin_floor"),
     (["inequality-suite", "--count", "50"], "cli", "jp_monotonicity_check", _rhs_scaled(1.0 + 1e-9), "antipodal_equality"),
     # the order falls to about 1 along every direction; 1 + 1e-6 still passes
-    (["gradient-check"], "cli", "energy_and_gradient", _gradient_scaled(1.0 + 1e-5), "taylor_remainder_order"),
+    (["gradient-check"], "cli", "energy_and_gradient", _pass_scaled(grad=1.0 + 1e-5), "taylor_remainder_order"),
     # one more direction, a rotation of the whole map: the energy does not
     # change along it, so its remainders are rounding alone
     (
@@ -717,14 +716,33 @@ _CHECK_MUTATIONS = [
     # the bound is sharp at p = 2, where E(z) = 4 pi^2: any scale below the
     # 0.98 slack fails
     (["bbm-check", "--power", "1", "--p", "2"], "inequalities", "energy", _scaled(0.979), "holds_with_2pct_slack"),
+    # the raw sum is held to 1e-12 relative; 1 + 1e-12 fails by only 2e-15
+    (["moebius", "--a-re", "0.3"], "cli", "energy", _scaled(1.0 + 1e-11), "matches_discrete_closed_form"),
+    # the error estimate is 2.4e-8 here: 1 - 1e-8 passes
+    (["moebius", "--a-re", "0.3"], "cli", "energy", _scaled(1.0 - 1e-7), "matches_identity_energy"),
+    # the descent's energy, not its gradient: the error estimate is 1.9e-7
+    # at n = 256, so 1 - 1e-7 passes and 0.999 is a thousand times too big
+    (
+        ["minimize", "--p", "1.5", "--degree", "1"],
+        "minimize",
+        "energy_and_gradient",
+        _pass_scaled(value=1.0 - 1e-6),
+        "matches_identity_energy",
+    ),
+    (
+        ["scan", "--p-values", "1.5"],
+        "minimize",
+        "energy_and_gradient",
+        _pass_scaled(value=1.0 - 1e-6),
+        "matches_identity_energy_p=1.5",
+    ),
 ]
 
 
 class TestCheckMutations:
-    """Every check that id-energy, id-energy-derivative, critical-p,
-    monotonicity-scan, inequality-suite, gradient-check and bbm-check print
-    fails, with exit 1 and a full report, under a mutation of the function
-    it guards."""
+    """Every check that any subcommand prints fails, with exit 1 and a
+    full report, under a mutation of the function it guards; energy and
+    degree print none."""
 
     @pytest.mark.parametrize(
         "argv, module, name, mutation, check",

@@ -253,6 +253,7 @@ class TestMinimize:
         disc_identity = energy(power_map(256, 1), EnergyParams(1.5))
         assert result.final_energy <= disc_identity + 1e-9
         assert result.final_energy >= degree_lower_bound(1.5, 1) * 0.98
+        assert abs(result.final_energy / identity_energy_closed_form(1.5) - 1.0) <= result.error_estimate_rel
 
     def test_feasible_competitor_bound(self):
         config = MinimizeConfig(p=1.3, degree_target=2, **FAST)
@@ -301,6 +302,7 @@ class TestScan:
             assert result.converged
             identity = max(identity_energy_closed_form(p), energy(identity_map(FAST["n"]), EnergyParams(p)))
             assert degree_lower_bound(p, 1) * 0.98 <= result.final_energy <= identity + 1e-9
+            assert abs(result.final_energy / identity_energy_closed_form(p) - 1.0) <= result.error_estimate_rel
 
     def test_p2_row_near_ground_truth(self):
         result = minimize(MinimizeConfig(p=2.0, degree_target=1, **FAST))
