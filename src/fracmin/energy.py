@@ -56,16 +56,22 @@ E_p(Id) from below, monotonically in n (31% low at n = 4096, p = p'),
 and at p = 2 the identity gives 4 pi^2 (1 - 1/n).
 
 One kernel evaluates both the energy and its gradient.  It takes
-c_i = cos phi_i and s_i = sin phi_i once per call, so it makes O(n)
-transcendental calls, and forms every pair from products:
+c_i = cos phi_i and s_i = sin phi_i once per call, O(n) calls, and
+forms every pair from the differences D = (c_j - c_i, s_j - s_i):
 
-    |u_i - u_j|^2 = (c_j - c_i)^2 + (s_j - s_i)^2,
-    sin(phi_i - phi_j) = s_i c_j - c_i s_j.
+    |u_i - u_j|^2 = D_0^2 + D_1^2,
+    sin(phi_i - phi_j) = s_i D_0 - c_i D_1,
 
-A single pow, w = |u_i - u_j|^(p-2), gives the energy term
-w |u_i - u_j|^2 and the gradient term w sin(phi_i - phi_j), so one pass
-yields both: energy_and_gradient returns them bit-identical to energy
-and energy_gradient, which compute only what they return.  Descent
+the sine one contraction of D (np.einsum), which the chord needs anyway.
+One log of x = |u_i - u_j|^2 gives the energy term |u_i - u_j|^p =
+exp((p/2) log x) and the gradient weight |u_i - u_j|^(p-2) =
+exp(((p-2)/2) log x), whose product with the sine is the gradient term.
+Where targets coincide, x = 0: the energy term is exp(-inf) = 0 with no
+mask, and the weight is set to 0.  The gradient adds up each node's
+terms over a tile's offsets k with the weights 1/c_k^2 in one more
+contraction, so no pass divides the pair terms.  energy_and_gradient
+returns both outputs from one pass, bit-identical to energy and
+energy_gradient, which compute only what they return.  Descent
 (minimize.descend_from) evaluates its start and every line-search trial
 with energy_and_gradient, so an accepted trial's gradient is already in
 hand, and gradient-check makes one energy_and_gradient pass; the other
@@ -76,20 +82,32 @@ O(n * B) memory and no index table is built.
 
 Accuracy: c_i and s_i are rounded to about eps, so every chord and sine
 carries an absolute error of about eps where phase differences would
-give a relative one.  For a chord of length about 2*pi*k/n that is a
-relative error of eps*n/(2*pi*k); measured against mpmath on smooth
+give a relative one (the sine, against s_i c_j - c_i s_j of the rounded
+values, is within 2 eps).  For a chord of length about 2*pi*k/n that is
+a relative error of eps*n/(2*pi*k); measured against mpmath on smooth
 maps, nearest neighbours are off by at most 9.4e-14 at n = 4096 and
 1.8e-12 at n = 65536.  Where two targets nearly coincide the relative
 error of their chord grows like eps/|u_i - u_j|; the energy term's
 absolute error stays below about p*eps*|u_i - u_j|^(p-1)/c_ij^2, the
-gradient term's about eps*|u_i - u_j|^(p-2)/c_ij^2.
+gradient term's about eps*|u_i - u_j|^(p-2)/c_ij^2.  exp(e log x)
+turns the log's rounding into a relative error of about |e log x| eps,
+where pow, which works in extra precision, stays within 1 ulp: against
+mpmath the energy term is within 15 ulp for x >= 1e-6 and 109 ulp at
+x = 1e-30, where the chord itself is off by far more, and the weight
+within 7 and 45 ulp.  The energy's last bits may differ from those of
+the pow kernel: on identity, Moebius and perturbed degree-2 maps, n = 64
+to 4096, p = 1.05 to 1.99, 77 of 84 energies kept their bits and the
+rest moved by at most 3.1e-16 relative.
 
 Each offset's terms are summed over i by numpy's pairwise reduction
 along the tile's contiguous node axis, and the per-offset sums by the
 same reduction of one vector, so rounding grows like log n.  numpy
 reduces each row of a tile on its own: the energy's bits do not depend
 on the tile width, on which thread runs a tile, or on whether the
-gradient is computed too, and results are reproducible bit for bit.
+gradient is computed too, and results are reproducible bit for bit on
+one numpy build and CPU.  numpy picks its SIMD loops for log and exp
+at import, so with AVX-512 disabled the last bits move (as pow's did):
+the energies agree to 1e-14 relative.
 
 A call of more than one tile splits its tiles into two fixed halves.
 The caller runs the first half in order into gradient rows of its own.
@@ -171,15 +189,20 @@ _SECOND_TERM_MAX_GAP = 0.5 * math.pi
 
 # Pair elements per gradient tile: the kernel takes B = max(1,
 # _TILE_ELEMENTS // n) offsets of all n nodes at a time, and twice as many
-# for the energy alone, whose tile has two work arrays, not four.  Either
-# tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the work
-# arrays of the two halves, the caller's and the helper's, together hold
-# what one 2^16 tile did.
+# for the energy alone, whose tile has two work arrays, not four: the
+# differences D fill both, and from the chord square on it works in one.
+# Either tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the
+# work arrays of the two halves, the caller's and the helper's, together
+# hold what one 2^16 tile did.
 # On a 2-core Xeon guest 2^18 ran 16-25% slower than 2^16 at n >= 1024,
 # and serially 2^15 and 2^16 tie.  With the helper, 2^16 for every tile
 # cut the benchmark's kernel wall time further (1.74 -> 1.01 s, against
 # 1.22 s at 2^15, one 15 s run each) but raised its peak RSS by 6%,
-# against 0.6% at 2^15.
+# against 0.6% at 2^15.  With log and exp in place of pow, energy tiles
+# of 1, 4 and 8 times 2^15 pairs ran from 9% faster to 47% slower than
+# today's 2 (medians of 15 interleaved rounds, n = 256 to 4096, with and
+# without the helper), none faster at every n, and 8 slower by 47% at
+# n = 4096 without the helper, so 2 stays.
 _TILE_ELEMENTS = 1 << 15
 
 
@@ -208,25 +231,62 @@ def _node_chords_sq(n: int) -> np.ndarray:
     return c_sq
 
 
-def _product_terms(cs2: np.ndarray, k0: int, pair: np.ndarray, sine: np.ndarray | None = None) -> None:
-    """Pair terms at offsets k = k0..k0+rows-1 from the doubled cos/sin rows cs2.
+def _phase_table(phases: np.ndarray) -> np.ndarray:
+    """Rows (c, s, -c) of c = cos phi and s = sin phi, each followed by its
+    periodic copy; read-only.  _product_terms reads the partners from the
+    first two rows and the sine's weights (s, -c) from the last two."""
+    n = phases.size
+    table = np.empty((3, 2 * n))
+    np.cos(phases, out=table[0, :n])
+    np.sin(phases, out=table[1, :n])
+    np.negative(table[0, :n], out=table[2, :n])
+    table[:, n:] = table[:, :n]
+    table.setflags(write=False)
+    return table
 
-    cs2 holds (c, c) and (s, s) as rows, so [:, q, i] -> cs2[:, i + k0 + q]
-    is a strided view of the partners j = (i + k) mod n, k = k0 + q, and
-    no index table is built.  Fills pair[0, q, i] = |u_i - u_j|^2 =
-    (c_j - c_i)^2 + (s_j - s_i)^2 and, when given, sine[q, i] =
-    sin(phi_i - phi_j) = s_i c_j - c_i s_j; pair[1] is overwritten.  Each
-    numpy call treats the cos and the sin half of a step together.
+
+def _product_terms(table: np.ndarray, k0: int, pair: np.ndarray, sine: np.ndarray | None = None) -> None:
+    """Pair terms at offsets k = k0..k0+rows-1 from the _phase_table of the map.
+
+    [:, q, i] -> table[:2, i + k0 + q] is a strided view of the partners
+    j = (i + k) mod n, k = k0 + q, and no index table is built.  The
+    differences D = (c_j - c_i, s_j - s_i) give pair[0, q, i] =
+    |u_i - u_j|^2 = D_0^2 + D_1^2 and, when given, sine[q, i] =
+    sin(phi_i - phi_j) = s_i D_0 - c_i D_1, contracted over the two rows
+    of D; pair[1] is overwritten.
     """
-    n = cs2.shape[1] // 2
-    step = cs2.itemsize
-    partners = np.ndarray(pair.shape, np.float64, cs2, k0 * step, (cs2.strides[0], step, step))
+    n = table.shape[1] // 2
+    step = table.itemsize
+    partners = np.ndarray(pair.shape, np.float64, table, k0 * step, (table.strides[0], step, step))
+    np.subtract(partners, table[:2, None, :n], out=pair)
     if sine is not None:
-        np.multiply(cs2[::-1, None, :n], partners, out=pair)
-        np.subtract(pair[0], pair[1], out=sine)
-    np.subtract(partners, cs2[:, None, :n], out=pair)
+        np.einsum("kqi,ki->qi", pair, table[1:, :n], out=sine)
     np.square(pair, out=pair)
     np.add(pair[0], pair[1], out=pair[0])
+
+
+def _pair_powers(x: np.ndarray, w: np.ndarray, p: float, value: bool, gradient: bool) -> None:
+    """From the chord squares x = |u_i - u_j|^2, the energy terms
+    |u_i - u_j|^p = exp((p/2) log x) into x when value is set, and the
+    gradient weights |u_i - u_j|^(p-2) = exp(((p-2)/2) log x) into w when
+    gradient is; one log serves both, and x is kept unless value is set.
+
+    Where targets coincide, x = 0 and log x = -inf: the energy term is
+    exp(-inf) = 0, and the weight, inf, is set to 0 (valid since p > 1).
+    """
+    logs = w if gradient else x
+    with np.errstate(divide="ignore"):
+        np.log(x, out=logs)
+    if value:
+        np.multiply(logs, 0.5 * p, out=x)
+        np.exp(x, out=x)
+    if gradient:
+        # logs are >= log 0 = -inf; on large tiles min costs less than the mask
+        coincident = w.min() == -np.inf
+        w *= 0.5 * (p - 2.0)
+        np.exp(w, out=w)
+        if coincident:
+            w[w == np.inf] = 0.0
 
 
 def _kernel(u: GridMap, params: EnergyParams, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
@@ -429,13 +489,9 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     n = u.n
     half = n // 2
     h = 2.0 * math.pi / n
-    cs2 = np.empty((2, 2 * n))
-    np.cos(u.phases, out=cs2[0, :n])
-    np.sin(u.phases, out=cs2[1, :n])
-    cs2[:, n:] = cs2[:, :n]
-    cs2.setflags(write=False)
+    table = _phase_table(u.phases)
     node_sq = _node_chords_sq(n)
-    exponent = 0.5 * (p - 2.0)
+    inverse_sq = 1.0 / node_sq if gradient else None
     # the energy alone needs two work arrays of a tile's shape, the gradient
     # four (one twice as wide): both tiles fill the same memory
     width = min(half, max(1, (_TILE_ELEMENTS if gradient else 2 * _TILE_ELEMENTS) // n))
@@ -452,30 +508,23 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
 
     def tile(k0, work, grad, per_offset):
         """Offsets k0..k0+rows-1: their energy sums into their slots of
-        per_offset, their direct less their mirrored row sums onto grad."""
+        per_offset, their direct less their mirrored sums over the offsets,
+        weighted by 1/c_k^2, onto grad."""
         pair, term = work
         rows = min(width, half + 1 - k0)
         offsets = slice(k0 - 1, k0 - 1 + rows)
         x = pair[0, :rows]
         w = pair[1, :rows]
         sine = term[:rows, :n] if gradient else None
-        _product_terms(cs2, k0, pair[:, :rows], sine)
-        with np.errstate(divide="ignore"):
-            np.power(x, exponent, out=w)
-        # coincident targets contribute zero (valid since p > 1); chord
-        # squares are >= 0, and on large tiles min costs less than the mask
-        if x.min() == 0.0:
-            w[x == 0.0] = 0.0
-        # one pow serves both outputs: the energy term is w |u_i - u_j|^2,
-        # the gradient term w sin(phi_i - phi_j)
+        _product_terms(table, k0, pair[:, :rows], sine)
+        _pair_powers(x, w, p, value, gradient)
         if value:
-            x *= w
             per_offset[offsets] = np.add.reduce(x, axis=1) / node_sq[offsets]
         if not gradient:
             return
         sine *= w
-        sine /= node_sq[offsets, None]
-        grad += sine.sum(axis=0)
+        inverse = inverse_sq[offsets]
+        grad += np.einsum("q,qi->i", inverse, sine)
         skewed = min(rows, mirror + 1 - k0)
         if skewed > 0:
             term[:rows, n:] = sine
@@ -483,7 +532,7 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
             # offset-(k0+q) term of node (j - k0 - q) mod n
             step_q, step_i = term.strides
             mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
-            grad -= mirrored.sum(axis=0)
+            grad -= np.einsum("q,qi->i", inverse[:skewed], mirrored)
 
     # two fixed halves of the tiles, each added in order into rows of its own
     starts = range(1, half + 1, width)
@@ -637,7 +686,7 @@ def energy_and_gradient(u: GridMap, params: EnergyParams) -> tuple[float, np.nda
     """(energy(u, params), energy_gradient(u, params)) from one kernel pass.
 
     Both values are bit-identical to the separate calls; the pass forms
-    each pair's chord and pow once for the two of them.
+    each pair's differences, chord and log once for the two of them.
     """
     return _kernel(u, params, True, True)
 

@@ -82,10 +82,50 @@ def _segment(a, b) -> tuple[list, list, float, float]:
     return a, b, norm_a, norm_b
 
 
+# Veltkamp's splitter 2^27 + 1, and the products for which Dekker's
+# split is exact: none of its partial products underflows or overflows
+_SPLITTER = 134217729.0
+_PRODUCT_RANGE = (2.0**-900, 2.0**450)
+
+
 def _inner(u: list, v: list) -> float:
-    """u . v as numpy's dot forms it: the BLAS ddot, which rounds
-    differently from a Python sum of the products."""
-    return float(np.dot(u, v))
+    """u . v of finite floats, rounded once from its exact value.
+
+    Each product x y is split into x y = prod + err without error
+    (Dekker's TwoProduct on Veltkamp halves), and math.fsum rounds the
+    sum of the parts correctly, so the bits depend on no BLAS.  A product
+    outside the split's safe range, or an entry so large that its split
+    overflows (the sum is then nan), sends the dot to exact rationals, as
+    in `_line_distance`; a value beyond the float range is inf.
+    """
+    if len(u) == 1:
+        return u[0] * v[0]  # one product, rounded once
+    low, high = _PRODUCT_RANGE
+    parts = []
+    for x, y in zip(u, v):
+        prod = x * y
+        if not (low <= abs(prod) <= high or x == 0.0 or y == 0.0):
+            break
+        scaled = _SPLITTER * x
+        x_hi = scaled - (scaled - x)
+        x_lo = x - x_hi
+        scaled = _SPLITTER * y
+        y_hi = scaled - (scaled - y)
+        y_lo = y - y_hi
+        parts += (prod, ((x_hi * y_hi - prod) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo)
+    else:  # every product split
+        total = math.fsum(parts)
+        if math.isfinite(total):
+            return total
+    top, bottom = 0, 1
+    for x, y in zip(u, v):
+        (x_top, x_bottom), (y_top, y_bottom) = x.as_integer_ratio(), y.as_integer_ratio()
+        top = top * x_bottom * y_bottom + x_top * y_top * bottom
+        bottom *= x_bottom * y_bottom
+    try:
+        return top / bottom  # int / int rounds once
+    except OverflowError:
+        return math.inf if top > 0 else -math.inf
 
 
 def _arc_pieces(a: list, b: list, p: float) -> tuple[float, float, list]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import json
 import math
 import os
 import resource
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -43,6 +45,16 @@ from fracmin import (
 
 # the package binds the name fracmin.energy to the function
 energy_module = importlib.import_module("fracmin.energy")
+
+# numpy's record of the CPU features it found and of those it compiled loops for
+try:
+    CPU_MODULE = "numpy._core._multiarray_umath"
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    CPU_MODULE = "numpy.core._multiarray_umath"
+    from numpy.core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -516,10 +528,9 @@ class TestKernel:
         # chords down to 5e-7, where only the absolute bound holds
         slowed = perturb(power_map(n, 2), 0.3, 5)
         for u in smooth + [slowed]:
-            c, s = np.cos(u.phases), np.sin(u.phases)
             pair = np.empty((2, 1, n))
             sine = np.empty((1, n))
-            energy_module._product_terms(np.array([np.concatenate([c, c]), np.concatenate([s, s])]), 1, pair, sine)
+            energy_module._product_terms(energy_module._phase_table(u.phases), 1, pair, sine)
             chord_sq = pair[0]
             with mpmath.workdps(40):
                 for i in np.linspace(0, n - 1, 200).astype(int):
@@ -532,6 +543,125 @@ class TestKernel:
                     if u is not slowed:
                         assert chord_error <= 1e-12 * exact_chord
                         assert sine_error <= 1e-12 * abs(exact_sine)
+
+    @pytest.mark.parametrize("p", [1.05, P_PRIME, 1.5, 1.99])
+    def test_pair_powers_against_mpmath(self, p):
+        # exp(e log x) turns the log's rounding into a relative error of
+        # about |e log x| eps, which pow, working in extra precision, avoids:
+        # measured up to 15 ulp for x >= 1e-6 (pow: under 1) and 109 ulp at
+        # x = 1e-30, where the chord itself is off by eps / |u_i - u_j|
+        eps = np.finfo(float).eps
+        chords = np.geomspace(1e-30, 4.0, 1001)
+        terms, weights = chords.copy(), np.empty_like(chords)
+        energy_module._pair_powers(terms, weights, p, True, True)
+        with mpmath.workdps(40):
+            for x, term, weight in zip(chords, terms, weights):
+                log = mpmath.log(mpmath.mpf(x))
+                for exponent, value in ((0.5 * p, term), (0.5 * (p - 2.0), weight)):
+                    exact = mpmath.exp(exponent * log)
+                    assert abs(value - exact) <= (1.0 + abs(exponent * math.log(x))) * eps * exact
+        # each output alone has the bits of both together, and coincident
+        # targets give a zero term and a zero weight
+        chords = np.concatenate([[0.0], chords, [0.0]])
+        terms, weights = chords.copy(), np.empty_like(chords)
+        energy_module._pair_powers(terms, weights, p, True, True)
+        assert terms[0] == terms[-1] == weights[0] == weights[-1] == 0.0
+        alone = chords.copy()
+        energy_module._pair_powers(alone, np.empty_like(chords), p, True, False)
+        assert alone.tobytes() == terms.tobytes()
+        alone = np.empty_like(chords)
+        energy_module._pair_powers(chords, alone, p, False, True)
+        assert alone.tobytes() == weights.tobytes()
+
+    @staticmethod
+    def all_offsets(phases, rows):
+        """The chord squares and sines of offsets 1..n//2, from tiles of rows offsets."""
+        n = len(phases)
+        half = n // 2
+        table = energy_module._phase_table(np.asarray(phases, dtype=np.float64))
+        chord_sq, sine = np.empty((half, n)), np.empty((half, n))
+        pair = np.empty((2, rows, n))
+        for k0 in range(1, half + 1, rows):
+            count = min(rows, half + 1 - k0)
+            energy_module._product_terms(table, k0, pair[:, :count], sine[k0 - 1 : k0 - 1 + count])
+            chord_sq[k0 - 1 : k0 - 1 + count] = pair[0, :count]
+        return table, chord_sq, sine
+
+    def test_sine_against_exact_products(self):
+        # s_i (c_j - c_i) - c_i (s_j - s_i) from the chord's rounded
+        # differences: measured within 1.42 eps of the exact s_i c_j - c_i s_j
+        # of the rounded cos and sin, where rounding the two products gave 0.61
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        n = 48
+        for phases in (np.sort(rng.uniform(0.0, 2.0 * math.pi, n)), rng.uniform(-20.0, 20.0, n)):
+            table, _, sine = self.all_offsets(phases, n // 2)
+            c, s = table[0, :n].tolist(), table[1, :n].tolist()
+            for q, row in enumerate(sine.tolist()):
+                for i, value in enumerate(row):
+                    j = (i + q + 1) % n
+                    exact = Fraction(s[i]) * Fraction(c[j]) - Fraction(c[i]) * Fraction(s[j])
+                    assert abs(Fraction(value) - exact) <= 2 * Fraction(eps)
+
+    def test_sine_and_chord_zero_for_coincident_targets(self):
+        phases = identity_map(32).phases.copy()
+        phases[5:9] = phases[5]
+        phases[20] = phases[3]
+        _, chord_sq, sine = self.all_offsets(phases, 16)
+        for group in (range(5, 9), (3, 20)):
+            for i in group:
+                for j in group:
+                    k = (j - i) % 32
+                    if 1 <= k <= 16:
+                        assert sine[k - 1, i] == 0.0 and chord_sq[k - 1, i] == 0.0
+
+    def test_sine_bits_do_not_depend_on_the_tile(self):
+        for n in (33, 128):
+            phases = random_admissible_map(n, 2, 0.3, n).phases
+            _, chord_sq, sine = self.all_offsets(phases, n // 2)
+            for rows in (1, 7):
+                _, other_sq, other = self.all_offsets(phases, rows)
+                assert other.tobytes() == sine.tobytes()
+                assert other_sq.tobytes() == chord_sq.tobytes()
+
+    @pytest.mark.skipif(not CPU_FEATURES.get("AVX512_SKX"), reason="no AVX-512 to disable")
+    def test_results_without_avx512(self):
+        # numpy picks its SIMD loops at import time, and log, exp and pow
+        # round differently in each: already under pow, the gradient's bytes
+        # and the energy's last bit changed with AVX-512 disabled.  Bits are
+        # reproducible for one numpy build on one CPU; elsewhere the results
+        # agree to rounding.
+        disabled = [
+            name for name in CPU_DISPATCH if CPU_FEATURES.get(name) and (name.startswith("AVX512") or name == "X86_V4")
+        ]
+        cases = [(u, p) for u in fused_cases(300) for p in (1.13921, 1.5)]
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from fracmin import EnergyParams, GridMap, energy_and_gradient\n"
+            f"from {CPU_MODULE} import __cpu_features__\n"
+            "assert not __cpu_features__['AVX512_SKX']\n"
+            "out = []\n"
+            "for phases, p in json.load(sys.stdin):\n"
+            "    value, grad = energy_and_gradient(GridMap(np.array(phases)), EnergyParams(p))\n"
+            "    out.append([value, grad.tolist()])\n"
+            "print(json.dumps(out))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(importlib.import_module("fracmin").__file__))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled), PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps([[u.phases.tolist(), p] for u, p in cases]),
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        for (u, p), (value, grad) in zip(cases, json.loads(done.stdout)):
+            default_value, default_grad = energy_and_gradient(u, EnergyParams(p))
+            assert abs(value - default_value) <= 1e-14 * default_value
+            _, _, _, grad_tol = brute_force(u.phases, p)
+            assert np.all(np.abs(np.array(grad) - default_grad) <= grad_tol)
 
     @pytest.mark.parametrize("n", [512, 1000, 1024, 4097])
     def test_bytes_do_not_depend_on_the_helper(self, monkeypatch, n):

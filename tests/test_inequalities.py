@@ -1,6 +1,7 @@
 """Inequality margins on designed equality cases and seeded random sweeps."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -346,6 +347,39 @@ class TestJpBatch:
         with pytest.raises(DomainError) as batch:
             inequalities._jp_checks(draws)
         assert str(batch.value) == str(alone.value)
+
+
+class TestInner:
+    """_inner rounds the exact dot product once, so no BLAS moves its bits."""
+
+    def test_correctly_rounded_on_random_draws(self):
+        # numpy's dot (OpenBLAS ddot) misses the exact rounding on about a
+        # fifth of these draws
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            m = int(rng.integers(1, 4))
+            u, v = rng.uniform(-10, 10, m).tolist(), rng.uniform(-10, 10, m).tolist()
+            assert inequalities._inner(u, v) == float(sum(Fraction(x) * Fraction(y) for x, y in zip(u, v)))
+
+    @pytest.mark.parametrize(
+        "u, v, expected",
+        [
+            # cancellation that a sum of rounded products loses, inside and
+            # outside the product split's range
+            ([1e100, 1.0, -1e100], [1.0, 1.0, 1.0], 1.0),
+            ([1e200, 1.0, -1e200], [1.0, 1.0, 1.0], 1.0),
+            ([0.1, 0.0], [0.1, 5.0], float(Fraction(0.1) ** 2)),
+            # a subnormal result, and exact sums beyond the float range
+            ([1e-300, 3.0], [1e-20, 0.0], 1e-320),
+            ([1e300, 1e300], [1e300, 1.0], math.inf),
+            ([-1e300, 1e300], [1e300, 1.0], -math.inf),
+            # a product that underflows, and an entry whose split overflows
+            ([1e-200, 1.0], [1e-200, 0.5], 0.5),
+            ([1.5e300, 3.0], [1e-200, 0.1], float(Fraction(1.5e300) * Fraction(1e-200) + Fraction(3.0) * Fraction(0.1))),
+        ],
+    )
+    def test_edge_cases(self, u, v, expected):
+        assert inequalities._inner(u, v) == expected
 
 
 class TestYoungVariant:
