@@ -77,8 +77,15 @@ with energy_and_gradient, so an accepted trial's gradient is already in
 hand, and gradient-check makes one energy_and_gradient pass; the other
 CLI subcommands and the checks call energy.  Offsets
 k and n-k pair the same nodes, so only k = 1..n//2 is evaluated, in
-tiles of B offsets read through strided views; the temporaries take
-O(n * B) memory and no index table is built.
+tiles of B offsets read through strided views, and no index table is
+built.  Offset n-k gives node j the negated offset-k term of node j-k:
+the gradient reads a tile's terms a second time through a skewed view
+whose row q starts q columns early, over a wrap of each row's last B
+terms kept in front of the row, and subtracts those sums from the
+gradient rotated by the tile's first offset.  The energy's tile holds
+two work arrays of B offsets by n nodes and the gradient's three and
+the wrap, about 2^17 elements (1 MiB) either way, so the temporaries
+take O(n * B) memory.
 
 Accuracy: c_i and s_i are rounded to about eps, so every chord and sine
 carries an absolute error of about eps where phase differences would
@@ -187,23 +194,21 @@ _ROUNDING = 1e-12
 # T2 applies only to maps whose gaps all lie below this (_unfolded_sign)
 _SECOND_TERM_MAX_GAP = 0.5 * math.pi
 
-# Pair elements per gradient tile: the kernel takes B = max(1,
-# _TILE_ELEMENTS // n) offsets of all n nodes at a time, and twice as many
-# for the energy alone, whose tile has two work arrays, not four: the
-# differences D fill both, and from the chord square on it works in one.
-# Either tile's arrays then fill 1 MiB, half of a 2 MiB L2 cache, and the
-# work arrays of the two halves, the caller's and the helper's, together
-# hold what one 2^16 tile did.
-# On a 2-core Xeon guest 2^18 ran 16-25% slower than 2^16 at n >= 1024,
-# and serially 2^15 and 2^16 tie.  With the helper, 2^16 for every tile
-# cut the benchmark's kernel wall time further (1.74 -> 1.01 s, against
-# 1.22 s at 2^15, one 15 s run each) but raised its peak RSS by 6%,
-# against 0.6% at 2^15.  With log and exp in place of pow, energy tiles
-# of 1, 4 and 8 times 2^15 pairs ran from 9% faster to 47% slower than
-# today's 2 (medians of 15 interleaved rounds, n = 256 to 4096, with and
-# without the helper), none faster at every n, and 8 slower by 47% at
-# n = 4096 without the helper, so 2 stays.
-_TILE_ELEMENTS = 1 << 15
+# Elements per tile, 1 MiB, half of a 2 MiB L2 cache: the energy alone takes
+# B = _TILE_ELEMENTS // (2n) offsets of all n nodes at a time and the
+# gradient _TILE_ELEMENTS // (3n), whose tile holds three work arrays and
+# the wrap (_tile_width).  The caller's and the helper's halves of a call
+# each work in a tile of their own.
+# On a 2-core Xeon guest, gradient tiles of 2^16, 2^17 and 2^18 elements
+# (three sweeps, medians of 15 to 21 interleaved rounds, n = 512 to 4096,
+# p = 1.13921): serially 2^17 was fastest at every n in each sweep, 2^16 up
+# to 12% slower and 2^18 up to 10%.  With the helper 2^17 was fastest at
+# 1024 and 2048 and at most 3.2% behind 2^16 at 512; at 4096, where the
+# helper's gain came and went with the host's load, 2^18 read 3% slower in
+# one sweep and 11% and 20% faster in two.
+# Energy tiles of 1, 4 and 8 times 2^15 pairs, timed against 2 with log and
+# exp in place of pow, were none faster at every n: its width stays 2^16 // n.
+_TILE_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -492,19 +497,17 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     table = _phase_table(u.phases)
     node_sq = _node_chords_sq(n)
     inverse_sq = 1.0 / node_sq if gradient else None
-    # the energy alone needs two work arrays of a tile's shape, the gradient
-    # four (one twice as wide): both tiles fill the same memory
-    width = min(half, max(1, (_TILE_ELEMENTS if gradient else 2 * _TILE_ELEMENTS) // n))
+    width = _tile_width(n, gradient)
     # offset n-k acts on node j as the negated offset-k term of node j-k;
     # the middle offset of even n already lists both orders
     mirror = half - 1 if n % 2 == 0 else half
 
     def buffers():
-        # each row of the gradient's term buffer is followed by its periodic
-        # copy, for the skewed mirror read below
+        # each row of the gradient's term buffer holds a wrap of the row's
+        # last width entries in front of the row, for the skewed mirror read
         size = 2 * width * n
-        work = _work_space(2 * size if gradient else size)
-        return work[:size].reshape(2, width, n), work[size:].reshape(width, 2 * n) if gradient else None
+        work = _work_space(size + width * (n + width) if gradient else size)
+        return work[:size].reshape(2, width, n), work[size:].reshape(width, n + width) if gradient else None
 
     def tile(k0, work, grad, per_offset):
         """Offsets k0..k0+rows-1: their energy sums into their slots of
@@ -515,7 +518,7 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         offsets = slice(k0 - 1, k0 - 1 + rows)
         x = pair[0, :rows]
         w = pair[1, :rows]
-        sine = term[:rows, :n] if gradient else None
+        sine = term[:rows, width:] if gradient else None
         _product_terms(table, k0, pair[:, :rows], sine)
         _pair_powers(x, w, p, value, gradient)
         if value:
@@ -527,12 +530,14 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
         grad += np.einsum("q,qi->i", inverse, sine)
         skewed = min(rows, mirror + 1 - k0)
         if skewed > 0:
-            term[:rows, n:] = sine
-            # row q read from column n - k0 - q: entry [q, j] is the
-            # offset-(k0+q) term of node (j - k0 - q) mod n
+            term[:skewed, :width] = term[:skewed, n:]
+            # row q read from column width - q: entry [q, i] is the
+            # offset-(k0+q) term of node (i - q) mod n, which node (i + k0) mod n subtracts
             step_q, step_i = term.strides
-            mirrored = np.ndarray((skewed, n), np.float64, term, (n - k0) * step_i, (step_q - step_i, step_i))
-            grad -= np.einsum("q,qi->i", inverse[:skewed], mirrored)
+            mirrored = np.ndarray((skewed, n), np.float64, term, width * step_i, (step_q - step_i, step_i))
+            shifted = np.einsum("q,qi->i", inverse[:skewed], mirrored)
+            grad[k0:] -= shifted[: n - k0]
+            grad[:k0] -= shifted[n - k0 :]
 
     # two fixed halves of the tiles, each added in order into rows of its own
     starts = range(1, half + 1, width)
@@ -595,22 +600,31 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     return total, (2.0 * h * h * p * grad if gradient else None)
 
 
+def _tile_width(n: int, gradient: bool) -> int:
+    """Offsets per tile at n nodes: B = _TILE_ELEMENTS // (2n) for the
+    energy alone, whose tile has two work arrays of B rows by n, and
+    _TILE_ELEMENTS // (3n) for the gradient, whose tile has three and the
+    wrap; at least 1, at most n // 2."""
+    return min(n // 2, max(1, _TILE_ELEMENTS // ((3 if gradient else 2) * n)))
+
+
 _work = threading.local()
 
 
 def _work_space(size: int) -> np.ndarray:
     """size float64 elements of work space for this thread's tiles.
 
-    A tile fills at most 4 _TILE_ELEMENTS elements unless one offset row
-    alone is wider; that much is kept per thread between calls.  Fresh
-    arrays cost their page faults on every call: 288 minor faults and
-    about 0.5 ms of a 1.3 ms gradient call at n = 256.
+    A tile fills at most _TILE_ELEMENTS elements and the gradient's wrap,
+    B^2 <= _TILE_ELEMENTS / 6 (B <= n/2 and 3 B n <= _TILE_ELEMENTS),
+    unless one offset row alone is wider; that much is kept per thread
+    between calls.  Fresh arrays cost their page faults on every call:
+    288 minor faults and about 0.5 ms of a 1.3 ms gradient call at n = 256.
     """
     kept = getattr(_work, "space", None)
     if kept is not None and kept.size >= size:
         return kept[:size]
     space = np.empty(size)
-    if size <= 4 * _TILE_ELEMENTS:
+    if size <= _TILE_ELEMENTS + _TILE_ELEMENTS // 6:
         _work.space = space
     return space
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import queue
 import resource
 import signal
 import subprocess
@@ -505,7 +506,8 @@ class TestKernel:
         maps = [random_admissible_map(n, 1, 0.3, 8), random_admissible_map(n, 2, 0.3, 9), moebius_map(n, (0.4, 0.1))]
         cases = [(u, EnergyParams(p)) for u in maps for p in (1.2, 1.7)]
         default = [(energy(u, params), energy_gradient(u, params)) for u, params in cases]
-        monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
+        # columns offsets per gradient tile, 3 * columns // 2 for the energy
+        monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", 3 * columns * n)
         for (u, params), (value, grad) in zip(cases, default):
             for cpus in (1, 2):
                 monkeypatch.setattr(energy_module, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -516,6 +518,24 @@ class TestKernel:
             if n <= 1000:
                 scale = gradient_term_magnitudes(u, params.p)
                 assert np.all(np.abs(fused_grad - grad) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [9, 10, 33, 64, 65])
+    def test_mirror_wrap_at_every_width(self, raw_double_sum, monkeypatch, n):
+        # the mirrored sums read each tile's terms through the wrap in front
+        # of its rows; on even n the tile that holds the middle offset
+        # skews one row fewer than it holds
+        tile_width = energy_module._tile_width
+        u = random_admissible_map(n, 1, 0.3, n)
+        params = EnergyParams(1.3)
+        _, _, expected, _ = brute_force(u.phases, params.p)
+        scale = gradient_term_magnitudes(u, params.p)
+        for width in range(1, n // 2 + 1):
+            monkeypatch.setattr(
+                energy_module, "_tile_width", lambda n, gradient, width=width: width if gradient else tile_width(n, False)
+            )
+            grad = energy_gradient(u, params)
+            assert np.all(np.abs(grad - expected) <= 1e-13 * scale)
+            assert energy_and_gradient(u, params)[1].tobytes() == grad.tobytes()
 
     def test_nearest_neighbour_terms_against_mpmath(self):
         # each chord and sine formed from cos/sin values is off by at most
@@ -789,7 +809,7 @@ class TestKernel:
             release.set()
         assert entered.is_set()
         assert results[0][0] == value and results[0][1].tobytes() == grad.tobytes()
-        starts = range(1, n // 2 + 1, energy_module._TILE_ELEMENTS // n)
+        starts = range(1, n // 2 + 1, energy_module._tile_width(n, True))
         split = (len(starts) + 1) // 2
         assert helper_tiles == list(starts[split : split + k])
         assert len(set(caller_tiles) & set(helper_tiles)) <= 1
@@ -854,19 +874,31 @@ class TestKernel:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread fault counts")
-    def test_repeated_calls_fault_in_no_pages(self):
+    def test_repeated_calls_fault_in_no_pages(self, monkeypatch):
         # each thread keeps its tile work space between calls: fresh arrays
         # made 288 minor page faults per gradient call at n = 256; what is
         # left, 0 alone and up to 1.6 per call inside the suite, comes from
-        # the small arrays of a call
-        u = random_admissible_map(256, 1, 0.3, 3)
+        # the small arrays of a call.  n = 296, the first gradient of two
+        # tiles, has the widest wrap, and at n = 4096 the helper runs half
+        # of each call's tiles in a work space of its own
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
         params = EnergyParams(1.5)
-        for call in (energy_gradient, energy_and_gradient):
-            call(u, params)
-            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-            for _ in range(10):
+
+        def faults():
+            # the helper runs its jobs in order: this one after every tile
+            # that the calls before it left to the helper
+            helper = queue.SimpleQueue()
+            energy_module._helper().put(lambda: helper.put(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt))
+            return np.array([resource.getrusage(resource.RUSAGE_THREAD).ru_minflt, helper.get(timeout=60.0)])
+
+        for n in (256, 296, 4096):
+            u = random_admissible_map(n, 1, 0.3, 3)
+            for call in (energy_gradient, energy_and_gradient):
                 call(u, params)
-            assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before <= 100
+                before = faults()
+                for _ in range(10):
+                    call(u, params)
+                assert np.all(faults() - before <= 100), (n, call.__name__)
 
     def test_each_thread_keeps_its_own_work_space(self):
         u = random_admissible_map(256, 1, 0.3, 3)
@@ -919,7 +951,8 @@ class TestEnergyAndGradient:
     @pytest.mark.parametrize("columns", [None, 1, 3])
     def test_matches_separate_calls(self, monkeypatch, request, n, columns):
         if columns is not None:
-            monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", columns * n)
+            # columns offsets per gradient tile, 3 * columns // 2 for the energy
+            monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", 3 * columns * n)
         # the corrected energy, then the double sum alone
         for raw in (False, True):
             if raw:
