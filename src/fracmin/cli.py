@@ -101,6 +101,12 @@ def _bound_check(name: str, value: float, bound: float) -> dict:
     return _check(name, margin >= 0.0, margin)
 
 
+def _identity_energy_check(value: float, d: int, identity: float, tol: float) -> dict:
+    """matches_identity_energy: the energy is |d| E_p(Id) to within the
+    relative error tol, on either side."""
+    return _tolerance_check("matches_identity_energy", value / (abs(d) * identity) - 1.0, tol)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -308,7 +314,7 @@ def _cmd_moebius(args):
         "identity_energy": identity,
         "error_bound_rel": error_bound,
     }
-    checks = [_tolerance_check("matches_identity_energy", value / identity - 1.0, error_bound)]
+    checks = [_identity_energy_check(value, d, identity, error_bound)]
     if args.p == 2.0:
         # the discrete closed form is that of the raw double sum.  At p = 2
         # the correction is sum_i D_i^2 (weight -2 zeta(0) = 1) less T2,
@@ -350,8 +356,7 @@ def _minimize_at(args, p: float):
         "total_evaluations": result.total_evaluations,
         "identity_energy": identity,
     }
-    gap = result.final_energy / (abs(args.degree) * identity) - 1.0
-    checks = [_tolerance_check("matches_identity_energy", gap, result.error_estimate_rel)]
+    checks = [_identity_energy_check(result.final_energy, args.degree, identity, result.error_estimate_rel)]
     return result, results, checks
 
 

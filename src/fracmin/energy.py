@@ -228,9 +228,6 @@ def _node_chords_sq(n: int) -> np.ndarray:
     Cached per n and shared by every call, so the array is read-only.
     """
     c = 2.0 * np.sin(math.pi * np.arange(1, n // 2 + 1) / n)
-    if np.min(c) <= 0.0:
-        # cannot happen on a uniform grid with n >= 8; guards the kernel
-        raise DomainError("node chord underflow")
     c_sq = c**2
     c_sq.setflags(write=False)
     return c_sq

@@ -2,33 +2,16 @@
 
 log_gamma is the C library's math.lgamma, and beta is built on it.
 digamma is a shift-up recurrence into its asymptotic (Stirling-type)
-regime, and zeta an Euler-Maclaurin sum.  The slowly converging series
-representations ``digamma_series`` and ``log2_series`` are kept alongside
-as independent validators: they come with rigorous truncation bounds, so
-a partial sum plus its tail bound brackets the true value.
+regime, and zeta an Euler-Maclaurin sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "EULER_GAMMA",
-    "SeriesTail",
-    "log_gamma",
-    "beta",
-    "digamma",
-    "zeta",
-    "digamma_series",
-    "log2_series",
-]
-
-EULER_GAMMA = 0.5772156649015328606065
+__all__ = ["log_gamma", "beta", "digamma", "zeta"]
 
 # B_{2n} / (2n) for the asymptotic series of digamma, n = 1..7.
 _DIGAMMA_STIRLING = (
@@ -130,68 +113,3 @@ def zeta(s: float) -> float:
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         power /= big_n * big_n
     return math.fsum(pieces)
-
-
-@dataclass(frozen=True)
-class SeriesTail:
-    """A partial sum together with a rigorous truncation bound.
-
-    partial_sum +/- tail_bound brackets the limit of the series.
-    """
-
-    partial_sum: float
-    terms_used: int
-    tail_bound: float
-
-    def __post_init__(self):
-        if self.terms_used < 1:
-            raise DomainError("terms_used must be >= 1")
-        if not math.isfinite(self.partial_sum):
-            raise DomainError("partial_sum must be finite")
-        if self.tail_bound < 0.0:
-            raise DomainError("tail_bound must be >= 0")
-
-    def brackets(self, value: float) -> bool:
-        return abs(value - self.partial_sum) <= self.tail_bound
-
-
-def digamma_series(z: float, n_terms: int) -> SeriesTail:
-    """Truncated series for digamma:
-    -gamma + sum_{n < N} (z-1) / ((n+1)(n+z)), with tail bound |z-1| / N.
-
-    The terms all carry the sign of (z - 1), so the partial sum approaches
-    digamma(z) monotonically and the bound is rigorous for every z > 0.
-    """
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"digamma_series requires finite z > 0, got {z!r}")
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    n = np.arange(n_terms, dtype=np.float64)
-    terms = (z - 1.0) / ((n + 1.0) * (n + z))
-    partial = -EULER_GAMMA + float(np.sum(terms))
-    return SeriesTail(
-        partial_sum=partial,
-        terms_used=n_terms,
-        tail_bound=abs(z - 1.0) / n_terms,
-    )
-
-
-def log2_series(n_terms: int) -> SeriesTail:
-    """Partial sums of sum_{n >= 0} 1 / ((2n+1)(2n+2)), which converges
-    (monotonically from below) to log 2.
-
-    Each term is below 1 / (4 n (n+1)), so the tail after N terms is
-    bounded by 1 / (4N).
-    """
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    n = np.arange(n_terms, dtype=np.float64)
-    terms = 1.0 / ((2.0 * n + 1.0) * (2.0 * n + 2.0))
-    return SeriesTail(
-        partial_sum=float(np.sum(terms)),
-        terms_used=n_terms,
-        tail_bound=0.25 / n_terms,
-    )

