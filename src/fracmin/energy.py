@@ -199,15 +199,16 @@ _SECOND_TERM_MAX_GAP = 0.5 * math.pi
 # gradient _TILE_ELEMENTS // (3n), whose tile holds three work arrays and
 # the wrap (_tile_width).  The caller's and the helper's halves of a call
 # each work in a tile of their own.
-# On a 2-core Xeon guest, gradient tiles of 2^16, 2^17 and 2^18 elements
-# (three sweeps, medians of 15 to 21 interleaved rounds, n = 512 to 4096,
-# p = 1.13921): serially 2^17 was fastest at every n in each sweep, 2^16 up
-# to 12% slower and 2^18 up to 10%.  With the helper 2^17 was fastest at
-# 1024 and 2048 and at most 3.2% behind 2^16 at 512; at 4096, where the
-# helper's gain came and went with the host's load, 2^18 read 3% slower in
-# one sweep and 11% and 20% faster in two.
-# Energy tiles of 1, 4 and 8 times 2^15 pairs, timed against 2 with log and
-# exp in place of pow, were none faster at every n: its width stays 2^16 // n.
+# On a 2-core Xeon guest with line-aligned tiles (_work_space), budgets of
+# 2^16, 2^17 and 2^18 elements, timed apart for the energy and the gradient
+# (two sweeps, medians of 17 and 21 interleaved rounds, n = 512 to 4096,
+# p = 1.13921): serially 2^17 was fastest for the gradient at every n in
+# both sweeps, and for the energy at every n but 2048 in the second (2^16
+# 8% ahead there, 5% behind in the first); elsewhere 2^16 ran up to 13%
+# slower and 2^18 up to 19%.  With the helper 2^18 led the gradient by 2-8%
+# at three sizes in one sweep and all four in the other, and 2^16 the
+# energy by 9% at 512, each slower elsewhere or serially, so no budget was
+# faster at every n in both modes.
 _TILE_ELEMENTS = 1 << 17
 
 
@@ -609,18 +610,31 @@ _work = threading.local()
 
 
 def _work_space(size: int) -> np.ndarray:
-    """size float64 elements of work space for this thread's tiles.
+    """size float64 elements of work space for this thread's tiles,
+    starting on a 64-byte cache line.
 
     A tile fills at most _TILE_ELEMENTS elements and the gradient's wrap,
     B^2 <= _TILE_ELEMENTS / 6 (B <= n/2 and 3 B n <= _TILE_ELEMENTS),
     unless one offset row alone is wider; that much is kept per thread
     between calls.  Fresh arrays cost their page faults on every call:
     288 minor faults and about 0.5 ms of a 1.3 ms gradient call at n = 256.
+
+    numpy aligns its arrays to 16 bytes only: three in four start 16, 32
+    or 48 bytes past a line, and then every 64-byte vector store of the
+    tile's passes splits two lines.  The space is taken 7 elements larger
+    and starts at its first line, kept and fresh alike, so the pair rows
+    start on lines whenever n % 8 == 0.  On a 2-core Xeon guest (AVX-512),
+    at n = 4096 the subtract into the tile fell from 0.60 to 0.30 ns per
+    element, the add from 0.29 to 0.24, exp from 0.70 to 0.63 and log from
+    0.95 to 0.92; energy calls ran 14-20% and gradient calls 7-12% faster
+    at n = 512 to 4096, serially.  Results keep every bit.
     """
     kept = getattr(_work, "space", None)
     if kept is not None and kept.size >= size:
         return kept[:size]
-    space = np.empty(size)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    space = raw[start : start + size]
     if size <= _TILE_ELEMENTS + _TILE_ELEMENTS // 6:
         _work.space = space
     return space

@@ -919,6 +919,35 @@ class TestKernel:
         assert seen[0] == grad.tobytes() and seen[1] is not kept
         assert energy_gradient(u, params).tobytes() == grad.tobytes()
 
+    def test_work_space_starts_on_a_cache_line(self, monkeypatch):
+        # a tile's rows start on 64-byte lines, so its passes store whole
+        # lines; numpy alone aligns to 16 bytes.  Both threads drop their
+        # kept space first, so the calls below allocate it
+        monkeypatch.setattr(energy_module, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(energy_module._work, "space", raising=False)
+        params = EnergyParams(1.5)
+
+        def in_helper(job):
+            # the helper runs its jobs in order: this one after every tile
+            # that the calls before it left to the helper
+            done = queue.SimpleQueue()
+            energy_module._helper().put(lambda: done.put(job()))
+            return done.get(timeout=60.0)
+
+        in_helper(lambda: vars(energy_module._work).pop("space", None))
+        for n in (128, 512, 4096):
+            energy_and_gradient(random_admissible_map(n, 1, 0.3, 3), params)
+            assert energy_module._work.space.ctypes.data % 64 == 0, n
+            if n > 128:  # one tile at n = 128 leaves the helper idle
+                helper_space = in_helper(lambda: getattr(energy_module._work, "space", None))
+                assert helper_space is not None and helper_space.ctypes.data % 64 == 0, n
+        # a request wider than the kept space gets a fresh array, aligned too
+        kept = energy_module._work.space
+        monkeypatch.setattr(energy_module, "_TILE_ELEMENTS", 64)
+        for size in (kept.size + 1, 5 * kept.size):
+            assert energy_module._work_space(size).ctypes.data % 64 == 0, size
+        assert energy_module._work.space is kept
+
     def test_memory_linear_in_n(self):
         # an n x n/2 table of float64 alone would take 256 MiB at n = 8192
         u = random_admissible_map(8192, 1, 0.3, 2)
