@@ -301,7 +301,7 @@ def _cmd_moebius(args):
     u = moebius_map(args.n, (args.a_re, args.a_im))
     d = degree(u)
     value = energy(u, EnergyParams(args.p))
-    max_gap = float(np.max(np.abs(u.gaps)))
+    max_gap = u.max_gap
     identity = identity_energy_closed_form(args.p)
     # Moebius invariance: the continuum energy is E_p(Id) at every p, so
     # the energy must match it within its own error estimate
@@ -325,7 +325,7 @@ def _cmd_moebius(args):
         # in the energy fails this check too
         gaps = u.gaps
         raw = value - float(np.sum(gaps**2))
-        if _unfolded_sign(gaps) != 0.0:
+        if _unfolded_sign(u) != 0.0:
             raw -= float(np.sum((gaps - np.roll(gaps, 1)) ** 2)) / 12.0
         closed = moebius_energy_closed_form(u.n, complex(args.a_re, args.a_im))
         results["ground_truth_ratio"] = value / FOUR_PI_SQ

@@ -234,6 +234,15 @@ def _node_chords_sq(n: int) -> np.ndarray:
     return c_sq
 
 
+@functools.lru_cache(maxsize=64)
+def _node_chords_inverse_sq(n: int) -> np.ndarray:
+    """1 / c_k^2, k = 1..n//2, the gradient's offset weights; cached and
+    read-only as _node_chords_sq is."""
+    inverse = 1.0 / _node_chords_sq(n)
+    inverse.setflags(write=False)
+    return inverse
+
+
 def _phase_table(phases: np.ndarray) -> np.ndarray:
     """Rows (c, s, -c) of c = cos phi and s = sin phi, each followed by its
     periodic copy; read-only.  _product_terms reads the partners from the
@@ -357,7 +366,7 @@ def _add_diagonal_correction(u: GridMap, p: float, total: float | None, grad: np
     gaps = u.gaps
     magnitude = np.abs(gaps)
     rise = magnitude ** (p - 1.0)  # a^(p-1), zero where a gap is
-    sign = _unfolded_sign(gaps)
+    sign = _unfolded_sign(u)
     flat, beta, gamma = _correction_coefficients(p, gaps.size, sign != 0.0)
     if sign == 0.0:
         # beta = gamma = 0, and the gaps may take either sign
@@ -403,9 +412,9 @@ def _add_diagonal_correction(u: GridMap, p: float, total: float | None, grad: np
     return total, grad
 
 
-def _unfolded_sign(gaps: np.ndarray) -> float:
-    """1 or -1 when every gap has that sign and a magnitude in (0, pi/2),
-    else 0: T2 applies only where this is nonzero.
+def _unfolded_sign(u: GridMap) -> float:
+    """1 or -1 when every gap of u has that sign and a magnitude in
+    (0, pi/2), else 0: T2 applies only where this is nonzero.
 
     T2 expands about phi' != 0, so constant, degree-0 and folded maps get
     the zeta term alone.  It is the next term of a series in the gaps, so
@@ -414,8 +423,7 @@ def _unfolded_sign(gaps: np.ndarray) -> float:
     error wherever the largest gap was at most 1.77 and raised it from
     1.98 on (at p = 2; at every p from 2.36).
     """
-    # the ufunc reductions skip ndarray.min's wrapper: 1.3 us against 2.5 at n = 128
-    low, high = np.minimum.reduce(gaps), np.maximum.reduce(gaps)
+    low, high = u.gap_range
     if 0.0 < low and high < _SECOND_TERM_MAX_GAP:
         return 1.0
     if -_SECOND_TERM_MAX_GAP < low and high < 0.0:
@@ -455,12 +463,22 @@ def _hessian_symbol(n: int, p: float, d: int) -> np.ndarray:
     row[1:] = -2.0 * h * h * curvature / node_sq[np.minimum(k, n - k) - 1]
     row[0] = -row[1:].sum()
     symbol = np.fft.rfft(row).real
-    flat, beta, gamma = _correction_coefficients(p, n, _unfolded_sign(power_map(n, d).gaps) != 0.0)
+    flat, beta, gamma = _correction_coefficients(p, n, _unfolded_sign(power_map(n, d)) != 0.0)
     a = abs(d * h)
     stretch = flat * p * (p - 1.0) * a ** (p - 2.0) + beta * (p + 2.0) * (p + 1.0) * a**p
     bending = 2.0 * gamma * (2.0 * a) ** (p - 2.0)
     symbol[1:] += (stretch + bending * node_sq) * node_sq
     return symbol
+
+
+@functools.lru_cache(maxsize=64)
+def _spectral_weights(n: int) -> np.ndarray:
+    """The p = 2 mode weights m (n - m), m = 0..n-1; cached per n and
+    shared, so read-only."""
+    weights = np.arange(n, dtype=np.float64)
+    weights *= n - weights
+    weights.setflags(write=False)
+    return weights
 
 
 def _spectral(u: GridMap, value: bool, gradient: bool) -> tuple[float | None, np.ndarray | None]:
@@ -471,8 +489,7 @@ def _spectral(u: GridMap, value: bool, gradient: bool) -> tuple[float | None, np
     # the mean only moves spectrum[0], whose weight is zero; removing it
     # makes a constant map's spectrum exactly zero at every n
     spectrum = np.fft.fft(z - z.sum() / n)
-    weights = np.arange(n, dtype=np.float64)
-    weights *= n - weights
+    weights = _spectral_weights(n)
     total = grad = None
     if value:
         power = np.abs(spectrum)
@@ -494,7 +511,7 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
     h = 2.0 * math.pi / n
     table = _phase_table(u.phases)
     node_sq = _node_chords_sq(n)
-    inverse_sq = 1.0 / node_sq if gradient else None
+    inverse_sq = _node_chords_inverse_sq(n) if gradient else None
     width = _tile_width(n, gradient)
     # offset n-k acts on node j as the negated offset-k term of node j-k;
     # the middle offset of even n already lists both orders
@@ -595,7 +612,9 @@ def _tiled(u: GridMap, p: float, value: bool, gradient: bool) -> tuple[float | N
             total = float(h * h * (2.0 * np.add.reduce(per_offset[:-1]) + per_offset[-1]))
         else:
             total = float(h * h * 2.0 * np.add.reduce(per_offset))
-    return total, (2.0 * h * h * p * grad if gradient else None)
+    if gradient:
+        grad *= 2.0 * h * h * p
+    return total, grad
 
 
 def _tile_width(n: int, gradient: bool) -> int:
@@ -683,8 +702,7 @@ def _error_estimate(u: GridMap, p: float) -> float:
     """Estimated relative error of the energy of u: 2e-3 max_gap^(p+1),
     the O(h^(p+1)) discretization error with h scaled by the map's
     largest stretch, plus 1e-12 for rounding."""
-    max_gap = float(np.max(np.abs(u.gaps)))
-    return _ERROR_CONSTANT * max_gap ** (p + 1.0) + _ROUNDING
+    return _ERROR_CONSTANT * u.max_gap ** (p + 1.0) + _ROUNDING
 
 
 def energy(u: GridMap, params: EnergyParams) -> float:

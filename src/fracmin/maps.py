@@ -8,7 +8,11 @@ unconstrained.
 
 A map is "degree-admissible" when every cyclic neighbor gap, wrapped to
 the principal interval, is strictly inside (-pi, pi); only then is the
-discrete winding number well defined at this resolution.
+discrete winding number well defined at this resolution.  The least and
+the greatest gap (GridMap.gap_range) are found once per map, while the
+gaps are wrapped, and every reader of the largest gap takes it from
+there: admissibility, the fold rule of the energy's correction, the
+energy's error estimate and the moebius report's max_gap.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,14 +52,42 @@ def wrap_angle(x):
     -wrap_angle(x) bit for bit wherever the result lies inside, so a
     reflected map has exactly the negated gaps.
     """
+    return _wrapped(x)[0]
+
+
+def _wrapped(x) -> tuple[np.ndarray, float, float]:
+    """(wrap_angle(x), its least entry, its greatest entry); the extremes
+    of an empty x are inf and -inf, and nan wherever x holds a nan."""
     # x + (-2 pi) rint(x / 2 pi) is x - 2 pi round(x / 2 pi) bit for bit;
     # in place, at n = 64 it takes half the time of np.round and np.where
     w = np.asarray(np.rint(np.divide(x, TWO_PI)))
     w *= -TWO_PI
     w += x
-    w[w > math.pi] -= TWO_PI
-    w[w <= -math.pi] += TWO_PI
-    return w
+    low, high = _extremes(w)
+    # the two masked corrections change nothing when every entry lies in
+    # (-pi, pi], and the extremes cost less than either mask; a nan makes
+    # both extremes nan, and then the corrections run
+    if not (-math.pi < low and high <= math.pi):
+        w[w > math.pi] -= TWO_PI
+        w[w <= -math.pi] += TWO_PI
+        low, high = _extremes(w)
+    return w, low, high
+
+
+def _extremes(w: np.ndarray) -> tuple[float, float]:
+    # the ufunc reductions skip ndarray.min's wrapper, and return a nan
+    # without a warning
+    low = np.minimum.reduce(w, axis=None, initial=math.inf)
+    high = np.maximum.reduce(w, axis=None, initial=-math.inf)
+    return float(low), float(high)
+
+
+@lru_cache(maxsize=64)
+def _grid_angles(n: int) -> np.ndarray:
+    """theta_i = 2*pi*i/n, i = 0..n-1; cached per n and shared, so read-only."""
+    theta = TWO_PI * np.arange(n) / n
+    theta.setflags(write=False)
+    return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +97,11 @@ class GridMap:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64).copy()
+        phases = np.array(self.phases, dtype=np.float64)
         if phases.ndim != 1 or phases.size < MIN_NODES:
             raise DomainError(f"a grid map needs at least {MIN_NODES} nodes, got shape {phases.shape}")
-        if not np.all(np.isfinite(phases)):
+        # the method skips np.all's wrapper: 1.3 us against 2.3 at n = 128
+        if not np.isfinite(phases).all():
             raise DomainError("phases must all be finite")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
@@ -79,27 +112,44 @@ class GridMap:
 
     @property
     def theta(self) -> np.ndarray:
-        """Grid angles theta_i = 2*pi*i/n."""
-        return TWO_PI * np.arange(self.n) / self.n
+        """Grid angles theta_i = 2*pi*i/n; shared by every map of n nodes, so read-only."""
+        return _grid_angles(self.n)
 
     # the map is frozen and its phases read-only, so no cache goes stale
     @cached_property
+    def _wrapped_gaps(self) -> tuple[np.ndarray, float, float]:
+        phases = self.phases
+        gaps, low, high = _wrapped(np.concatenate((phases[1:], phases[:1])) - phases)
+        gaps.setflags(write=False)
+        return gaps, low, high
+
+    @property
     def gaps(self) -> np.ndarray:
         """Cyclic neighbor phase gaps wrapped to (-pi, pi]; read-only."""
-        phases = self.phases
-        gaps = wrap_angle(np.concatenate((phases[1:], phases[:1])) - phases)
-        gaps.setflags(write=False)
-        return gaps
+        return self._wrapped_gaps[0]
+
+    @property
+    def gap_range(self) -> tuple[float, float]:
+        """(least, greatest) of the wrapped gaps."""
+        return self._wrapped_gaps[1:]
 
     @cached_property
     def winding(self) -> float:
         """The unrounded winding: the gap sum over 2*pi."""
-        return float(np.sum(self.gaps)) / TWO_PI
+        # np.sum of a 1-d array is this pairwise sum, behind a wrapper
+        return float(np.add.reduce(self.gaps)) / TWO_PI
+
+    @property
+    def max_gap(self) -> float:
+        """The largest gap magnitude, max |gaps|: the greater of |least| and greatest."""
+        low, high = self.gap_range
+        return max(abs(low), high)
 
     @cached_property
     def admissible(self) -> bool:
         """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
-        return bool(np.abs(self.gaps).max() < math.pi)
+        low, high = self.gap_range
+        return -math.pi < low and high < math.pi
 
     @cached_property
     def degree(self) -> int | None:
@@ -177,10 +227,16 @@ def perturb(u: GridMap, amplitude: float, seed: int) -> GridMap:
         raise DomainError(f"amplitude must be >= 0 with 10 * amplitude finite, got {amplitude!r}")
     rng = np.random.default_rng(int(seed) % 2**63)  # any integer seed is accepted
     coeffs = rng.uniform(-amplitude, amplitude, size=(5, 2))
-    theta = u.theta
-    delta = np.zeros(u.n)
-    for m, (c, s) in enumerate(coeffs, start=1):
-        delta += c * np.cos(m * theta) + s * np.sin(m * theta)
+    # row m - 1 holds mode m: c_m cos(m theta) + s_m sin(m theta), as one
+    # pass of each function over all five rows
+    angles = np.multiply.outer(np.arange(1.0, 6.0), u.theta)
+    modes = np.cos(angles)
+    modes *= coeffs[:, :1]
+    np.sin(angles, out=angles)
+    angles *= coeffs[:, 1:]
+    modes += angles
+    # the rows are added to 0.0 one after another, mode 1 first
+    delta = np.add.reduce(modes, axis=0, initial=0.0)
     return GridMap(u.phases + delta)
 
 
@@ -190,17 +246,18 @@ def rotated(u: GridMap, angle: float) -> GridMap:
 
 
 def write_map_csv(u: GridMap, path) -> None:
-    """Write `theta,phase` rows in radians with 17 significant digits."""
-    theta = u.theta
+    """Write `theta,phase` rows in radians with 17 significant digits.
+
+    The rows are those of csv.writer, lines ended by CR LF; no field needs
+    quoting, so the whole file is formatted as one block and written once.
+    """
+    rows = "".join(["%.17g,%.17g\r\n" % row for row in zip(u.theta.tolist(), u.phases.tolist())])
     try:
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise DomainError(f"cannot write map file {str(path)!r}: {exc.strerror}") from exc
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phase"])
-        for t, phi in zip(theta, u.phases):
-            writer.writerow([f"{t:.17g}", f"{phi:.17g}"])
+        fh.write("theta,phase\r\n" + rows)
 
 
 def read_map_csv(path) -> GridMap:

@@ -220,8 +220,9 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     iterations and end from 4.5e-8 below to 2.1e-7 above 2 E_p(Id), with
     largest gaps of 0.11; the unperturbed z^2, 1.3e-6 below, is
     returned.  A whole minimize made 11-15 kernel passes
-    (total_evaluations) and took 2-10 ms for each of these cases, and
-    16 passes and 17 ms at n = 256, p = p', on a 2-core Xeon guest.
+    (total_evaluations) and took 1-3.5 ms for each of these cases, and
+    16 passes and 7 ms at n = 256, p = p' (medians of 15 runs on a 2-core
+    Xeon guest).
     Every one of these gaps to d E_p(Id) is inside the run's error
     estimate, which is 2.9e-7 to 3.2e-7 relative at p = 2 and up to
     8.8e-6 in degree 2.

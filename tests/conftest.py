@@ -24,4 +24,4 @@ def without_second_term(monkeypatch):
     """Give every map the zeta-corrected energy without T2, as the fold
     rule gives a folded one."""
     energy_module = importlib.import_module("fracmin.energy")
-    monkeypatch.setattr(energy_module, "_unfolded_sign", lambda gaps: 0.0)
+    monkeypatch.setattr(energy_module, "_unfolded_sign", lambda u: 0.0)

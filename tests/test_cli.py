@@ -352,7 +352,52 @@ _PINNED_REPORTS = [
 ]
 
 
+# cases of the pinned descent sweep, (p, degree, seed): the p = 2 spectral
+# kernel and the tiled one, degrees 1, 2, 3 and -1, p' included; minimize
+# at n takes the seed + n
+_DESCENT_SWEEP = [
+    ("2", 1, 1),
+    ("1.2", 1, 2),
+    ("1.5", 2, 3),
+    ("1.139210840326630", 1, 4),
+    ("1.05", -1, 5),
+    ("1.8", 3, 6),
+]
+
+
+def _descent_sweep_digest(capsys) -> str:
+    """sha256 over every report and written file of a small descent sweep:
+    minimize at n = 64 and 128 with --map-out and --trace-out, energy and
+    degree of the written map, then gradient-check.  The file names are
+    relative, so the reports, which echo them, do not depend on the
+    directory the sweep runs in."""
+    digest = hashlib.sha256()
+
+    def cli(argv):
+        digest.update(str(run(argv)).encode())
+        digest.update(capsys.readouterr().out.encode())
+
+    for n in (64, 128):
+        for p, d, seed in _DESCENT_SWEEP:
+            argv = ["minimize", "--p", p, "--degree", str(d), "--n", str(n), "--seed", str(seed + n)]
+            cli(argv + ["--map-out", "map.csv", "--trace-out", "trace.csv"])
+            for name in ("map.csv", "trace.csv"):
+                with open(name, "rb") as fh:
+                    digest.update(fh.read())
+            cli(["energy", "--map", "map.csv", "--p", p])
+            cli(["degree", "--map", "map.csv"])
+    for p, _, seed in _DESCENT_SWEEP:
+        cli(["gradient-check", "--n", "64", "--p", p, "--seed", str(seed)])
+    return digest.hexdigest()
+
+
 class TestDeterminism:
+    def test_descent_path_bytes_pinned(self, capsys, tmp_path, monkeypatch):
+        # every byte the descent path writes, fixed across versions, not
+        # only between two runs of one build
+        monkeypatch.chdir(tmp_path)
+        assert _descent_sweep_digest(capsys) == "d9c5752dfb07fc48d7c0524777b7143f192c813e835827490ba374a1e2f9ca53"
+
     def test_byte_identical_reports(self, capsys):
         run(["inequality-suite", "--count", "25", "--seed", "7"])
         first = capsys.readouterr().out
@@ -608,7 +653,7 @@ class TestGradientCheck:
         # the zeta term's gradient is checked; at 0.02 every gap keeps the
         # winding's sign and T2's gradient is checked too
         for seed in range(3):
-            assert energy_module._unfolded_sign(perturb(power_map(n, 1), 0.02, seed).gaps) == 1.0
+            assert energy_module._unfolded_sign(perturb(power_map(n, 1), 0.02, seed)) == 1.0
             argv = ["gradient-check", "--n", str(n), "--p", p, "--seed", str(seed), "--amplitude", "0.02"]
             code, report = run_json(capsys, argv)
             assert code == 0, report["results"]

@@ -1,5 +1,6 @@
 """Grid maps: construction, winding numbers, perturbations, CSV round trips."""
 
+import csv
 import math
 
 import numpy as np
@@ -273,8 +274,8 @@ class TestCsv:
             read_map_csv(path)
 
     def test_theta_not_increasing(self, tmp_path):
-        # the uniform grid with two angles swapped
-        theta = identity_map(8).theta
+        # the uniform grid with two angles swapped; a map's angles are read-only
+        theta = identity_map(8).theta.copy()
         theta[[2, 3]] = theta[[3, 2]]
         path = tmp_path / "bad.csv"
         rows = ["theta,phase"] + [f"{t:.17g},{t:.17g}" for t in theta]
@@ -287,3 +288,137 @@ class TestCsv:
         path.write_text("theta,phase\n0,0\n")
         with pytest.raises(DomainError):
             read_map_csv(path)
+
+
+# Reference copies of the forms that do every step unconditionally: the
+# guards of the package's forms may skip only work that changes no bit.
+
+
+def reference_wrap_angle(x):
+    """wrap_angle with both masked corrections always run."""
+    w = np.asarray(np.rint(np.divide(x, 2.0 * math.pi)))
+    w *= -2.0 * math.pi
+    w += x
+    w[w > math.pi] -= 2.0 * math.pi
+    w[w <= -math.pi] += 2.0 * math.pi
+    return w
+
+
+def reference_perturb_phases(u, amplitude, seed):
+    """perturb's phases, summed mode by mode into zeros."""
+    amplitude = float(amplitude) + 0.0
+    coeffs = np.random.default_rng(int(seed) % 2**63).uniform(-amplitude, amplitude, size=(5, 2))
+    theta = 2.0 * math.pi * np.arange(u.n) / u.n
+    delta = np.zeros(u.n)
+    for m, (c, s) in enumerate(coeffs, start=1):
+        delta += c * np.cos(m * theta) + s * np.sin(m * theta)
+    return u.phases + delta
+
+
+def reference_map_csv(u, path):
+    """write_map_csv row by row through csv.writer."""
+    theta = 2.0 * math.pi * np.arange(u.n) / u.n
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "phase"])
+        for t, phi in zip(theta, u.phases):
+            writer.writerow([f"{t:.17g}", f"{phi:.17g}"])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_TIES = [math.pi, 3.0 * math.pi, np.nextafter(math.pi, 4.0), np.nextafter(math.pi, 3.0), 0.0, -0.0]
+_WRAP_SPECIAL = [sign * x for x in _TIES for sign in (1.0, -1.0)] + [k * 2.0 * math.pi for k in (1e3, -7e8, 3e12, 2.0**52)]
+_wrap_entries = st.one_of(
+    st.sampled_from(_WRAP_SPECIAL + [math.nan]),
+    st.floats(-1e6, 1e6),
+    st.builds(lambda k, x: k * 2.0 * math.pi + x, st.integers(-(2**40), 2**40), st.sampled_from([0.0, math.pi, -math.pi])),
+)
+
+
+class TestSkippedWorkMatchesReference:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_wrap_entries, min_size=0, max_size=40))
+    def test_wrap_angle(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        assert _same_bits(wrap_angle(x), reference_wrap_angle(x))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_wrap_entries)
+    def test_wrap_angle_of_a_scalar(self, x):
+        # 0-d in, 0-d out
+        for value in (x, np.float64(x), np.array(x)):
+            assert _same_bits(wrap_angle(value), reference_wrap_angle(value))
+
+    def test_wrap_angle_of_the_ties(self):
+        x = np.array(_WRAP_SPECIAL + [math.nan])
+        assert _same_bits(wrap_angle(x), reference_wrap_angle(x))
+        assert np.all(wrap_angle(np.array(_WRAP_SPECIAL)) > -math.pi)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(grid_maps())
+    def test_gap_range(self, u):
+        gaps = reference_wrap_angle(np.roll(u.phases, -1) - u.phases)
+        assert u.gap_range == (gaps.min(), gaps.max())
+        assert _same_bits(u.max_gap, float(np.max(np.abs(gaps))))
+        assert u.admissible == bool(np.abs(gaps).max() < math.pi)
+
+    def test_max_gap_of_a_constant_map_is_plus_zero(self):
+        assert math.copysign(1.0, GridMap(np.zeros(8)).max_gap) == 1.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [-math.inf, math.inf, math.nan]],
+        ids=["nan", "inf", "-inf", "inf,-inf", "-inf,inf,nan"],
+    )
+    def test_grid_map_rejects_every_non_finite_phase(self, bad):
+        phases = np.array(bad + [0.0] * 8)
+        assert not np.all(np.isfinite(phases))
+        with pytest.raises(DomainError, match="finite"):
+            GridMap(phases)
+
+    @pytest.mark.parametrize("phases", [[1e308] * 8, [1.7e308, -1.7e308] * 4 + [1.7e308]], ids=["sum", "alternating"])
+    def test_grid_map_accepts_finite_phases_whose_sum_overflows(self, phases):
+        # RuntimeWarnings are errors here: a gate that summed would raise
+        u = GridMap(np.array(phases))
+        assert np.array_equal(u.phases, phases)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(8, 600),
+        d=st.integers(-3, 3),
+        amplitude=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_perturb(self, n, d, amplitude, seed):
+        u = power_map(n, d)
+        assert _same_bits(perturb(u, amplitude, seed).phases, reference_perturb_phases(u, amplitude, seed))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            identity_map(8),
+            power_map(9, -4),
+            perturb(power_map(300, 3), 0.3, 17),
+            moebius_map(64, 0.99),
+            rotated(identity_map(16), 1e20),
+            GridMap(np.full(8, 1e-300)),
+        ],
+        ids=["identity", "negative", "perturbed", "concentrated", "rotated-far", "tiny"],
+    )
+    def test_map_file_bytes(self, tmp_path, u):
+        written, reference = tmp_path / "map.csv", tmp_path / "reference.csv"
+        write_map_csv(u, written)
+        reference_map_csv(u, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        assert _same_bits(read_map_csv(written).phases, u.phases)
+
+    def test_grid_angles_shared_and_read_only(self):
+        u, v = identity_map(24), power_map(24, 5)
+        assert u.theta is v.theta
+        assert _same_bits(u.theta, 2.0 * math.pi * np.arange(24) / 24)
+        with pytest.raises(ValueError):
+            u.theta[0] = 1.0
