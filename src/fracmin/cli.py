@@ -301,7 +301,6 @@ def _cmd_moebius(args):
     u = moebius_map(args.n, (args.a_re, args.a_im))
     d = degree(u)
     value = energy(u, EnergyParams(args.p))
-    max_gap = u.max_gap
     identity = identity_energy_closed_form(args.p)
     # Moebius invariance: the continuum energy is E_p(Id) at every p, so
     # the energy must match it within its own error estimate
@@ -310,7 +309,7 @@ def _cmd_moebius(args):
         "n": u.n,
         "degree": d,
         "energy": value,
-        "max_gap": max_gap,
+        "max_gap": u.max_gap,
         "identity_energy": identity,
         "error_bound_rel": error_bound,
     }

@@ -35,7 +35,6 @@ __all__ = [
 FIVE_PI = 5.0 * math.pi
 
 _BRACKET_LO = 1.0001
-_BRACKET_HI = 2.0
 _MAX_STEPS = 100
 
 # Direct terms summed before the Euler-Maclaurin tail takes over.  The
@@ -65,8 +64,9 @@ def _gap(p: float) -> float:
 def critical_p(tol: float = 1e-12) -> CriticalReport:
     """Locate the exponent p' solving B((p'-1)/2, 1/2) = 5*pi.
 
-    Once the sign change on (1.0001, 2) is asserted, Newton's method on
-    log B runs from p = 1.0001 with the slope _digamma_bracket(p)/2 - log 2
+    The gap B((p-1)/2, 1/2) - 5*pi changes sign on (1.0001, 2): both ends
+    are constants, and the tests check them.  Newton's method on log B
+    runs from p = 1.0001 with the slope _digamma_bracket(p)/2 - log 2
     = (psi((p-1)/2) - psi(p/2))/2.  log B(x, 1/2) is convex and decreasing
     in x, as psi' is decreasing, so in exact arithmetic no step overshoots.
     It stops at the first p with |residual| <= tol whose step was at most
@@ -78,8 +78,6 @@ def critical_p(tol: float = 1e-12) -> CriticalReport:
     if not (1e-13 <= tol <= 1e-4):
         raise DomainError(f"tol must lie in [1e-13, 1e-4], got {tol!r}")
     f = _gap(_BRACKET_LO)
-    if not (f > 0.0 > _gap(_BRACKET_HI)):
-        raise ConvergenceError("critical equation lost its sign change on (1.0001, 2)")
     p = _BRACKET_LO
     for iterations in range(1, _MAX_STEPS + 1):
         step = math.log1p(f / FIVE_PI) / (math.log(2.0) - 0.5 * _digamma_bracket(p))

@@ -8,11 +8,12 @@ unconstrained.
 
 A map is "degree-admissible" when every cyclic neighbor gap, wrapped to
 the principal interval, is strictly inside (-pi, pi); only then is the
-discrete winding number well defined at this resolution.  The least and
-the greatest gap (GridMap.gap_range) are found once per map, while the
-gaps are wrapped, and every reader of the largest gap takes it from
-there: admissibility, the fold rule of the energy's correction, the
-energy's error estimate and the moebius report's max_gap.
+discrete winding number well defined at this resolution.  A map is
+measured once, when it is made, and a gap that is not finite (finite
+phases whose difference overflows) makes it inadmissible.  Every reader
+of the largest gap takes it from GridMap.gap_range: admissibility, the
+fold rule of the energy's correction, the energy's error estimate and
+the moebius report's max_gap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 MIN_NODES = 8
+
+# |phases| below this keep each neighbor difference, and its wrap, finite
+_FINITE_GAPS = 2.0**1022
 
 
 def wrap_angle(x):
@@ -92,7 +96,13 @@ def _grid_angles(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridMap:
-    """A circle-valued map on the uniform n-point grid, stored as lifted phases."""
+    """A circle-valued map on the uniform n-point grid, stored as lifted phases.
+
+    Measured when it is made: the cyclic neighbor gaps wrapped to (-pi, pi]
+    (read-only), their (least, greatest) gap_range, the winding (their sum
+    over 2*pi), admissible (every gap strictly inside (-pi, pi)) and degree,
+    the winding rounded, or None unless admissible and within 1e-9 of it.
+    """
 
     phases: np.ndarray
 
@@ -100,11 +110,19 @@ class GridMap:
         phases = np.array(self.phases, dtype=np.float64)
         if phases.ndim != 1 or phases.size < MIN_NODES:
             raise DomainError(f"a grid map needs at least {MIN_NODES} nodes, got shape {phases.shape}")
-        # the method skips np.all's wrapper: 1.3 us against 2.3 at n = 128
-        if not np.isfinite(phases).all():
+        # one reduction, at the cost of np.isfinite(phases).all(): a nan
+        # makes it nan, an inf inf, and it bounds the neighbor differences
+        bound = np.maximum.reduce(np.abs(phases), axis=None)
+        if not bound < math.inf:
             raise DomainError("phases must all be finite")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
+        if bound < _FINITE_GAPS:
+            self.__dict__.update(_measured(phases))
+        else:
+            # a difference or its wrap may overflow: that gap is nan or inf, inadmissible
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.__dict__.update(_measured(phases))
 
     @property
     def n(self) -> int:
@@ -115,48 +133,24 @@ class GridMap:
         """Grid angles theta_i = 2*pi*i/n; shared by every map of n nodes, so read-only."""
         return _grid_angles(self.n)
 
-    # the map is frozen and its phases read-only, so no cache goes stale
-    @cached_property
-    def _wrapped_gaps(self) -> tuple[np.ndarray, float, float]:
-        phases = self.phases
-        gaps, low, high = _wrapped(np.concatenate((phases[1:], phases[:1])) - phases)
-        gaps.setflags(write=False)
-        return gaps, low, high
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """Cyclic neighbor phase gaps wrapped to (-pi, pi]; read-only."""
-        return self._wrapped_gaps[0]
-
-    @property
-    def gap_range(self) -> tuple[float, float]:
-        """(least, greatest) of the wrapped gaps."""
-        return self._wrapped_gaps[1:]
-
-    @cached_property
-    def winding(self) -> float:
-        """The unrounded winding: the gap sum over 2*pi."""
-        # np.sum of a 1-d array is this pairwise sum, behind a wrapper
-        return float(np.add.reduce(self.gaps)) / TWO_PI
-
     @property
     def max_gap(self) -> float:
         """The largest gap magnitude, max |gaps|: the greater of |least| and greatest."""
         low, high = self.gap_range
         return max(abs(low), high)
 
-    @cached_property
-    def admissible(self) -> bool:
-        """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
-        low, high = self.gap_range
-        return -math.pi < low and high < math.pi
 
-    @cached_property
-    def degree(self) -> int | None:
-        """The winding rounded to an integer; None when the map is not
-        admissible or its winding lies 1e-9 or more from an integer."""
-        d = round(self.winding)
-        return d if self.admissible and abs(self.winding - d) < 1e-9 else None
+def _measured(phases: np.ndarray) -> dict:
+    """The attributes GridMap measures from its phases."""
+    gaps, low, high = _wrapped(np.concatenate((phases[1:], phases[:1])) - phases)
+    gaps.setflags(write=False)
+    # np.sum of a 1-d array is this pairwise sum, behind a wrapper
+    winding = float(np.add.reduce(gaps)) / TWO_PI
+    admissible = -math.pi < low and high < math.pi
+    # an admissible map's gaps, and so its winding, are finite
+    d = round(winding) if admissible else None
+    degree = d if admissible and abs(winding - d) < 1e-9 else None
+    return {"gaps": gaps, "gap_range": (low, high), "winding": winding, "admissible": admissible, "degree": degree}
 
 
 def is_admissible(u: GridMap) -> bool:
@@ -284,7 +278,7 @@ def read_map_csv(path) -> GridMap:
     u = GridMap(phases)
     if np.any(np.diff(theta) <= 0.0):
         raise DomainError("theta grid must be strictly increasing")
-    if np.max(np.abs(theta - u.theta)) > 1e-9:
+    if not np.max(np.abs(theta - u.theta)) <= 1e-9:
         raise DomainError("theta grid is not the uniform grid 2*pi*i/n")
     if not is_admissible(u):
         raise AdmissibilityError("map file contains a phase gap of magnitude >= pi")

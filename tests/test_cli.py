@@ -858,6 +858,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "phase gap" in captured.err
 
+    @pytest.mark.parametrize("command", [["degree"], ["energy", "--p", "1.5"]])
+    def test_map_file_whose_differences_overflow(self, capsys, tmp_path, command):
+        # 1e308 - (-1e308) overflows: the gap is not finite, and the map is
+        # inadmissible; the one line on stderr is the domain error, and a
+        # RuntimeWarning, an error here, would have ended the run first
+        path = tmp_path / "far.csv"
+        phases = [1e308, -1e308] + [0.0] * 6
+        rows = "".join(f"{2.0 * math.pi * i / 8:.17g},{phi:.17g}\n" for i, phi in enumerate(phases))
+        path.write_text("theta,phase\n" + rows)
+        assert run([command[0], "--map", str(path), *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: map file contains a phase gap") and captured.err.count("\n") == 1
+
     def test_unresolved_moebius_trace(self, capsys):
         # 9 nodes miss the jump of the trace at |a| = 0.999: the sampled
         # lift winds 0 times, which is a domain error, not a failed check

@@ -180,12 +180,10 @@ class TestReciprocalPairSumBlock:
             reciprocal_pair_sum(np.array([1.5, bad, 1.7]))
 
 
-class TestBracketFailureGuard:
-    def test_sign_change_assertion_runs(self):
-        # the bracket endpoints are asserted on every call; a successful run
-        # certifies beta(0.00005, 0.5) > 5 pi > beta(0.5, 0.5)
-        report = critical_p(1e-8)
-        assert isinstance(report.iterations, int)
+class TestNewtonBracket:
+    def test_critical_equation_changes_sign_on_the_bracket(self):
+        # critical_p's Newton start p = 1.0001 lies left of the root, and
+        # its root lies in (1.0001, 2): beta(0.00005, 0.5) > 5 pi > beta(0.5, 0.5)
         assert beta(0.5 * (1.0001 - 1.0), 0.5) > FIVE_PI
         assert beta(0.5, 0.5) < FIVE_PI
 

@@ -1,11 +1,12 @@
 """Grid maps: construction, winding numbers, perturbations, CSV round trips."""
 
 import csv
+import importlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracmin import (
@@ -23,6 +24,8 @@ from fracmin import (
     wrap_angle,
     write_map_csv,
 )
+
+maps_module = importlib.import_module("fracmin.maps")
 
 
 class TestWrap:
@@ -131,18 +134,39 @@ def grid_maps(draw):
     return GridMap(phases)
 
 
+def count_wraps(monkeypatch):
+    """Record the size of each array maps._wrapped wraps, into the list returned."""
+    wraps = []
+    wrapped = maps_module._wrapped
+
+    def counting_wrapped(x):
+        wraps.append(np.size(x))
+        return wrapped(x)
+
+    monkeypatch.setattr(maps_module, "_wrapped", counting_wrapped)
+    return wraps
+
+
 class TestCachedWinding:
-    def test_gaps_computed_once_and_read_only(self):
-        u = perturb(identity_map(32), 0.2, 1)
+    def test_gaps_computed_once_and_read_only(self, monkeypatch):
+        phases = perturb(identity_map(32), 0.2, 1).phases
+        wraps = count_wraps(monkeypatch)
+        u = GridMap(phases)
+        # the gaps are wrapped as the map is made, and never again
+        assert wraps == [32]
         assert u.gaps is u.gaps
+        assert is_admissible(u) and degree(u) == round(u.winding) == 1
+        assert u.max_gap == max(abs(u.gap_range[0]), u.gap_range[1])
+        assert wraps == [32]
         with pytest.raises(ValueError):
             u.gaps[0] = 0.0
 
     def test_admissibility_computed_once(self):
+        # measured when the map is made: the readers return the stored values
         u = perturb(identity_map(32), 0.2, 1)
-        assert "admissible" not in vars(u)
-        assert is_admissible(u) is True
         assert vars(u)["admissible"] is True
+        assert is_admissible(u) is True
+        assert vars(u)["degree"] == degree(u) == 1
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(grid_maps())
@@ -283,6 +307,16 @@ class TestCsv:
         with pytest.raises(DomainError, match="strictly increasing"):
             read_map_csv(path)
 
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_theta_not_a_number(self, tmp_path, row):
+        # a nan compares false both ways, so no angle may pass for being one
+        theta = [f"{t:.17g}" for t in identity_map(8).theta]
+        theta[row] = "nan"
+        path = tmp_path / "bad.csv"
+        path.write_text("theta,phase\n" + "".join(f"{t},{i}\n" for i, t in enumerate(theta)))
+        with pytest.raises(DomainError, match="uniform grid"):
+            read_map_csv(path)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("theta,phase\n0,0\n")
@@ -382,9 +416,24 @@ class TestSkippedWorkMatchesReference:
 
     @pytest.mark.parametrize("phases", [[1e308] * 8, [1.7e308, -1.7e308] * 4 + [1.7e308]], ids=["sum", "alternating"])
     def test_grid_map_accepts_finite_phases_whose_sum_overflows(self, phases):
-        # RuntimeWarnings are errors here: a gate that summed would raise
+        # RuntimeWarnings are errors here: a gate that summed would raise,
+        # and so would a difference that overflowed outside np.errstate
         u = GridMap(np.array(phases))
         assert np.array_equal(u.phases, phases)
+        if u.n == 8:  # equal phases: every gap is 0, and the degree 0
+            assert _same_bits(u.gaps, np.zeros(8))
+            assert u.gap_range == (0.0, 0.0) and u.winding == 0.0 and u.degree == 0
+        else:  # 8 of the 9 differences overflow, and their wraps are nan
+            assert np.isnan(u.gaps[:8]).all() and u.gaps[8] == 0.0
+            assert all(math.isnan(x) for x in (*u.gap_range, u.winding))
+            assert u.admissible is False and u.degree is None
+
+    def test_map_whose_differences_overflow_is_inadmissible(self):
+        u = GridMap(np.array([1.7e308, -1.7e308] * 4 + [1.7e308]))
+        assert u.admissible is False and u.degree is None
+        assert is_admissible(u) is False
+        with pytest.raises(AdmissibilityError, match=">= pi"):
+            degree(u)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -422,3 +471,40 @@ class TestSkippedWorkMatchesReference:
         assert _same_bits(u.theta, 2.0 * math.pi * np.arange(24) / 24)
         with pytest.raises(ValueError):
             u.theta[0] = 1.0
+
+
+_finite_phase = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 2.0**1022, -(2.0**1022), 5e-324, -5e-324, 0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestAnyFinitePhases:
+    """Map input fuzzed: any finite float64 phases make a map, with no warning."""
+
+    @settings(
+        derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(_finite_phase, min_size=8, max_size=64))
+    # the greatest phases whose differences skip np.errstate, and the least
+    # that take it
+    @example([np.nextafter(2.0**1022, 0.0), -np.nextafter(2.0**1022, 0.0)] * 4)
+    @example([2.0**1022, -(2.0**1022)] * 4)
+    def test_measured_without_a_warning(self, tmp_path, phases):
+        # RuntimeWarnings are errors here
+        u = GridMap(np.array(phases))
+        if u.degree is None:
+            with pytest.raises(AdmissibilityError):
+                degree(u)
+        else:
+            assert degree(u) == u.degree
+        path = tmp_path / "map.csv"
+        write_map_csv(u, path)
+        if u.admissible:
+            v = read_map_csv(path)
+            assert _same_bits(v.phases, u.phases)
+            assert v.degree == u.degree
+        else:
+            with pytest.raises(AdmissibilityError):
+                read_map_csv(path)

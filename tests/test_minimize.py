@@ -1,6 +1,5 @@
 """Descent runs: degree certification, monotone traces, bound sandwiches."""
 
-import functools
 import importlib
 import math
 
@@ -32,6 +31,7 @@ from fracmin import (
 # the package binds the names fracmin.energy and fracmin.minimize to functions
 energy_module = importlib.import_module("fracmin.energy")
 minimize_module = importlib.import_module("fracmin.minimize")
+maps_module = importlib.import_module("fracmin.maps")
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # root of B((p-1)/2, 1/2) = 5 pi, from mpmath at 40 digits
@@ -140,21 +140,24 @@ def two_pass_descent(start, config):
     return current, grad_norm, decrement / current, iterations, stop(), np.array(trace)
 
 
-def count_degrees(monkeypatch):
-    """Make GridMap.degree record each map's degree when it is first read,
-    into the list returned; a cached re-read records nothing."""
-    degrees = []
-    degree = GridMap.degree.func
+def record_maps(monkeypatch):
+    """Record every GridMap made from here on into the first list
+    returned, and the size of each array maps._wrapped wraps into the
+    second."""
+    made, wraps = [], []
+    post_init, wrapped = GridMap.__post_init__, maps_module._wrapped
 
-    def counting_degree(u):
-        value = degree(u)
-        degrees.append(value)
-        return value
+    def recording_post_init(u):
+        post_init(u)
+        made.append(u)
 
-    counting = functools.cached_property(counting_degree)
-    counting.__set_name__(GridMap, "degree")
-    monkeypatch.setattr(GridMap, "degree", counting)
-    return degrees
+    def counting_wrapped(x):
+        wraps.append(np.size(x))
+        return wrapped(x)
+
+    monkeypatch.setattr(GridMap, "__post_init__", recording_post_init)
+    monkeypatch.setattr(maps_module, "_wrapped", counting_wrapped)
+    return made, wraps
 
 
 class TestFusedDescent:
@@ -184,7 +187,8 @@ class TestFusedDescent:
     )
     def test_one_kernel_pass_per_trial(self, monkeypatch, p, d, start):
         passes = []
-        degrees = count_degrees(monkeypatch)
+        config = MinimizeConfig(p=p, degree_target=d, **FAST)
+        trials, wraps = record_maps(monkeypatch)
         kernel = energy_module._kernel
 
         def counting_kernel(*args):
@@ -192,11 +196,11 @@ class TestFusedDescent:
             return kernel(*args)
 
         monkeypatch.setattr(energy_module, "_kernel", counting_kernel)
-        result = descend_from(start, MinimizeConfig(p=p, degree_target=d, **FAST))
-        trials = [degree == d for degree in degrees]
-        # the first degree read is the start's; each later one that keeps
-        # the degree is a trial step the kernel evaluates
-        steps = sum(trials[1:])
+        result = descend_from(start, config)
+        # every map the run makes is a trial step, and its gaps are wrapped
+        # once, as it is made; each trial that keeps the degree is evaluated
+        assert wraps == [start.n] * len(trials)
+        steps = sum(trial.degree == d for trial in trials)
         assert steps > result.iterations
         assert len(passes) == steps + 1 == result.evaluations
         assert set(passes) == {(True, True)}
@@ -205,7 +209,9 @@ class TestFusedDescent:
         # a direction 64 times too long makes the unit steps cross gaps of
         # pi: the first trials wind 2 and -2 times, and are halved unevaluated
         passes = []
-        degrees = count_degrees(monkeypatch)
+        start = perturb(power_map(64, 1), 0.1, 1)
+        config = MinimizeConfig(p=1.5, degree_target=1, **FAST)
+        trials, wraps = record_maps(monkeypatch)
         kernel = energy_module._kernel
         sobolev_gradient = minimize_module._sobolev_gradient
 
@@ -217,10 +223,13 @@ class TestFusedDescent:
         monkeypatch.setattr(
             minimize_module, "_sobolev_gradient", lambda grad, symbol: 64.0 * sobolev_gradient(grad, symbol)
         )
-        result = descend_from(perturb(power_map(64, 1), 0.1, 1), MinimizeConfig(p=1.5, degree_target=1, **FAST))
-        assert degrees[1] != 1 and degrees[2] != 1
-        assert len(passes) == degrees.count(1) == result.evaluations
-        assert len(degrees) - 1 > result.evaluations - 1 > result.iterations > 0
+        result = descend_from(start, config)
+        degrees = [trial.degree for trial in trials]
+        assert wraps == [64] * len(trials)
+        assert degrees[0] != 1 and degrees[1] != 1
+        # the start and every trial of degree one
+        assert len(passes) == 1 + degrees.count(1) == result.evaluations
+        assert len(trials) > result.evaluations - 1 > result.iterations > 0
         assert result.final_degree == degree(result.final_map) == 1
         assert np.all(np.diff(result.energy_trace) <= 0.0)
 
