@@ -36,6 +36,7 @@ from .errors import ConvergenceError, DomainError
 from .inequalities import _jp_checks, bbm_degree_check, jp_monotonicity_check, young_variant_check
 from .maps import (
     GridMap,
+    _write_text,
     degree,
     moebius_map,
     perturb,
@@ -73,16 +74,6 @@ _EXIT_CHECK_FAILED = 1
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 _EXIT_NONCONVERGED = 4
-
-
-def _write_text(path, text: str) -> None:
-    """Write an output file; DomainError, as for an unreadable map file,
-    when it cannot be written."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
 
 
 def _check(name: str, passed: bool, margin: float) -> dict:

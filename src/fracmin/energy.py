@@ -36,10 +36,9 @@ The fold rule: T2 expands about phi' != 0, so it applies only when
 every gap is nonzero and has the sign of the winding, and, as the next
 term of a series in the gaps, only when every gap is below a quarter
 turn.  Constant, degree-0, folded (some gap of the wrong sign or zero)
-and unresolved maps get the zeta term alone, bit for bit as before T2
-was added.  Where a gap of a degree-1 map crosses zero or pi/2 the
-energy therefore jumps by T2, which is O(h^(p+1)) relative on
-resolved grids.
+and unresolved maps get the zeta term alone.  Where a gap of a
+degree-1 map crosses zero or pi/2 the energy therefore jumps by T2,
+which is O(h^(p+1)) relative on resolved grids.
 
 On resolved degree +-1 maps the error then falls like h^(p+3): the
 closed-form identity-map energy

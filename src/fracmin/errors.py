@@ -8,9 +8,10 @@ class DomainError(ValueError):
 
 
 class AdmissibilityError(DomainError):
-    """A grid map has a phase gap of magnitude >= pi, so its winding
-    number (and hence the energy bookkeeping built on it) is ill-defined
-    at the current resolution."""
+    """A grid map has a phase gap of magnitude >= pi, or one wrapped from
+    a neighbor difference above 2^21, so its winding number (and hence
+    the energy bookkeeping built on it) is ill-defined at the current
+    resolution."""
 
 
 class ConvergenceError(RuntimeError):

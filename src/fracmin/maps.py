@@ -10,10 +10,11 @@ A map is "degree-admissible" when every cyclic neighbor gap, wrapped to
 the principal interval, is strictly inside (-pi, pi); only then is the
 discrete winding number well defined at this resolution.  A map is
 measured once, when it is made, and a gap that is not finite (finite
-phases whose difference overflows) makes it inadmissible.  Every reader
-of the largest gap takes it from GridMap.gap_range: admissibility, the
-fold rule of the energy's correction, the energy's error estimate and
-the moebius report's max_gap.
+phases whose difference overflows), or one wrapped from a difference
+too large to land near the nodes' positions, makes it inadmissible.
+Every reader of the largest gap takes it from GridMap.gap_range:
+admissibility, the fold rule of the energy's correction, the energy's
+error estimate and the moebius report's max_gap.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ TWO_PI = 2.0 * math.pi
 
 MIN_NODES = 8
 
-# |phases| below this keep each neighbor difference, and its wrap, finite
-_FINITE_GAPS = 2.0**1022
+# the largest neighbor difference whose wrap lands within 1e-9 of its
+# nodes' positions (derived in GridMap's docstring)
+_FAR_GAP = 2.0**21
 
 
 def wrap_angle(x):
@@ -102,6 +104,15 @@ class GridMap:
     (read-only), their (least, greatest) gap_range, the winding (their sum
     over 2*pi), admissible (every gap strictly inside (-pi, pi)) and degree,
     the winding rounded, or None unless admissible and within 1e-9 of it.
+
+    A raw neighbor difference x wraps to within 2.61e-16 |x| + 1e-15 of
+    the angle between its nodes' positions: x and round(x / TWO_PI) *
+    TWO_PI each round once (2^-52 |x|), and TWO_PI is 2.45e-16 short of
+    2 pi (3.9e-17 |x|); against mpmath, 4800 differences up to 1e15 wrap
+    at most 2.55e-16 |x| off.  A difference above _FAR_GAP = 2^21, where
+    the bound passes 5.5e-10, makes the map inadmissible whatever its
+    gaps read; only maps with a phase of 2^20 or more, twice which bounds
+    every difference, are searched for one.
     """
 
     phases: np.ndarray
@@ -117,12 +128,13 @@ class GridMap:
             raise DomainError("phases must all be finite")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
-        if bound < _FINITE_GAPS:
-            self.__dict__.update(_measured(phases))
+        if bound < _FAR_GAP / 2:
+            self.__dict__.update(_measured(phases, near=True))
         else:
-            # a difference or its wrap may overflow: that gap is nan or inf, inadmissible
+            # a difference may exceed _FAR_GAP, and it or its wrap overflow:
+            # that gap is nan or inf, inadmissible
             with np.errstate(over="ignore", invalid="ignore"):
-                self.__dict__.update(_measured(phases))
+                self.__dict__.update(_measured(phases, near=False))
 
     @property
     def n(self) -> int:
@@ -140,13 +152,15 @@ class GridMap:
         return max(abs(low), high)
 
 
-def _measured(phases: np.ndarray) -> dict:
-    """The attributes GridMap measures from its phases."""
-    gaps, low, high = _wrapped(np.concatenate((phases[1:], phases[:1])) - phases)
+def _measured(phases: np.ndarray, near: bool) -> dict:
+    """The attributes GridMap measures from its phases; near when no
+    neighbor difference can exceed _FAR_GAP."""
+    differences = np.concatenate((phases[1:], phases[:1])) - phases
+    gaps, low, high = _wrapped(differences)
     gaps.setflags(write=False)
     # np.sum of a 1-d array is this pairwise sum, behind a wrapper
     winding = float(np.add.reduce(gaps)) / TWO_PI
-    admissible = -math.pi < low and high < math.pi
+    admissible = -math.pi < low and high < math.pi and (near or float(np.max(np.abs(differences))) <= _FAR_GAP)
     # an admissible map's gaps, and so its winding, are finite
     d = round(winding) if admissible else None
     degree = d if admissible and abs(winding - d) < 1e-9 else None
@@ -154,7 +168,8 @@ def _measured(phases: np.ndarray) -> dict:
 
 
 def is_admissible(u: GridMap) -> bool:
-    """True when every wrapped neighbor gap is strictly inside (-pi, pi)."""
+    """True when every wrapped neighbor gap is strictly inside (-pi, pi),
+    and no neighbor difference exceeds 2^21 (see GridMap)."""
     return u.admissible
 
 
@@ -163,12 +178,15 @@ def degree(u: GridMap) -> int:
 
     Raises AdmissibilityError where u.degree is None: when some gap
     reaches pi in magnitude (the winding is then ill-defined at this
-    resolution) or when the rounding residual exceeds 1e-9.
+    resolution) or comes from a difference above 2^21, or when the
+    rounding residual exceeds 1e-9.
     """
     if u.degree is not None:
         return u.degree
     if not u.admissible:
-        raise AdmissibilityError("map has a neighbor phase gap of magnitude >= pi; winding number undefined")
+        raise AdmissibilityError(
+            "map has a neighbor phase gap of magnitude >= pi, or a difference above 2^21; winding number undefined"
+        )
     raise AdmissibilityError(f"winding residual {math.remainder(u.winding, 1.0):.3e} exceeds 1e-9")
 
 
@@ -239,6 +257,16 @@ def rotated(u: GridMap, angle: float) -> GridMap:
     return GridMap(u.phases + float(angle))
 
 
+def _write_text(path, text: str, what: str = "file") -> None:
+    """Write text to path as UTF-8, its line ends as they are; DomainError,
+    naming `what`, when the file cannot be opened, written or closed."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {what} {str(path)!r}: {exc.strerror}") from exc
+
+
 def write_map_csv(u: GridMap, path) -> None:
     """Write `theta,phase` rows in radians with 17 significant digits.
 
@@ -246,30 +274,26 @@ def write_map_csv(u: GridMap, path) -> None:
     quoting, so the whole file is formatted as one block and written once.
     """
     rows = "".join(["%.17g,%.17g\r\n" % row for row in zip(u.theta.tolist(), u.phases.tolist())])
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise DomainError(f"cannot write map file {str(path)!r}: {exc.strerror}") from exc
-    with fh:
-        fh.write("theta,phase\r\n" + rows)
+    _write_text(path, "theta,phase\r\n" + rows, "map file")
 
 
 def read_map_csv(path) -> GridMap:
     """Read a map written by write_map_csv.
 
-    Validates the header, a strictly increasing uniform theta grid
+    A file that cannot be opened, decoded as UTF-8 or parsed as CSV is a
+    DomainError.  Validates the header (the first row; blank rows after
+    it are skipped), a strictly increasing uniform theta grid
     theta_i = 2*pi*i/n, finiteness, and degree admissibility.
     """
     try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise DomainError(f"cannot read map file {str(path)!r}: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["theta", "phase"]:
-            raise DomainError(f"expected header 'theta,phase', got {header!r}")
-        rows = [row for row in reader if row]
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"cannot read map file {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+    if header is None or [h.strip() for h in header] != ["theta", "phase"]:
+        raise DomainError(f"expected header 'theta,phase', got {header!r}")
     try:
         theta = np.array([float(r[0]) for r in rows])
         phases = np.array([float(r[1]) for r in rows])
@@ -281,5 +305,5 @@ def read_map_csv(path) -> GridMap:
     if not np.max(np.abs(theta - u.theta)) <= 1e-9:
         raise DomainError("theta grid is not the uniform grid 2*pi*i/n")
     if not is_admissible(u):
-        raise AdmissibilityError("map file contains a phase gap of magnitude >= pi")
+        raise AdmissibilityError("map file contains a phase gap of magnitude >= pi, or a difference above 2^21")
     return u

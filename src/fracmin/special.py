@@ -40,7 +40,7 @@ _ZETA_BERNOULLI = (
 # Terms k < N of the zeta series are summed directly.  The first omitted
 # tail term, B_16/16! s(s+1)...(s+14) N^(-s-15), is below 5e-17 at N = 10
 # for every s in [0, 1), where |zeta(s)| >= 1/2, and below 7.1e-17 for s
-# in (2, 3], where zeta(s) > 1.2.
+# in [2, 3], where zeta(s) > 1.2.
 _ZETA_CUTOFF = 10
 
 
@@ -89,19 +89,21 @@ def digamma(z: float) -> float:
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta(s) for 0 <= s < 1, where it is negative, and for 2 < s <= 3.
+    """Riemann zeta(s) for 0 <= s < 1, where it is negative, and for 2 <= s <= 3.
 
     The energy's diagonal corrections need zeta(2 - p) and, through the
-    functional equation, zeta(1 + p), for 1 < p <= 2.  The terms k < N = 10 of sum k^(-s) are summed directly; the tail is
-    integrated by Euler-Maclaurin, the integral continued analytically
-    to N^(1-s)/(s-1), with the corrections
+    functional equation, zeta(1 + p), for 1 < p <= 2; 1 + p rounds to 2
+    at the least such p, 1 + 2^-52, where zeta is pi^2/6.  The terms
+    k < N = 10 of sum k^(-s) are summed directly; the tail is integrated
+    by Euler-Maclaurin, the integral continued analytically to
+    N^(1-s)/(s-1), with the corrections
     B_{2j}/(2j)! s(s+1)...(s+2j-2) N^(-s-2j+1) for j = 1..7.  math.fsum
     adds the pieces with one rounding, so zeta(0) = -1/2 exactly: the
     corrections then vanish and the rest is integer arithmetic.
     """
     s = float(s)
-    if not (0.0 <= s < 1.0 or 2.0 < s <= 3.0):
-        raise DomainError(f"zeta requires 0 <= s < 1 or 2 < s <= 3, got {s!r}")
+    if not (0.0 <= s < 1.0 or 2.0 <= s <= 3.0):
+        raise DomainError(f"zeta requires 0 <= s < 1 or 2 <= s <= 3, got {s!r}")
     big_n = float(_ZETA_CUTOFF)
     pieces = [k**-s for k in range(1, _ZETA_CUTOFF)]
     pieces.append(big_n ** (1.0 - s) / (s - 1.0))

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 from importlib import resources
 
 import jsonschema
@@ -899,6 +900,65 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("domain error: cannot write") and repr(target) in captured.err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical-p", "--out", "/dev/full"],
+            ["moebius", "--a-re", "0.5", "--n", "64", "--map-out", "/dev/full"],
+            ["minimize", "--p", "1.5", "--degree", "1", "--n", "32", "--map-out", "/dev/full"],
+            ["minimize", "--p", "1.5", "--degree", "1", "--n", "32", "--restarts", "0", "--trace-out", "/dev/full"],
+            ["monotonicity-scan", "--grid-size", "10", "--table-out", "/dev/full"],
+        ],
+        ids=["out", "moebius-map-out", "minimize-map-out", "trace-out", "table-out"],
+    )
+    def test_full_device(self, capsys, argv):
+        # the open succeeds and the write fails, as the file is closed: bad
+        # output, exit 3 with one line on stderr, not a traceback
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: cannot write") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"theta,phase\r\n\xff\r\n", b"theta,phase\r\n0," + b"1" * 200000 + b"\r\n"],
+        ids=["undecodable", "field-over-the-csv-limit"],
+    )
+    @pytest.mark.parametrize("command", [["degree"], ["energy", "--p", "1.5"], ["bbm-check"]])
+    def test_unparsable_map_file(self, capsys, tmp_path, content, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert run([command[0], "--map", str(path), *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: cannot read map file") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["degree"], ["energy", "--p", "1.5"]])
+    def test_map_file_whose_difference_wraps_off_the_positions(self, capsys, tmp_path, command):
+        # 1e20 wraps to a gap of 0, 0.7 rad off the nodes' positions
+        path = tmp_path / "far.csv"
+        write_map_csv(GridMap(np.array([0.0, 1e20] + [0.0] * 6)), path)
+        assert run([command[0], "--map", str(path), *command[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: map file contains a phase gap") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moebius", "--a-re", "0.5", "--n", "256"],
+            ["minimize", "--degree", "1", "--n", "32", "--restarts", "0"],
+            ["bbm-check", "--power", "1", "--n", "64"],
+        ],
+        ids=["moebius", "minimize", "bbm-check"],
+    )
+    def test_least_exponent_above_one(self, capsys, argv):
+        # 1 + p rounds to 2 there, and zeta(2) is no pole
+        code, report = run_json(capsys, [*argv, "--p", "1.0000000000000002"])
+        assert code == 0
+        assert all(check["passed"] for check in report["checks"])
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf", "1e308", "8e307"])
     def test_gradient_check_amplitude_without_a_finite_width(self, capsys, amplitude):
         # bad input, not a failed check; at 8e307 the mode sum would
@@ -980,3 +1040,47 @@ class TestExitCodes:
         assert code == 1
         assert not report["checks"][1]["passed"]
         assert report["results"]["min_order"] < 1.8
+
+
+# bytes spliced into a map file: header words, digits, commas, quotes, CR
+# and LF, 0xff and NUL, and arbitrary bytes
+_map_file_pieces = st.one_of(
+    st.sampled_from([b"theta,phase", b",", b'"', b"\r", b"\n", b"\r\n", b"\xff", b"\x00", b"-", b".", b"e", b"nan"]),
+    st.integers(-(10**6), 10**6).map(lambda k: str(k).encode()),
+    st.binary(max_size=16),
+)
+
+
+@st.composite
+def _map_file_bytes(draw):
+    """A map file of up to 40 rows, phases near the identity or any
+    floats, with up to four spans replaced by pieces; at most 4 KiB."""
+    n = draw(st.integers(0, 40))
+    theta = [2.0 * math.pi * i / n for i in range(n)]
+    if draw(st.booleans()):
+        phases = [t + draw(st.floats(-0.3, 0.3)) for t in theta]
+    else:
+        phases = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    data = bytearray(("theta,phase\r\n" + "".join(f"{t:.17g},{phi!r}\r\n" for t, phi in zip(theta, phases))).encode())
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(data)))
+        data[start : start + draw(st.integers(0, 4))] = draw(_map_file_pieces)
+    return bytes(data[:4096])
+
+
+class TestMapFileFuzz:
+    """Any bytes of at most 4 KiB as a map file: a result or one domain error."""
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(_map_file_bytes())
+    def test_degree_and_energy(self, capsys, tmp_path, content):
+        path = tmp_path / "map.csv"
+        path.write_bytes(content)
+        for argv in (["degree", "--map", str(path)], ["energy", "--map", str(path), "--p", "1.5"]):
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 3)
+            if code == 3:
+                assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1

@@ -3,7 +3,9 @@
 import csv
 import importlib
 import math
+import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -182,6 +184,54 @@ class TestCachedWinding:
             assert degree(u) == round(winding)
 
 
+class TestFarDifferences:
+    """A neighbor difference above 2^21 may wrap more than 1e-9 off the
+    angle between its nodes' positions, and makes the map inadmissible."""
+
+    def test_gap_that_misses_the_positions(self):
+        # 1e20 wraps to a gap of 0, but node 1 sits -0.7014 rad from node 0
+        assert float(mpmath.fmod(mpmath.mpf(1e20), 2 * mpmath.pi)) - 2.0 * math.pi == pytest.approx(-0.7014, abs=1e-4)
+        u = GridMap(np.array([0.0, 1e20] + [0.0] * 6))
+        assert u.gaps[0] == 0.0
+        assert u.admissible is False and u.degree is None and is_admissible(u) is False
+        with pytest.raises(AdmissibilityError, match="above 2\\^21"):
+            degree(u)
+
+    def test_bound(self):
+        at = GridMap(np.array([0.0, 2.0**21] + [0.0] * 6))
+        above = GridMap(np.array([0.0, np.nextafter(2.0**21, math.inf)] + [0.0] * 6))
+        assert at.admissible is True and at.degree == 0
+        assert above.admissible is False and above.degree is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: power_map(65536, 32767), lambda: rotated(identity_map(64), 1e7)],
+        ids=["power-65536-32767", "rotated-1e7"],
+    )
+    def test_far_phases_with_near_differences_stay_admissible(self, make):
+        u = make()
+        assert u.admissible is True and u.degree == round(u.winding)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=st.floats(-(2.0**20), 2.0**20), x=st.floats(-(2.0**21), 2.0**21))
+    def test_wrap_error_within_the_stated_bound(self, a, x):
+        # GridMap's bound, 2.61e-16 |x| + 1e-15, at most 5.5e-10 up to 2^21
+        b = a + x
+        x = b - a
+        wrapped = float(wrap_angle(np.array([x]))[0])
+        exact = mpmath.mpf(b) - mpmath.mpf(a)
+        two_pi = 2 * mpmath.pi
+        error = abs(mpmath.mpf(wrapped) - (exact - two_pi * mpmath.nint(exact / two_pi)))
+        error = min(error, abs(error - two_pi))
+        assert error <= 2.61e-16 * abs(x) + 1e-15
+
+    def test_map_file_is_rejected(self, tmp_path):
+        path = tmp_path / "far.csv"
+        write_map_csv(GridMap(np.array([0.0, 1e20] + [0.0] * 6)), path)
+        with pytest.raises(AdmissibilityError, match="above 2\\^21"):
+            read_map_csv(path)
+
+
 class TestMoebius:
     def test_center_zero_is_identity(self):
         u = moebius_map(64, (0.0, 0.0))
@@ -264,6 +314,43 @@ class TestCsv:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(DomainError, match="cannot write map file"):
             write_map_csv(identity_map(8), tmp_path / "missing" / "map.csv")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self):
+        # the open succeeds, and the write fails as the file is closed
+        with pytest.raises(DomainError, match="cannot write map file '/dev/full': No space left on device"):
+            write_map_csv(identity_map(8), "/dev/full")
+
+    def test_text_is_written_as_given(self, tmp_path):
+        # UTF-8, with no line end translated
+        path = tmp_path / "out.txt"
+        maps_module._write_text(path, "a\r\nb\nc\r\u00e9")
+        assert path.read_bytes() == b"a\r\nb\nc\r\xc3\xa9"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"theta,phase\r\n\xff\r\n", "can't decode byte 0xff"),
+            (b"theta,phase\r\n0," + b"1" * 200000 + b"\r\n", "field larger than field limit"),
+        ],
+        ids=["undecodable", "field-over-the-csv-limit"],
+    )
+    def test_unparsable_file(self, tmp_path, content, reason):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match="cannot read map file") as raised:
+            read_map_csv(path)
+        assert reason in str(raised.value)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot read map file .*: Is a directory"):
+            read_map_csv(tmp_path)
+
+    def test_blank_rows_after_the_header_are_skipped(self, tmp_path):
+        u = identity_map(8)
+        path = tmp_path / "map.csv"
+        path.write_text("theta,phase\n\n" + "".join(f"{t:.17g},{t:.17g}\n\n" for t in u.theta))
+        assert _same_bits(read_map_csv(path).phases, u.phases)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -487,8 +574,11 @@ class TestAnyFinitePhases:
         derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(st.lists(_finite_phase, min_size=8, max_size=64))
-    # the greatest phases whose differences skip np.errstate, and the least
-    # that take it
+    # the greatest phases whose differences are not searched for one above
+    # 2^21, and the least that are; the greatest whose differences stay
+    # finite, and the least whose differences overflow
+    @example([np.nextafter(2.0**20, 0.0), -np.nextafter(2.0**20, 0.0)] * 4)
+    @example([2.0**20, -(2.0**20)] * 4)
     @example([np.nextafter(2.0**1022, 0.0), -np.nextafter(2.0**1022, 0.0)] * 4)
     @example([2.0**1022, -(2.0**1022)] * 4)
     def test_measured_without_a_warning(self, tmp_path, phases):

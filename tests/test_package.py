@@ -1,9 +1,11 @@
 """The package namespace: exactly the submodules' public names."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -84,3 +86,17 @@ def test_import_and_small_calls_start_no_thread():
     assert done.returncode == 0, done.stderr
     before, imported, called = map(int, done.stdout.split())
     assert imported == before and called == before
+
+
+def test_files_are_opened_only_in_maps():
+    # maps.py's one writer and one reader turn every OS, decode and parse
+    # error into a DomainError; a file opened anywhere else would bypass them
+    openers = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    callers = set()
+    for path in pathlib.Path(fracmin.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name in openers:
+                    callers.add(path.name)
+    assert callers == {"maps.py"}

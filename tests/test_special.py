@@ -99,8 +99,8 @@ def assert_zeta_matches_mpmath(s):
 
 
 class TestZeta:
-    """zeta(s) on [0, 1) and (2, 3], where the energy's diagonal corrections
-    need zeta(2 - p) and zeta(1 + p)."""
+    """zeta(s) on [0, 1) and [2, 3], where the energy's diagonal corrections
+    need zeta(2 - p) and zeta(1 + p); 1 + p is 2 at p = 1 + 2^-52."""
 
     @pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 0.5, 0.86, 0.95, 0.999])
     def test_against_mpmath(self, s):
@@ -111,20 +111,25 @@ class TestZeta:
     def test_sweep_against_mpmath(self, s):
         assert_zeta_matches_mpmath(s)
 
-    @pytest.mark.parametrize("s", [2.0 + 1e-12, 2.001, 2.05, 2.13921, 2.5, 2.99, 3.0])
+    @pytest.mark.parametrize("s", [2.0, 2.0 + 1e-12, 2.001, 2.05, 2.13921, 2.5, 2.99, 3.0])
     def test_above_two_against_mpmath(self, s):
         assert_zeta_matches_mpmath(s)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(s=st.floats(2.0, 3.0, exclude_min=True))
+    @given(s=st.floats(2.0, 3.0))
     def test_sweep_above_two_against_mpmath(self, s):
         assert_zeta_matches_mpmath(s)
+
+    def test_two_is_pi_squared_over_six_exactly(self):
+        # zeta(1 + p) at the least exponent above 1, where 1 + p rounds to 2
+        assert 1.0 + np.nextafter(1.0, 2.0) == 2.0
+        assert zeta(2.0) == math.pi**2 / 6.0
 
     def test_zero_is_minus_one_half_exactly(self):
         # the diagonal correction at p = 2 then makes the identity energy 4 pi^2
         assert zeta(0.0) == -0.5
 
-    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0, 1.5, 2.0, 3.0000000000000004, 4.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0, 1.5, 1.9999999999999998, 3.0000000000000004, 4.0, math.inf, math.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             zeta(bad)
